@@ -2,17 +2,28 @@
 
 Bodies are stored by vertices only (V-representation); every operation
 re-canonicalizes to extreme points. Hulls are built by incremental facet
-insertion on denominator-cleared integer coordinates, volumes come from
-a simplex fan over a fixed base vertex, and mixed volumes evaluate the
-polarization formula with subset Minkowski sums memoized and reduced as
-they grow. Everything is integer or Fraction arithmetic end to end.
+insertion on denominator-cleared integer coordinates. One hull pass per
+point cloud yields both the extreme points and the exact volume, a
+simplex fan over the same facets from a fixed base vertex; a Polytope
+keeps the volume it was built with.
+
+Mixed volumes use multiset polarization: equal bodies are grouped, so a
+tuple with multiplicities r_i needs prod_i (r_i + 1) - 1 Minkowski sums
+rather than 2^d - 1. Each sum is built from a smaller one plus a single
+body, reduced to its extreme points, and kept in a bounded memo keyed
+by the (body, count) multiset and the vertex budget, which the pair,
+m-fold and concavity checks of one instance share. Everything is
+integer or Fraction arithmetic end to end.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter, OrderedDict
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from operator import mul
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
+from operator import attrgetter, mul
 from typing import Sequence
 
 from ._kernels import compositions, int_det
@@ -245,35 +256,26 @@ def _project_affine(ints, basis_idx, rank):
     return out
 
 
-def _extreme_index_set(points, d):
-    """Ascending indices of the extreme points of a deduped cloud."""
+def _hull(points, d):
+    """Extreme indices and exact d-volume of a deduped cloud, in one pass.
+
+    A full-dimensional cloud is hulled once by `_hull_full_dim`; the
+    ascending extreme indices are read off its facets, and the volume is
+    a simplex fan from the apex over the same facets. A flat cloud has
+    volume 0, and its extreme points are preserved by any affine
+    isomorphism of its span, so it is projected and recursed.
+    """
     if len(points) == 1:
-        return [0]
+        return [0], Fraction(0)
     if d == 1:
-        lo = min(range(len(points)), key=lambda i: points[i])
-        hi = max(range(len(points)), key=lambda i: points[i])
-        return sorted({lo, hi})
-    ints, _ = _clear_points(points)
-    basis_idx, ech = _affine_basis(ints, d)
-    rank = ech.rank
-    if rank == d:
-        facets, _ = _hull_full_dim(ints, d, basis_idx)
-        return _extreme_indices(ints, d, facets)
-    # flat cloud: extreme points are preserved by any affine isomorphism
-    # of the span, so recurse in lower dimension
-    return _extreme_index_set(_project_affine(ints, basis_idx, rank), rank)
-
-
-def _volume_points(points, d):
-    """Exact d-volume of the hull of a deduped cloud of Fraction tuples."""
-    if d == 1:
-        return max(points)[0] - min(points)[0]
-    if len(points) <= d:
-        return Fraction(0)
+        lo = min(range(len(points)), key=points.__getitem__)
+        hi = max(range(len(points)), key=points.__getitem__)
+        return sorted({lo, hi}), points[hi][0] - points[lo][0]
     ints, scale = _clear_points(points)
     basis_idx, ech = _affine_basis(ints, d)
-    if ech.rank < d:
-        return Fraction(0)
+    rank = ech.rank
+    if rank < d:
+        return _hull(_project_affine(ints, basis_idx, rank), rank)[0], Fraction(0)
     facets, apex = _hull_full_dim(ints, d, basis_idx)
     ap = ints[apex]
     total = 0
@@ -282,7 +284,7 @@ def _volume_points(points, d):
             continue
         rows = [[ints[v][j] - ap[j] for j in range(d)] for v in vidx]
         total += abs(int_det(rows))
-    return Fraction(total, factorial(d) * scale ** d)
+    return _extreme_indices(ints, d, facets), Fraction(total, factorial(d) * scale ** d)
 
 
 class Polytope:
@@ -291,10 +293,12 @@ class Polytope:
     Construction canonicalizes: whatever point set comes in, vertices end
     up as the lexicographically sorted extreme points of its hull, so
     equal bodies compare equal structurally. Flat (lower-dimensional)
-    bodies are allowed.
+    bodies are allowed. The exact volume comes out of the same hull
+    pass and is kept alongside the vertices, as is the hash, since
+    bodies key the Minkowski-sum memo.
     """
 
-    __slots__ = ("dim", "vertices")
+    __slots__ = ("dim", "vertices", "_volume", "_hash")
 
     def __init__(self, points):
         pts = [tuple(as_rat(c) for c in p) for p in points]
@@ -311,7 +315,9 @@ class Polytope:
             )
         uniq = sorted(set(pts))
         self.dim = d
-        self.vertices = tuple(uniq[i] for i in _extreme_index_set(uniq, d))
+        idx, self._volume = _hull(uniq, d)
+        self.vertices = tuple(uniq[i] for i in idx)
+        self._hash = hash((d, self.vertices))
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -319,7 +325,7 @@ class Polytope:
         return self.dim == other.dim and self.vertices == other.vertices
 
     def __hash__(self):
-        return hash((self.dim, self.vertices))
+        return self._hash
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
@@ -354,7 +360,7 @@ def convex_hull(points) -> Polytope:
 
 def volume(p: Polytope) -> Rat:
     """Exact d-dimensional volume; 0 for lower-dimensional bodies."""
-    return _volume_points(list(p.vertices), p.dim)
+    return p._volume
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -385,32 +391,81 @@ def dilate(p: Polytope, lam) -> Polytope:
     return Polytope([tuple(lam * c for c in v) for v in p.vertices])
 
 
-def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
-    """V(K_1, ..., K_d) via the polarization formula.
+# Bounded memo of Minkowski sums, shared by every mixed_volume call, so
+# the pair, m-fold and concavity checks of one instance hull each sum
+# once. The key is the (body, count) pairs in canonical body order plus
+# the vertex budget, so a tighter budget never reuses a sum built under
+# a looser one; the value is (extreme points, exact volume). One pair
+# check at d = MAX_DIMENSION touches 2^d - 1 sums for V(K, L, rest) and
+# 2^(d-2) more each for V(K, K, rest) and V(L, L, rest): 23 at d = 4.
+# Holding them all lets the m = 2 fold that follows run on lookups
+# alone; least recently used entries go first. The lock makes each
+# lookup-and-touch and insert-and-evict atomic across threads.
+_SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
+_sum_memo: OrderedDict = OrderedDict()
+_sum_memo_lock = threading.Lock()
 
-    Subset Minkowski sums are memoized and reduced to extreme points
-    after every pairwise sum, keeping intermediate clouds small; the
-    budget bounds a pairwise product before it is materialized.
+
+def _minkowski_entry(bodies, k, budget):
+    """(extreme points, volume) of sum_i k_i K_i, bodies in canonical order.
+
+    A sum of two or more bodies is built from the reduced cloud of the
+    same sum with one copy of its last body removed, plus that body.
+    """
+    j = max(i for i, c in enumerate(k) if c)
+    body = bodies[j]
+    if sum(k) == 1:
+        return body.vertices, body._volume
+    key = (tuple((b, c) for b, c in zip(bodies, k) if c), budget)
+    with _sum_memo_lock:
+        entry = _sum_memo.get(key)
+        if entry is not None:
+            _sum_memo.move_to_end(key)
+            return entry
+    a = _minkowski_entry(bodies, k[:j] + (k[j] - 1,) + k[j + 1:], budget)[0]
+    b = body.vertices
+    if len(a) * len(b) > budget:
+        raise SizeLimitError(
+            f"intermediate Minkowski sum of {len(a) * len(b)} points "
+            f"exceeds the budget of {budget}"
+        )
+    sums = sorted({tuple(x + y for x, y in zip(u, v)) for u in a for v in b})
+    idx, vol = _hull(sums, body.dim)
+    entry = (tuple(sums[i] for i in idx), vol)
+    with _sum_memo_lock:
+        _sum_memo[key] = entry
+        if len(_sum_memo) > _SUM_MEMO_SIZE:
+            _sum_memo.popitem(last=False)
+    return entry
+
+
+def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
+    """V(K_1, ..., K_d) via multiset polarization.
+
+    Equal bodies are grouped into distinct bodies K_i of multiplicity
+    r_i, and
+
+        d! V = sum over 0 <= k <= r, k != 0, of
+               prod_i C(r_i, k_i) (-1)^(d - |k|) vol(sum_i k_i K_i),
+
+    which needs prod_i (r_i + 1) - 1 Minkowski sums instead of the
+    2^d - 1 of plain subset polarization. Each sum is hulled once,
+    reduced to its extreme points and kept in a bounded module memo
+    shared by all calls; the budget bounds every pairwise vertex product
+    before it is materialized, and sums built under another budget are
+    never reused.
     """
     d = t.dim
-    clouds = {1 << i: list(b.vertices) for i, b in enumerate(t.bodies)}
-    for mask in range(3, 1 << d):
-        if mask & (mask - 1) == 0:
-            continue
-        low = mask & -mask
-        a = clouds[mask ^ low]
-        b = clouds[low]
-        if len(a) * len(b) > budget:
-            raise SizeLimitError(
-                f"intermediate Minkowski sum of {len(a) * len(b)} points "
-                f"exceeds the budget of {budget}"
-            )
-        sums = sorted({tuple(x + y for x, y in zip(u, v)) for u in a for v in b})
-        clouds[mask] = [sums[i] for i in _extreme_index_set(sums, d)]
+    counts = Counter(t.bodies)
+    bodies = sorted(counts, key=attrgetter("vertices"))
+    mults = [counts[b] for b in bodies]
     total = Fraction(0)
-    for mask in range(1, 1 << d):
-        v = _volume_points(clouds[mask], d)
-        if (d + mask.bit_count()) & 1:
+    for k in product(*(range(r + 1) for r in mults)):
+        size = sum(k)
+        if not size:
+            continue
+        v = prod(map(comb, mults, k)) * _minkowski_entry(bodies, k, budget)[1]
+        if (d - size) & 1:
             total -= v
         else:
             total += v

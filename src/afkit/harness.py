@@ -51,6 +51,7 @@ EXACT_MODES = ("discriminant", "volume", "shephard", "torus")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ENTRY_BOUND_MAX = (1 << 63) - 1
 
 
 class SplitMix64:
@@ -197,6 +198,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("seed must be a 64-bit nonnegative integer")
     if cfg.entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
+    if cfg.entry_bound > _ENTRY_BOUND_MAX:
+        # int_between draws one 64-bit word, so the span 2 bound + 1 of
+        # [-bound, bound] must not exceed 2^64
+        raise ValueError(f"entry bound must be at most {_ENTRY_BOUND_MAX}")
     if cfg.grid < 3:
         raise ValueError("grid size must be at least 3")
     if not cfg.tolerance > 0:
@@ -411,6 +416,8 @@ def load_fixtures(path, mode: str):
     The file holds one JSON object (a single instance) or an array of
     objects. Structural problems raise FormatError here, before any
     verification work; semantic failures surface per instance later.
+    Matrix and body tuples of dimension below 2 are structural problems:
+    every pair check reads two slots.
     """
     if mode in ("all", "bm"):
         raise ValueError(f"fixtures are not supported for mode {mode!r}")
@@ -425,12 +432,18 @@ def load_fixtures(path, mode: str):
         raise FormatError("fixture file holds no instances")
     parsed = []
     for item in items:
-        if mode in ("discriminant", "torus"):
-            parsed.append(jsonio.tuple_from_json(item))
-        elif mode == "shephard":
+        if mode == "shephard":
             parsed.append(jsonio.gram_from_json(item))
+            continue
+        if mode in ("discriminant", "torus"):
+            obj = jsonio.tuple_from_json(item)
+            size = obj.n
         else:
-            parsed.append(jsonio.body_tuple_from_json(item))
+            obj = jsonio.body_tuple_from_json(item)
+            size = obj.dim
+        if size < 2:
+            raise FormatError(f"mode {mode} needs fixtures of dimension at least 2, got {size}")
+        parsed.append(obj)
     return parsed
 
 

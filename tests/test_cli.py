@@ -130,3 +130,33 @@ def test_console_script_subprocess(tmp_path):
     assert threaded.returncode == 0
     assert serial.stdout == threaded.stdout
     assert "elapsed" in serial.stderr
+
+
+def test_one_dimensional_fixtures_exit_2(tmp_path, capsys):
+    one = {"re": "1", "im": "0"}
+    fixtures = {
+        "volume": {"dim": 1, "bodies": [{"dim": 1, "vertices": [["0"], ["1"]]}]},
+        "torus": {"n": 1, "mats": [{"n": 1, "entries": [[one]]}]},
+        "discriminant": {"n": 1, "mats": [{"n": 1, "entries": [[one]]}]},
+    }
+    for mode, obj in fixtures.items():
+        fx = tmp_path / f"{mode}.json"
+        fx.write_text(json.dumps(obj))
+        out = tmp_path / f"{mode}.jsonl"
+        code, outs, errs = run_main(
+            ["--mode", mode, "--in", str(fx), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "configuration error" in errs and "dimension at least 2" in errs
+        assert not out.exists()
+
+
+def test_entry_bound_beyond_64_bits_exits_2(tmp_path, capsys):
+    out = tmp_path / "wide.jsonl"
+    code, outs, errs = run_main(
+        ["--mode", "discriminant", "--entry-bound", str(10 ** 83), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "entry bound" in errs
+    assert not out.exists()

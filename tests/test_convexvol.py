@@ -3,11 +3,14 @@ mixed volumes, cross-checked against brute-force geometry oracles."""
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from afkit import convexvol
 from afkit.convexvol import (
     BodyTuple,
     Polytope,
@@ -20,6 +23,7 @@ from afkit.convexvol import (
     volume,
 )
 from afkit.errors import DimensionMismatchError, SizeLimitError
+from afkit.ineqcheck import af_gap_volume
 
 from oracles import (
     extreme_points_bruteforce,
@@ -296,6 +300,117 @@ def test_mixed_volume_budget():
     bodies = [convex_hull(rand_cloud(rng, 2, 8, bound=9, denom=1)) for _ in range(2)]
     with pytest.raises(SizeLimitError):
         mixed_volume(BodyTuple(bodies), budget=3)
+
+
+def polygon_area(pts):
+    return shoelace_area(hull_cycle_2d(pts))
+
+
+def pointwise_sums(a, b):
+    return [tuple(x + y for x, y in zip(u, v)) for u in a for v in b]
+
+
+def test_mixed_volume_multiset_route_matches_shoelace():
+    rng = random.Random(157)
+    for _ in range(25):
+        kp = rand_cloud(rng, 2, rng.randint(1, 7))
+        lp = rand_cloud(rng, 2, rng.randint(1, 7))
+        k, l = convex_hull(kp), convex_hull(lp)
+        area_k, area_l = polygon_area(kp), polygon_area(lp)
+        area_kl = polygon_area(pointwise_sums(kp, lp))
+        assert mixed_volume(BodyTuple([k, l])) == (area_kl - area_k - area_l) / 2
+        assert mixed_volume(BodyTuple([l, k])) == (area_kl - area_k - area_l) / 2
+        assert mixed_volume(BodyTuple([k, k])) == area_k
+        assert mixed_volume(BodyTuple([l, l])) == area_l
+
+
+def test_mixed_volume_repeated_body_order_free_d3():
+    rng = random.Random(163)
+    for _ in range(3):
+        k, m = (convex_hull(rand_cloud(rng, 3, 6, bound=3, denom=2)) for _ in range(2))
+        values = {
+            mixed_volume(BodyTuple(order))
+            for order in itertools.permutations([k, k, m])
+        }
+        assert len(values) == 1
+    # V(K, K, K) is the volume, and V(K, K, M) is linear in M
+    assert mixed_volume(BodyTuple([k, k, k])) == volume(k)
+    assert mixed_volume(BodyTuple([k, k, dilate(m, 3)])) == 3 * values.pop()
+
+
+def test_memo_keys_on_the_budget():
+    rng = random.Random(167)
+    t = BodyTuple([convex_hull(rand_cloud(rng, 2, 8, bound=9, denom=1)) for _ in range(2)])
+    value = mixed_volume(t)
+    with pytest.raises(SizeLimitError):
+        mixed_volume(t, budget=3)
+    assert mixed_volume(t) == value
+
+
+def test_memo_separates_translated_and_dilated_copies():
+    rng = random.Random(173)
+    kp, lp = rand_cloud(rng, 2, 6), rand_cloud(rng, 2, 6)
+    k, l = convex_hull(kp), convex_hull(lp)
+    area_kl = polygon_area(pointwise_sums(kp, lp))
+    base = (area_kl - polygon_area(kp) - polygon_area(lp)) / 2
+    assert mixed_volume(BodyTuple([k, l])) == base
+    shift = (F(5, 2), F(-7))
+    moved = translate(k, shift)
+    assert moved != k
+    moved_pts = [tuple(a + b for a, b in zip(p, shift)) for p in kp]
+    assert mixed_volume(BodyTuple([moved, moved])) == polygon_area(moved_pts)
+    assert mixed_volume(BodyTuple([moved, l])) == base
+    big = dilate(k, 3)
+    assert big != k
+    assert mixed_volume(BodyTuple([big, big])) == 9 * polygon_area(kp)
+    assert mixed_volume(BodyTuple([big, l])) == 3 * base
+
+
+def test_memo_stays_bounded():
+    assert convexvol._SUM_MEMO_SIZE >= 23  # one d = 4 pair check
+    rng = random.Random(179)
+    for _ in range(2 * convexvol._SUM_MEMO_SIZE):
+        k, l = (convex_hull(rand_cloud(rng, 2, 5)) for _ in range(2))
+        af_gap_volume(k, l)
+        assert len(convexvol._sum_memo) <= convexvol._SUM_MEMO_SIZE
+    assert len(convexvol._sum_memo) == convexvol._SUM_MEMO_SIZE
+
+
+def test_memo_shared_across_threads():
+    # slightly more sums than the memo holds, drawn at random by more
+    # threads than cores: lookups keep racing evictions of the same keys
+    rng = random.Random(181)
+    tuples = [
+        BodyTuple([convex_hull(rand_cloud(rng, 2, 3)) for _ in range(2)])
+        for _ in range(convexvol._SUM_MEMO_SIZE + 3)
+    ]
+    want = [mixed_volume(t) for t in tuples]
+    errors, done = [], []
+
+    def work(seed):
+        pick = random.Random(seed)
+        try:
+            for _ in range(3000):
+                i = pick.randrange(len(tuples))
+                assert mixed_volume(tuples[i]) == want[i]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+        done.append(seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(done) == 8
+    assert len(convexvol._sum_memo) <= convexvol._SUM_MEMO_SIZE
 
 
 def test_expansion_single_body():

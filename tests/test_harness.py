@@ -121,6 +121,8 @@ def test_validate_config_rejections():
         RunConfig(seed=-1),
         RunConfig(seed=1 << 64),
         RunConfig(entry_bound=0),
+        RunConfig(entry_bound=1 << 63),
+        RunConfig(entry_bound=10 ** 83),
         RunConfig(grid=2),
         RunConfig(tolerance=0.0),
         RunConfig(r=0),
@@ -136,6 +138,7 @@ def test_validate_config_rejections():
         with pytest.raises(ValueError):
             validate_config(cfg)
     validate_config(RunConfig(mode="bm", n=3, m=1))
+    validate_config(RunConfig(entry_bound=(1 << 63) - 1))
 
 
 def run_to_lines(cfg, fixtures=None):
