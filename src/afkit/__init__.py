@@ -66,6 +66,7 @@ from afkit.shephard import (
 )
 from afkit.toruskahler import (
     TorusClass,
+    af_gap_torus,
     equality_corollary_full,
     equality_theorem_m,
     equality_theorem_pair,
@@ -96,6 +97,7 @@ __all__ = [
     "SizeLimitError",
     "TorusClass",
     "af_gap_discriminant",
+    "af_gap_torus",
     "af_gap_volume",
     "af_m_fold_discriminant",
     "af_m_fold_volume",

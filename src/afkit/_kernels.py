@@ -1,13 +1,15 @@
-"""Integer kernels: exact determinants over Z and Z[i], and the
-permutation-sum accumulator behind mixed discriminants.
+"""Integer kernels: exact determinants over Z and Z[i], the
+permutation-sum accumulator behind mixed discriminants, and the
+polarization and expansion sums shared by both engines.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
-divide the scale factor back out afterwards; everything below is pure
-integer arithmetic, so intermediate growth is the only cost.
+divide the scale factor back out afterwards; the determinant kernels are
+pure integer arithmetic, so intermediate growth is the only cost.
 """
 
-from math import lcm
+from itertools import product
+from math import comb, factorial, lcm, prod
 
 _GZERO = (0, 0)
 
@@ -20,6 +22,39 @@ def compositions(total, parts):
     for head in range(total + 1):
         for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def _polarize(mults, value):
+    """d! times the mixed value of the multiset {X_i repeated r_i}, d = sum r_i.
+
+    It is the sum over 0 <= k <= r, k != 0, in lexicographic order, of
+    prod_i C(r_i, k_i) (-1)^(d - |k|) value(k), where value(k) is the
+    top-degree value (a volume or a determinant) of sum_i k_i X_i.
+    """
+    d = sum(mults)
+    total = 0
+    for k in product(*(range(r + 1) for r in mults)):
+        if any(k):
+            term = prod(map(comb, mults, k)) * value(k)
+            total += -term if (d - sum(k)) & 1 else term
+    return total
+
+
+def _multinomial_expansion(items, lams, d, mixed):
+    """A degree-d form at sum_i lam_i X_i, expanded in mixed values.
+
+    Sums the multinomial d! / prod_i r_i! times prod_i lam_i^r_i times
+    mixed([X_i repeated r_i]) over all compositions r of d, skipping
+    vanishing monomials.
+    """
+    total = 0
+    for comp in compositions(d, len(items)):
+        monomial = prod(lam ** r for lam, r in zip(lams, comp))
+        if monomial:
+            coeff = factorial(d) // prod(map(factorial, comp))
+            rep = [x for x, r in zip(items, comp) for _ in range(r)]
+            total = total + mixed(rep) * (coeff * monomial)
+    return total
 
 
 def _gmul(a, b):

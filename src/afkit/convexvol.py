@@ -21,12 +21,11 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._kernels import compositions, int_det
+from ._kernels import _multinomial_expansion, _polarize, int_det
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from .rationals import Rat, as_rat
 
@@ -202,68 +201,16 @@ def _extreme_indices(ints, d, facets):
     return out
 
 
-def _invert_fraction_matrix(m):
-    k = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(m)]
-    for c in range(k):
-        pr = next(i for i in range(c, k) if aug[i][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(k):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[k:] for row in aug]
-
-
-def _project_affine(ints, basis_idx, rank):
-    """Affine-isomorphic image of a flat cloud in Q^rank.
-
-    Coordinates are taken against the independent difference vectors of
-    the affine basis. Every point lies in their span by construction, so
-    solving on a set of pivot coordinates is exact and total.
-    """
-    d = len(ints[0])
-    base = ints[basis_idx[0]]
-    u = [tuple(ints[i][j] - base[j] for j in range(d)) for i in basis_idx[1:]]
-    m = [[Fraction(x) for x in vec] for vec in u]
-    piv_cols = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, rank) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rank):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rank:
-            break
-    inv = _invert_fraction_matrix([[u[i][c] for i in range(rank)] for c in piv_cols])
-    out = []
-    for p in ints:
-        w = [Fraction(p[c] - base[c]) for c in piv_cols]
-        out.append(tuple(
-            sum(inv[i][j] * w[j] for j in range(rank)) for i in range(rank)
-        ))
-    return out
-
-
 def _hull(points, d):
     """Extreme indices and exact d-volume of a deduped cloud, in one pass.
 
     A full-dimensional cloud is hulled once by `_hull_full_dim`; the
     ascending extreme indices are read off its facets, and the volume is
     a simplex fan from the apex over the same facets. A flat cloud has
-    volume 0, and its extreme points are preserved by any affine
-    isomorphism of its span, so it is projected and recursed.
+    volume 0. Its difference vectors span the rows of the affine basis
+    echelon, which are triangular on their pivot coordinates, so
+    keeping only those coordinates is injective on the affine span and
+    keeps the extreme points; the projected cloud is recursed.
     """
     if len(points) == 1:
         return [0], Fraction(0)
@@ -275,7 +222,8 @@ def _hull(points, d):
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
-        return _hull(_project_affine(ints, basis_idx, rank), rank)[0], Fraction(0)
+        flat = [tuple(p[piv] for piv, _ in ech.rows) for p in ints]
+        return _hull(flat, rank)[0], Fraction(0)
     facets, apex = _hull_full_dim(ints, d, basis_idx)
     ap = ints[apex]
     total = 0
@@ -442,33 +390,17 @@ def _minkowski_entry(bodies, k, budget):
 def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     """V(K_1, ..., K_d) via multiset polarization.
 
-    Equal bodies are grouped into distinct bodies K_i of multiplicity
-    r_i, and
-
-        d! V = sum over 0 <= k <= r, k != 0, of
-               prod_i C(r_i, k_i) (-1)^(d - |k|) vol(sum_i k_i K_i),
-
-    which needs prod_i (r_i + 1) - 1 Minkowski sums instead of the
-    2^d - 1 of plain subset polarization. Each sum is hulled once,
-    reduced to its extreme points and kept in a bounded module memo
-    shared by all calls; the budget bounds every pairwise vertex product
-    before it is materialized, and sums built under another budget are
-    never reused.
+    Equal bodies are grouped, and d! V is the polarization sum of
+    vol(sum_i k_i K_i) over 0 <= k <= r, k != 0 (`_polarize`). Each sum
+    is hulled once and kept in a bounded module memo shared by all
+    calls; the budget bounds every pairwise vertex product before it is
+    materialized, and sums built under another budget are never reused.
     """
     d = t.dim
     counts = Counter(t.bodies)
     bodies = sorted(counts, key=attrgetter("vertices"))
     mults = [counts[b] for b in bodies]
-    total = Fraction(0)
-    for k in product(*(range(r + 1) for r in mults)):
-        size = sum(k)
-        if not size:
-            continue
-        v = prod(map(comb, mults, k)) * _minkowski_entry(bodies, k, budget)[1]
-        if (d - size) & 1:
-            total -= v
-        else:
-            total += v
+    total = _polarize(mults, lambda k: _minkowski_entry(bodies, k, budget)[1])
     result = total / factorial(d)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")
@@ -499,19 +431,6 @@ def minkowski_expansion_check(bodies: Sequence[Polytope], lambdas) -> bool:
     combo = dilate(bodies[0], lams[0])
     for b, lam in zip(bodies[1:], lams[1:]):
         combo = minkowski_sum(combo, dilate(b, lam))
-    lhs = volume(combo)
-
-    df = factorial(d)
-    rhs = Fraction(0)
-    for comp in compositions(d, len(bodies)):
-        coeff = df
-        monomial = Fraction(1)
-        rep = []
-        for b, lam, r in zip(bodies, lams, comp):
-            coeff //= factorial(r)
-            monomial *= lam ** r
-            rep.extend([b] * r)
-        if monomial == 0:
-            continue
-        rhs += coeff * monomial * mixed_volume(BodyTuple(rep))
-    return lhs == rhs
+    return volume(combo) == _multinomial_expansion(
+        bodies, lams, d, lambda rep: mixed_volume(BodyTuple(rep))
+    )

@@ -23,7 +23,6 @@ from .convexvol import (
     Polytope,
     convex_hull,
     dilate,
-    minkowski_sum,
     translate,
 )
 from .errors import AfkitError, FormatError
@@ -102,15 +101,6 @@ def gen_pd_hermitian(seed: int, n: int, entry_bound: int = 5) -> HermMat:
     return HermMat.from_gram(g) + HermMat.identity(n)
 
 
-def gen_psd_singular(seed: int, n: int, entry_bound: int = 5) -> HermMat:
-    """G G* with the last column of G zeroed: PSD with det = 0 exactly."""
-    if n < 2:
-        raise ValueError("a singular PSD matrix needs n >= 2")
-    rng = SplitMix64(seed)
-    rows = [[_gauss_int(rng, entry_bound) for _ in range(n - 1)] + [GaussRat(0)] for _ in range(n)]
-    return HermMat.from_gram(GenMat(rows))
-
-
 def _rand_coord(rng: SplitMix64, bound: int) -> Fraction:
     return Fraction(rng.int_between(-bound, bound), rng.int_between(1, 3))
 
@@ -120,44 +110,6 @@ def gen_polytope(seed: int, d: int, points: int = 6, coord_bound: int = 5) -> Po
     rng = SplitMix64(seed)
     cloud = [tuple(_rand_coord(rng, coord_bound) for _ in range(d)) for _ in range(points)]
     return convex_hull(cloud)
-
-
-def box(lengths) -> Polytope:
-    """Axis-aligned box [0, a_1] x ... x [0, a_d]."""
-    sides = [Fraction(a) if isinstance(a, int) else a for a in lengths]
-    verts = [()]
-    for a in sides:
-        verts = [v + (c,) for v in verts for c in (Fraction(0), a)]
-    return convex_hull(verts)
-
-
-def simplex(d: int, scale=1) -> Polytope:
-    """Standard simplex conv(0, scale e_1, ..., scale e_d)."""
-    zero = tuple(Fraction(0) for _ in range(d))
-    verts = [zero]
-    for i in range(d):
-        v = list(zero)
-        v[i] = Fraction(scale)
-        verts.append(tuple(v))
-    return convex_hull(verts)
-
-
-def segment(v) -> Polytope:
-    """Segment from the origin to v."""
-    vec = tuple(Fraction(c) if isinstance(c, int) else c for c in v)
-    origin = tuple(Fraction(0) for _ in vec)
-    return convex_hull([origin, vec])
-
-
-def zonotope(vectors) -> Polytope:
-    """Minkowski sum of the segments [0, v_i]."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("a zonotope needs at least one generator")
-    body = segment(vectors[0])
-    for v in vectors[1:]:
-        body = minkowski_sum(body, segment(v))
-    return body
 
 
 @dataclass(frozen=True)
@@ -328,6 +280,18 @@ def _run_torus(cfg, rng, kind, record):
         ]
     g2 = lead[0]
     rest = lead[1:] + tail
+    outcome = _torus_pair(g1, g2, rest, record)
+    fold = equality_theorem_m([g1, g2] + rest, cfg.m)
+    record["mfold"] = {
+        "report": jsonio.gap_report_to_json(fold.report),
+        "adjugates_proportional": fold.adjugates_proportional,
+    }
+    return outcome
+
+
+def _torus_pair(g1, g2, rest, record):
+    """Record the pair equality verdict and the KT sequence of (g1, g2);
+    return the runner outcome of the pair verdict."""
     pair = equality_theorem_pair(g1, g2, rest)
     record["report"] = jsonio.gap_report_to_json(pair.report)
     record["pair"] = {
@@ -335,11 +299,6 @@ def _run_torus(cfg, rng, kind, record):
         "matrices_proportional": pair.matrices_proportional,
     }
     record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
-    fold = equality_theorem_m([g1, g2] + rest, cfg.m)
-    record["mfold"] = {
-        "report": jsonio.gap_report_to_json(fold.report),
-        "adjugates_proportional": fold.adjugates_proportional,
-    }
     return pair.report.gap, pair.report.equality, True
 
 
@@ -368,27 +327,19 @@ _GENERATED_RUNNERS = {
 
 
 def _run_fixture(cfg, mode, obj, record):
-    if mode == "discriminant":
-        rep = af_gap_discriminant(obj.mats[0], obj.mats[1], list(obj.mats[2:]))
-        record["report"] = jsonio.gap_report_to_json(rep)
-        return rep.gap, rep.equality, True
-    if mode == "volume":
-        rep = af_gap_volume(obj.bodies[0], obj.bodies[1], list(obj.bodies[2:]))
-        record["report"] = jsonio.gap_report_to_json(rep)
-        return rep.gap, rep.equality, True
     if mode == "shephard":
         return _certify_gram(obj, record)
     if mode == "torus":
         classes = [TorusClass(m) for m in obj.mats]
-        pair = equality_theorem_pair(classes[0], classes[1], classes[2:])
-        record["report"] = jsonio.gap_report_to_json(pair.report)
-        record["pair"] = {
-            "adjugates_proportional": pair.adjugates_proportional,
-            "matrices_proportional": pair.matrices_proportional,
-        }
-        record["kt"] = [format_rat(x) for x in kt_sequence(classes[0], classes[1])]
-        return pair.report.gap, pair.report.equality, True
-    raise ValueError(f"fixtures are not supported for mode {mode!r}")
+        return _torus_pair(classes[0], classes[1], classes[2:], record)
+    if mode == "discriminant":
+        rep = af_gap_discriminant(obj.mats[0], obj.mats[1], list(obj.mats[2:]))
+    elif mode == "volume":
+        rep = af_gap_volume(obj.bodies[0], obj.bodies[1], list(obj.bodies[2:]))
+    else:
+        raise ValueError(f"fixtures are not supported for mode {mode!r}")
+    record["report"] = jsonio.gap_report_to_json(rep)
+    return rep.gap, rep.equality, True
 
 
 def _worker(task):
@@ -448,10 +399,11 @@ def load_fixtures(path, mode: str):
 
 
 def worker_count() -> int:
-    """Worker cap from AFKIT_THREADS; absent or unusable means serial."""
+    """Worker cap from AFKIT_THREADS, at most the CPU count; absent or
+    unusable means serial."""
     raw = os.environ.get("AFKIT_THREADS", "")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 
@@ -461,8 +413,9 @@ def run_suite(cfg: RunConfig, out=None, fixtures=None) -> RunRecord:
 
     Writes one canonical JSON line per instance plus a trailing summary
     line to `out` when given. Instances run concurrently when
-    AFKIT_THREADS allows, but lines are always emitted in index order,
-    so identical configs give byte-identical output.
+    AFKIT_THREADS allows, on no more workers than CPUs or instances,
+    but lines are always emitted in index order, so identical configs
+    give byte-identical output.
     """
     validate_config(cfg)
     start = time.monotonic()
@@ -475,8 +428,9 @@ def run_suite(cfg: RunConfig, out=None, fixtures=None) -> RunRecord:
             for mode in _instance_modes(cfg):
                 tasks.append((cfg, mode, index, None))
                 index += 1
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
+    # the fork start method launches every worker at the first submit
+    workers = min(worker_count(), len(tasks))
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_worker, tasks))

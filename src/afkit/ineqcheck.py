@@ -2,11 +2,13 @@
 
 Every left-hand side, right-hand side, and gap is an exact rational,
 and equality verdicts are exact comparisons. Floating point enters in
-exactly one place: the m-th roots sampled for concavity reports.
+exactly one place: the m-th roots sampled for concavity reports. The
+pair and m-fold checks, shared with the torus verdicts, are written once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,6 +19,7 @@ from .errors import (
     HypothesisError,
     InvariantViolationError,
     NotBigError,
+    SizeLimitError,
 )
 from .matrixcore import HermMat, is_pd, is_psd, proportional
 from .mixdisc import MatTuple, _discriminant_auto
@@ -79,6 +82,41 @@ def _check_hermitian(mats) -> None:
             raise TypeError(f"expected a Hermitian matrix, got {type(m).__name__}")
 
 
+def _pair_gap(value, ratio, x, y, rest, characterized, context) -> GapReport:
+    """V(x, y, rest)^2 against V(x, x, rest) V(y, y, rest), with value
+    evaluating V on a list of slots and certificate ratio(x, y)."""
+    rest = list(rest)
+    v_xy = value([x, y] + rest)
+    v_xx = value([x, x] + rest)
+    v_yy = value([y, y] + rest)
+    return gap_report(v_xy ** 2, v_xx * v_yy, ratio(x, y), characterized, context)
+
+
+def _fold_gap(value, ratio, items, m, characterized, context) -> GapReport:
+    """V(items)^m against prod_{i<m} V(items_i repeated m, items[m:]).
+
+    The certificate is ratio(items[0], items[1]) when every items[i],
+    i < m, has a ratio to items[0].
+    """
+    items = list(items)
+    tail = items[m:]
+    lhs = value(items) ** m
+    rhs = 1
+    for x in items[:m]:
+        rhs *= value([x] * m + tail)
+    ratios = [ratio(items[0], x) for x in items[1:m]]
+    cert = ratios[0] if all(r is not None for r in ratios) else None
+    return gap_report(lhs, rhs, cert, characterized, context)
+
+
+def _discriminant_value(mats) -> Rat:
+    return _discriminant_auto(MatTuple(mats)).re
+
+
+def _volume_value(bodies) -> Rat:
+    return mixed_volume(BodyTuple(bodies))
+
+
 def af_gap_discriminant(a: HermMat, b: HermMat, rest: Sequence[HermMat] = ()) -> GapReport:
     """Pairwise AF inequality for mixed discriminants.
 
@@ -94,12 +132,9 @@ def af_gap_discriminant(a: HermMat, b: HermMat, rest: Sequence[HermMat] = ()) ->
         raise HypothesisError(
             "the first and the fixed matrices must be positive semi-definite"
         )
-    d_ab = _discriminant_auto(MatTuple([a, b] + rest)).re
-    d_aa = _discriminant_auto(MatTuple([a, a] + rest)).re
-    d_bb = _discriminant_auto(MatTuple([b, b] + rest)).re
     characterized = is_pd(a) and all(is_pd(m) for m in rest)
-    return gap_report(
-        d_ab ** 2, d_aa * d_bb, proportional(a, b), characterized, "AF discriminant"
+    return _pair_gap(
+        _discriminant_value, proportional, a, b, rest, characterized, "AF discriminant"
     )
 
 
@@ -118,15 +153,10 @@ def af_m_fold_discriminant(t: MatTuple, m: int) -> GapReport:
     _check_hermitian(t.mats)
     if not all(is_psd(mat) for mat in t.mats):
         raise HypothesisError("m-fold AF requires positive semi-definite matrices")
-    tail = list(t.mats[m:])
-    lhs = _discriminant_auto(t).re ** m
-    rhs = Fraction(1)
-    for i in range(m):
-        rhs *= _discriminant_auto(MatTuple([t.mats[i]] * m + tail)).re
-    ratios = [proportional(t.mats[0], t.mats[i]) for i in range(1, m)]
-    cert = ratios[0] if all(r is not None for r in ratios) else None
     characterized = all(is_pd(mat) for mat in t.mats)
-    return gap_report(lhs, rhs, cert, characterized, "m-fold AF discriminant")
+    return _fold_gap(
+        _discriminant_value, proportional, t.mats, m, characterized, "m-fold AF discriminant"
+    )
 
 
 def homothety_ratio(k: Polytope, l: Polytope) -> Optional[Rat]:
@@ -164,13 +194,7 @@ def af_gap_volume(k: Polytope, l: Polytope, rest: Sequence[Polytope] = ()) -> Ga
     which is sufficient for equality; no full equality characterization
     is claimed, so characterized is always False here.
     """
-    rest = list(rest)
-    v_kl = mixed_volume(BodyTuple([k, l] + rest))
-    v_kk = mixed_volume(BodyTuple([k, k] + rest))
-    v_ll = mixed_volume(BodyTuple([l, l] + rest))
-    return gap_report(
-        v_kl ** 2, v_kk * v_ll, homothety_ratio(k, l), False, "AF volume"
-    )
+    return _pair_gap(_volume_value, homothety_ratio, k, l, rest, False, "AF volume")
 
 
 def af_m_fold_volume(t: BodyTuple, m: int) -> GapReport:
@@ -178,14 +202,7 @@ def af_m_fold_volume(t: BodyTuple, m: int) -> GapReport:
     d = t.dim
     if not 2 <= m <= d:
         raise ValueError(f"m must lie in [2, {d}], got {m}")
-    tail = list(t.bodies[m:])
-    lhs = mixed_volume(t) ** m
-    rhs = Fraction(1)
-    for i in range(m):
-        rhs *= mixed_volume(BodyTuple([t.bodies[i]] * m + tail))
-    ratios = [homothety_ratio(t.bodies[0], t.bodies[i]) for i in range(1, m)]
-    cert = ratios[0] if all(r is not None for r in ratios) else None
-    return gap_report(lhs, rhs, cert, False, "m-fold AF volume")
+    return _fold_gap(_volume_value, homothety_ratio, t.bodies, m, False, "m-fold AF volume")
 
 
 def _grid(grid_size: int):
@@ -194,19 +211,35 @@ def _grid(grid_size: int):
     return [Fraction(k, grid_size - 1) for k in range(grid_size)]
 
 
-def _concavity_report(grid, exact_values, m) -> ConcavityReport:
-    values = [float(v) ** (1.0 / m) for v in exact_values]
-    max_violation = 0.0
-    for i in range(len(values) - 2):
-        bulge = values[i] + values[i + 2] - 2 * values[i + 1]
-        if bulge > max_violation:
-            max_violation = bulge
+def _concavity_report(grid_size, sample, m) -> ConcavityReport:
+    grid = _grid(grid_size)
+    exact = [sample(lam) for lam in grid]
+    # samples past the float range (2^1024) are divided by a common
+    # 2^(m k) that brings them below 2^1000; multiplying the roots and
+    # violations back by 2^k is exact
+    try:
+        values = [float(v) ** (1.0 / m) for v in exact]
+        k = 0
+    except OverflowError:
+        top = max(v.numerator.bit_length() - v.denominator.bit_length() for v in exact)
+        k = -(-(top - 1000) // m)
+        values = [float(Fraction(v.numerator, v.denominator << m * k)) ** (1.0 / m)
+                  for v in exact]
+    # second differences of grid triples, then shortfalls below the chord
     g0, g1 = values[0], values[-1]
-    for lam, gv in zip(grid, values):
-        f = float(lam)
-        shortfall = (1 - f) * g0 + f * g1 - gv
-        if shortfall > max_violation:
-            max_violation = shortfall
+    max_violation = max(
+        [0.0]
+        + [values[i] + values[i + 2] - 2 * values[i + 1] for i in range(len(values) - 2)]
+        + [(1 - float(lam)) * g0 + float(lam) * g1 - gv for lam, gv in zip(grid, values)]
+    )
+    if k:
+        try:
+            values = [math.ldexp(v, k) for v in values]
+            max_violation = math.ldexp(max_violation, k)
+        except OverflowError:
+            raise SizeLimitError(
+                f"the {m}-th root of a concavity sample exceeds the float range"
+            ) from None
     return ConcavityReport(tuple(grid), tuple(values), max_violation)
 
 
@@ -234,17 +267,16 @@ def bm_concavity_discriminant(
         )
     if not all(is_psd(x) for x in [a0, a1] + rest):
         raise HypothesisError("concavity needs positive semi-definite matrices")
-    grid = _grid(grid_size)
-    exact = []
-    for lam in grid:
-        combo = a0.scale(1 - lam) + a1.scale(lam)
-        val = _discriminant_auto(MatTuple([combo] * m + rest)).re
+
+    def sample(lam):
+        val = _discriminant_value([a0.scale(1 - lam) + a1.scale(lam)] * m + rest)
         if val < 0:
             raise InvariantViolationError(
                 "discriminant of a semi-definite tuple must be nonnegative"
             )
-        exact.append(val)
-    return _concavity_report(grid, exact, m)
+        return val
+
+    return _concavity_report(grid_size, sample, m)
 
 
 def bm_concavity_volume(
@@ -263,13 +295,11 @@ def bm_concavity_volume(
         raise DimensionMismatchError(
             f"need {d - m} fixed bodies for m = {m}, got {len(rest)}"
         )
-    grid = _grid(grid_size)
-    exact = []
-    for lam in grid:
-        combo = minkowski_sum(dilate(k0, 1 - lam), dilate(k1, lam))
-        val = mixed_volume(BodyTuple([combo] * m + rest))
-        exact.append(val)
-    return _concavity_report(grid, exact, m)
+
+    def sample(lam):
+        return _volume_value([minkowski_sum(dilate(k0, 1 - lam), dilate(k1, lam))] * m + rest)
+
+    return _concavity_report(grid_size, sample, m)
 
 
 def equality_lambda(d00, d01) -> Rat:

@@ -2,7 +2,7 @@
 
 Two independent evaluation routes cross-validate each other: a folded
 permutation sum (fast, n factorial collapsed into a subset DP) and the
-polarization alternating sum over subset determinants. The module also
+multiset polarization sum over sum determinants. The module also
 carries the determinant expansion identity checker and the mixed
 adjugate, the matrix of discriminants against single-entry basis
 matrices.
@@ -10,11 +10,18 @@ matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from ._kernels import clear_gauss_matrix, compositions, gauss_det, mixed_perm_sum
+from ._kernels import (
+    _multinomial_expansion,
+    _polarize,
+    clear_gauss_matrix,
+    gauss_det,
+    mixed_perm_sum,
+)
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from .matrixcore import GenMat, HermMat
 from .rationals import GaussRat, as_rat
@@ -76,36 +83,31 @@ def mixed_discriminant(t: MatTuple) -> GaussRat:
 
 
 def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
-    """D(A_1, ..., A_n) by inclusion-exclusion over subset-sum determinants."""
+    """D(A_1, ..., A_n) by multiset polarization over sum determinants.
+
+    Equal matrices are grouped, and n! D is the polarization sum of
+    det(sum_i k_i B_i) over 0 <= k <= r, k != 0 (`_polarize`); the B_i
+    are cleared over one common scale, so each sum is an integer grid.
+    """
     n = t.n
     if n > POLARIZED_ROUTE_MAX_N:
         raise SizeLimitError(
             f"polarization route limited to n <= {POLARIZED_ROUTE_MAX_N}, got {n}"
         )
-    acc_re = Fraction(0)
-    acc_im = Fraction(0)
-    for mask in range(1, 1 << n):
-        grid = None
-        for i in range(n):
-            if mask >> i & 1:
-                e = t.mats[i].entries
-                if grid is None:
-                    grid = [list(row) for row in e]
-                else:
-                    for r in range(n):
-                        row = grid[r]
-                        erow = e[r]
-                        for c in range(n):
-                            row[c] = row[c] + erow[c]
-        rows, scale = clear_gauss_matrix(grid)
-        dre, dim = gauss_det(rows)
-        s = scale ** n
-        if (n + mask.bit_count()) & 1:
-            dre, dim = -dre, -dim
-        acc_re += Fraction(dre, s)
-        acc_im += Fraction(dim, s)
-    f = factorial(n)
-    return _finalize(t, acc_re / f, acc_im / f)
+    counts = Counter(m.entries for m in t.mats)
+    stacked, scale = clear_gauss_matrix([row for e in counts for row in e])
+    grids = [stacked[i * n:(i + 1) * n] for i in range(len(counts))]
+
+    def det_of_sum(k):
+        terms = [(c, g) for c, g in zip(k, grids) if c]
+        return GaussRat(*gauss_det([
+            [tuple(sum(c * g[r][j][part] for c, g in terms) for part in (0, 1)) for j in range(n)]
+            for r in range(n)
+        ]))
+
+    total = _polarize(list(counts.values()), det_of_sum)
+    denom = factorial(n) * scale ** n
+    return _finalize(t, total.re / denom, total.im / denom)
 
 
 def _discriminant_auto(t: MatTuple) -> GaussRat:
@@ -136,22 +138,9 @@ def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:
     combo = GenMat.zero(n)
     for m, lam in zip(mats, lams):
         combo = combo + m.scale(lam)
-    lhs = combo.det()
-
-    nf = factorial(n)
-    rhs = GaussRat(0)
-    for comp in compositions(n, len(mats)):
-        coeff = nf
-        monomial = Fraction(1)
-        rep = []
-        for m, lam, r in zip(mats, lams, comp):
-            coeff //= factorial(r)
-            monomial *= lam ** r
-            rep.extend([m] * r)
-        if monomial == 0:
-            continue
-        rhs = rhs + _discriminant_auto(MatTuple(rep)) * (coeff * monomial)
-    return lhs == rhs
+    return combo.det() == _multinomial_expansion(
+        mats, lams, n, lambda rep: _discriminant_auto(MatTuple(rep))
+    )
 
 
 def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:

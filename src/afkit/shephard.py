@@ -14,7 +14,7 @@ import warnings
 from typing import Sequence
 
 from .errors import DimensionMismatchError, HypothesisError, InvariantViolationError
-from .ineqcheck import GapReport, gap_report
+from .ineqcheck import GapReport, _check_hermitian, gap_report
 from .matrixcore import GenMat, HermMat, is_psd, principal_minor_sums
 from .mixdisc import MatTuple, _discriminant_auto
 from .rationals import Rat, as_rat
@@ -150,9 +150,7 @@ def gram_from_discriminants(
     rest = list(rest)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    for m in classes + rest:
-        if not isinstance(m, HermMat):
-            raise TypeError(f"expected a Hermitian matrix, got {type(m).__name__}")
+    _check_hermitian(classes + rest)
     n = classes[0].n
     if len(rest) != n - 2:
         raise DimensionMismatchError(

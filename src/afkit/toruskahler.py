@@ -15,8 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .errors import HypothesisError, InvariantViolationError, NotBigError
-from .ineqcheck import GapReport, gap_report
+from .errors import (
+    DimensionMismatchError,
+    HypothesisError,
+    InvariantViolationError,
+    NotBigError,
+)
+from .ineqcheck import GapReport, _check_hermitian, _fold_gap, _pair_gap
 from .matrixcore import HermMat, is_pd, is_psd, proportional
 from .mixdisc import MatTuple, _discriminant_auto, mixed_adjugate
 from .rationals import Rat
@@ -28,8 +33,7 @@ class TorusClass:
     __slots__ = ("mat", "nef", "big", "kahler")
 
     def __init__(self, mat: HermMat):
-        if not isinstance(mat, HermMat):
-            raise TypeError(f"expected a Hermitian matrix, got {type(mat).__name__}")
+        _check_hermitian([mat])
         self.mat = mat
         self.nef = is_psd(mat)
         self.big = mat.det().re > 0
@@ -89,9 +93,10 @@ def af_gap_torus(
     if not (c.kahler and all(x.kahler for x in rest)):
         raise HypothesisError("the reference and fixed classes must be Kahler")
     rest_m = [x.mat for x in rest]
-    lhs = _inum([alpha.mat, c.mat] + rest_m) ** 2
-    rhs = _inum([alpha.mat, alpha.mat] + rest_m) * _inum([c.mat, c.mat] + rest_m)
-    return gap_report(lhs, rhs, proportional(c.mat, alpha.mat), True, "AF Kahler")
+    # the certificate is lam with alpha = lam c
+    return _pair_gap(
+        _inum, lambda a, b: proportional(b, a), alpha.mat, c.mat, rest_m, True, "AF Kahler"
+    )
 
 
 def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
@@ -155,10 +160,7 @@ def equality_theorem_pair(
     _check_classes([g1, g2] + rest)
     _require_big([g1, g2] + rest)
     rest_m = [x.mat for x in rest]
-    lhs = _inum([g1.mat, g2.mat] + rest_m) ** 2
-    rhs = _inum([g1.mat, g1.mat] + rest_m) * _inum([g2.mat, g2.mat] + rest_m)
-    matrix_ratio = proportional(g1.mat, g2.mat)
-    report = gap_report(lhs, rhs, matrix_ratio, True, "pair equality")
+    report = _pair_gap(_inum, proportional, g1.mat, g2.mat, rest_m, True, "pair equality")
     w1 = mixed_adjugate([g1.mat] + rest_m)
     w2 = mixed_adjugate([g2.mat] + rest_m)
     adjugate_ratio = proportional(w1, w2)
@@ -170,8 +172,8 @@ def equality_theorem_pair(
         report,
         adjugate_ratio is not None,
         adjugate_ratio,
-        matrix_ratio is not None,
-        matrix_ratio,
+        report.certificate is not None,
+        report.certificate,
     )
 
 
@@ -187,18 +189,11 @@ def equality_theorem_m(classes: Sequence[TorusClass], m: int) -> MFoldEqualityVe
     _check_classes(classes)
     _require_big(classes)
     mats = [c.mat for c in classes]
-    t = MatTuple(mats)
-    n = t.n
+    n = MatTuple(mats).n
     if not 2 <= m <= n:
         raise ValueError(f"m must lie in [2, {n}], got {m}")
+    report = _fold_gap(_inum, proportional, mats, m, True, "m-fold equality")
     tail = mats[m:]
-    lhs = _inum(mats) ** m
-    rhs = 1
-    for i in range(m):
-        rhs *= _inum([mats[i]] * m + tail)
-    ratios = [proportional(mats[0], mats[i]) for i in range(1, m)]
-    cert = ratios[0] if all(r is not None for r in ratios) else None
-    report = gap_report(lhs, rhs, cert, True, "m-fold equality")
     adjugates = [
         mixed_adjugate([mats[i] for i in combo] + tail)
         for combo in combinations_with_replacement(range(m), m - 1)
@@ -218,13 +213,8 @@ def equality_corollary_full(classes: Sequence[TorusClass]) -> FullEqualityVerdic
     _check_classes(classes)
     _require_big(classes)
     mats = [c.mat for c in classes]
-    t = MatTuple(mats)
-    n = t.n
-    lhs = _inum(mats) ** n
-    rhs = 1
-    for mat in mats:
-        rhs *= _inum([mat] * n)
-    ratios = [proportional(mats[0], mats[i]) for i in range(1, n)]
-    cert = ratios[0] if all(r is not None for r in ratios) else None
-    report = gap_report(lhs, rhs, cert, True, "full proportionality")
-    return FullEqualityVerdict(report, cert is not None)
+    n = MatTuple(mats).n
+    if n < 2:
+        raise DimensionMismatchError("the full corollary needs at least two classes")
+    report = _fold_gap(_inum, proportional, mats, n, True, "full proportionality")
+    return FullEqualityVerdict(report, report.certificate is not None)

@@ -6,6 +6,8 @@ only construct inputs, never compute expected answers.
 
 from fractions import Fraction
 
+from afkit.convexvol import Polytope, convex_hull, minkowski_sum
+from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
 from afkit.rationals import GaussRat
 
@@ -75,3 +77,55 @@ def rand_pd(rng, n, bound=3):
 def as_pairs(mat):
     """Convert a matrix into the (re, im) Fraction grid the oracles use."""
     return [[(e.re, e.im) for e in row] for row in mat.entries]
+
+
+def gen_psd_singular(seed: int, n: int, entry_bound: int = 5) -> HermMat:
+    """G G* with the last column of G zeroed: PSD with det = 0 exactly."""
+    if n < 2:
+        raise ValueError("a singular PSD matrix needs n >= 2")
+    rng = SplitMix64(seed)
+
+    def entry():
+        re = rng.int_between(-entry_bound, entry_bound)
+        return GaussRat(re, rng.int_between(-entry_bound, entry_bound))
+
+    rows = [[entry() for _ in range(n - 1)] + [GaussRat(0)] for _ in range(n)]
+    return HermMat.from_gram(GenMat(rows))
+
+
+def box(lengths) -> Polytope:
+    """Axis-aligned box [0, a_1] x ... x [0, a_d]."""
+    sides = [Fraction(a) if isinstance(a, int) else a for a in lengths]
+    verts = [()]
+    for a in sides:
+        verts = [v + (c,) for v in verts for c in (Fraction(0), a)]
+    return convex_hull(verts)
+
+
+def simplex(d: int, scale=1) -> Polytope:
+    """Standard simplex conv(0, scale e_1, ..., scale e_d)."""
+    zero = tuple(Fraction(0) for _ in range(d))
+    verts = [zero]
+    for i in range(d):
+        v = list(zero)
+        v[i] = Fraction(scale)
+        verts.append(tuple(v))
+    return convex_hull(verts)
+
+
+def segment(v) -> Polytope:
+    """Segment from the origin to v."""
+    vec = tuple(Fraction(c) if isinstance(c, int) else c for c in v)
+    origin = tuple(Fraction(0) for _ in vec)
+    return convex_hull([origin, vec])
+
+
+def zonotope(vectors) -> Polytope:
+    """Minkowski sum of the segments [0, v_i]."""
+    vectors = list(vectors)
+    if not vectors:
+        raise ValueError("a zonotope needs at least one generator")
+    body = segment(vectors[0])
+    for v in vectors[1:]:
+        body = minkowski_sum(body, segment(v))
+    return body

@@ -16,7 +16,7 @@ import pytest
 from afkit.cli import main
 from afkit.convexvol import BodyTuple, mixed_volume, minkowski_expansion_check
 from afkit.errors import NotBigError
-from afkit.harness import box, gen_polytope, segment
+from afkit.harness import gen_polytope
 from afkit.ineqcheck import (
     af_gap_discriminant,
     af_gap_volume,
@@ -39,7 +39,7 @@ from afkit.toruskahler import (
     kt_sequence,
 )
 from oracles import permanent, real_det
-from support import diag, identity, rand_herm, rand_pd, rand_psd
+from support import box, diag, identity, rand_herm, rand_pd, rand_psd, segment
 
 F = Fraction
 

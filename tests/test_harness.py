@@ -9,22 +9,18 @@ from fractions import Fraction
 import pytest
 
 from afkit.convexvol import volume
+from afkit import harness
 from afkit.errors import FormatError
 from afkit.harness import (
     RunConfig,
     RunRecord,
     SplitMix64,
-    box,
     derive_seed,
     gen_pd_hermitian,
     gen_polytope,
-    gen_psd_singular,
     load_fixtures,
     run_suite,
-    segment,
-    simplex,
     validate_config,
-    zonotope,
 )
 from afkit.jsonio import dumps_canonical, gram_to_json, tuple_to_json
 from afkit.matrixcore import is_pd, is_psd
@@ -32,7 +28,7 @@ from afkit.mixdisc import MatTuple
 from afkit.shephard import GramTable
 
 from oracles import real_det
-from support import rand_pd
+from support import box, gen_psd_singular, rand_pd, segment, simplex, zonotope
 
 F = Fraction
 
@@ -244,6 +240,47 @@ def test_run_suite_threads_preserve_bytes(monkeypatch):
     monkeypatch.setenv("AFKIT_THREADS", "3")
     run_suite(cfg, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("AFKIT_THREADS", "64")
+    assert harness.worker_count() == 2
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness.worker_count() == 1
+    monkeypatch.setenv("AFKIT_THREADS", "0")
+    assert harness.worker_count() == 1
+
+
+def test_run_suite_never_asks_for_more_workers_than_instances(monkeypatch):
+    # a stand-in pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("AFKIT_THREADS", "8")
+    cfg = RunConfig(seed=45, trials=2, n=2, mode="discriminant")
+    buf = io.StringIO()
+    run_suite(cfg, buf)
+    assert sizes == [2]
+    serial = io.StringIO()
+    monkeypatch.delenv("AFKIT_THREADS")
+    run_suite(cfg, serial)
+    assert sizes == [2]
+    assert buf.getvalue() == serial.getvalue()
 
 
 def test_load_fixtures_and_fixture_run(tmp_path):

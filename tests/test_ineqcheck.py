@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from afkit.convexvol import BodyTuple, convex_hull, dilate, translate
-from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError
+from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError, SizeLimitError
 from afkit.ineqcheck import (
     ConcavityReport,
     GapReport,
@@ -24,7 +24,7 @@ from afkit.matrixcore import proportional
 from afkit.mixdisc import MatTuple
 
 from oracles import permanent
-from support import diag, gen, identity, rand_pd
+from support import box, diag, gen, identity, rand_pd
 
 F = Fraction
 
@@ -275,6 +275,32 @@ def test_bm_volume_with_fixed_body_d3():
     rest = [convex_hull(rand_cloud(rng, 3, count=4, bound=3, denom=1))]
     rep = bm_concavity_volume(k0, k1, rest, 2, grid_size=5)
     assert rep.max_violation <= 1e-9
+
+
+def test_bm_discriminant_samples_past_the_float_range():
+    # D(A, A) = det A = 10^400 has no float; its square root 10^200 has
+    big = diag(10 ** 200, 10 ** 200)
+    rep = bm_concavity_discriminant(big, big, [], 2)
+    assert all(v == pytest.approx(1e200, rel=1e-12) for v in rep.values)
+    assert 0 <= rep.max_violation <= 1e-12 * 1e200
+    rep = bm_concavity_discriminant(big, diag(10 ** 200, 3 * 10 ** 200), [], 2)
+    assert rep.values[-1] == pytest.approx(3 ** 0.5 * 1e200, rel=1e-12)
+    assert rep.max_violation <= 1e-12 * 1e200
+    # at m = 1 the root is the sample itself, which has no float
+    huge = diag(10 ** 400, 10 ** 400)
+    with pytest.raises(SizeLimitError):
+        bm_concavity_discriminant(huge, huge, [identity(2)], 1)
+
+
+def test_bm_volume_samples_past_the_float_range():
+    # the square of side 10^160 has area 10^320, past the float range
+    k = box([10 ** 160, 10 ** 160])
+    rep = bm_concavity_volume(k, k, [], 2)
+    assert all(v == pytest.approx(1e160, rel=1e-12) for v in rep.values)
+    assert 0 <= rep.max_violation <= 1e-12 * 1e160
+    rep = bm_concavity_volume(k, box([2 * 10 ** 160, 10 ** 160]), [], 2)
+    assert rep.values[-1] == pytest.approx(2 ** 0.5 * 1e160, rel=1e-12)
+    assert rep.max_violation <= 1e-12 * 1e160
 
 
 def test_equality_lambda():

@@ -69,6 +69,18 @@ def test_routes_match_reference_on_general_tuples():
         assert mixed_discriminant_polarized(t) == got
         if trial < 10:
             assert mixed_disc_polarized([as_pairs(m) for m in mats]) == want
+    # tuples that repeat a matrix, which the polarized route groups
+    rng = random.Random(43)
+    for n in (2, 3, 4, 5):
+        a, b, c = (rand_gen(rng, n, bound=3, denom=3) for _ in range(3))
+        for mats in ([a] * n, [a, a] + [b] * (n - 2), [a] * (n - 1) + [b],
+                     [b, a, c, a, b][:n]):
+            t = MatTuple(mats)
+            want = mixed_disc_perm([as_pairs(m) for m in mats])
+            got = mixed_discriminant(t)
+            assert (got.re, got.im) == want
+            assert mixed_discriminant_polarized(t) == got
+            assert mixed_disc_polarized([as_pairs(m) for m in mats]) == want
 
 
 def test_hermitian_tuple_gives_real_value():
@@ -214,3 +226,13 @@ def test_adjugate_shape_validation():
         mixed_adjugate([identity(3)])
     with pytest.raises(TypeError):
         mixed_adjugate([gen([[1, 0], [0, 1]])])
+
+
+def test_polarized_route_beyond_the_permutation_cap():
+    # n = 7 lies past PERMUTATION_ROUTE_MAX_N, where only the polarized
+    # route runs; a repeated matrix gives the determinant
+    rng = random.Random(47)
+    a = rand_gen(rng, 7, bound=3, denom=3)
+    b = rand_herm(rng, 7, bound=3, denom=2)
+    assert mixed_discriminant_polarized(MatTuple([a] * 7)) == a.det()
+    assert det_expansion_check([a, b], [Fraction(2, 3), -3])

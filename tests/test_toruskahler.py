@@ -241,6 +241,19 @@ def test_equality_full_corollary():
     assert not w.matrices_proportional
 
 
+def test_equality_full_corollary_needs_two_classes():
+    with pytest.raises(DimensionMismatchError):
+        equality_corollary_full([tc(diag(2))])
+
+
+def test_af_gap_torus_is_exported():
+    import afkit
+    from afkit import toruskahler
+
+    assert afkit.af_gap_torus is toruskahler.af_gap_torus
+    assert "af_gap_torus" in afkit.__all__
+
+
 def test_adjugate_linearity():
     rng = random.Random(373)
     x = rand_pd(rng, 3)
