@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -174,18 +174,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def config_to_json(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "n": cfg.n,
-        "r": cfg.r,
-        "m": cfg.m,
-        "mode": cfg.mode,
-        "tolerance": cfg.tolerance,
-        "entry_bound": cfg.entry_bound,
-        "grid": cfg.grid,
-        "exact_only": cfg.exact_only,
-    }
+    return asdict(cfg)
 
 
 def _instance_modes(cfg: RunConfig):
@@ -355,8 +344,10 @@ def _worker(task):
         else:
             record["source"] = "fixture"
             gap, equality, ok = _run_fixture(cfg, mode, fixture, record)
-    except AfkitError as exc:
-        record["error"] = f"{type(exc).__name__}: {exc}"
+    except (AfkitError, ArithmeticError) as exc:
+        # a non-exact kernel division breaks an invariant of this instance only
+        name = type(exc).__name__ if isinstance(exc, AfkitError) else "InvariantViolationError"
+        record["error"] = f"{name}: {exc}"
         return record, True, None, False
     return record, not ok, gap, equality
 

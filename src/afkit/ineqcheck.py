@@ -214,17 +214,13 @@ def _grid(grid_size: int):
 def _concavity_report(grid_size, sample, m) -> ConcavityReport:
     grid = _grid(grid_size)
     exact = [sample(lam) for lam in grid]
-    # samples past the float range (2^1024) are divided by a common
-    # 2^(m k) that brings them below 2^1000; multiplying the roots and
-    # violations back by 2^k is exact
-    try:
-        values = [float(v) ** (1.0 / m) for v in exact]
-        k = 0
-    except OverflowError:
-        top = max(v.numerator.bit_length() - v.denominator.bit_length() for v in exact)
-        k = -(-(top - 1000) // m)
-        values = [float(Fraction(v.numerator, v.denominator << m * k)) ** (1.0 / m)
-                  for v in exact]
+    # samples past 2^1000 are divided by a common 2^(m k) that brings
+    # them below it, so no root, sum or difference of roots overflows to
+    # inf (inf - inf is NaN, which no comparison reports); multiplying
+    # the roots and violations back by 2^k is exact, and k = 0 otherwise
+    top = max(v.numerator.bit_length() - v.denominator.bit_length() for v in exact)
+    k = max(0, -(-(top - 1000) // m))
+    values = [float(Fraction(v.numerator, v.denominator << m * k)) ** (1.0 / m) for v in exact]
     # second differences of grid triples, then shortfalls below the chord
     g0, g1 = values[0], values[-1]
     max_violation = max(

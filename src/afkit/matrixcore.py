@@ -1,18 +1,21 @@
 """Matrices over the Gaussian rationals.
 
 Two immutable types: GenMat for general square matrices and HermMat for
-Hermitian ones (validated at construction). Determinants are exact via
-fraction-free elimination on a denominator-cleared copy; positivity is
-decided by exact minor arithmetic, never by eigenvalues.
+Hermitian ones (validated at construction). Each holds one grid of
+Gaussian integers over one denominator, cleared once at construction;
+every operation works on it, and GaussRat entries are built only at the
+API boundary. Positivity is decided by exact minor arithmetic, never by
+eigenvalues.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from ._kernels import clear_gauss_matrix, gauss_det
+from ._kernels import _gmul, clear_gauss_matrix, gauss_det
 from .errors import DimensionMismatchError, InvariantViolationError
 from .rationals import GaussRat, Rat
 
@@ -24,9 +27,10 @@ def _as_gauss(value) -> GaussRat:
 
 
 class GenMat:
-    """Square matrix with GaussRat entries; treat instances as immutable."""
+    """Square matrix: the Gaussian-integer grid `_rows` over `_den` > 0,
+    with gcd(_den, every component) = 1; treat instances as immutable."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "_rows", "_den")
 
     def __init__(self, rows: Sequence[Sequence[object]]):
         n = len(rows)
@@ -37,8 +41,35 @@ class GenMat:
             if len(row) != n:
                 raise DimensionMismatchError(f"row of length {len(row)} in a {n}x{n} matrix")
             grid.append(tuple(_as_gauss(x) for x in row))
+        # the lcm of the entry denominators leaves the grid in lowest terms
         self.n = n
-        self.entries = tuple(grid)
+        self._rows, self._den = clear_gauss_matrix(grid)
+        self._validate()
+
+    @classmethod
+    def _of_grid(cls, rows, den: int) -> "GenMat":
+        """The matrix rows / den for an integer grid and den > 0."""
+        g = gcd(den, *(c for row in rows for z in row for c in z))
+        if g > 1:
+            rows = tuple(tuple((re // g, im // g) for re, im in row) for row in rows)
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m._rows = rows
+        m._den = den // g
+        m._validate()
+        return m
+
+    def _validate(self) -> None:
+        """Check subclass invariants on the grid; a general matrix has none."""
+
+    @property
+    def entries(self) -> tuple:
+        """The grid as GaussRat entries, for serialization and display."""
+        den = self._den
+        return tuple(
+            tuple(GaussRat(Fraction(re, den), Fraction(im, den)) for re, im in row)
+            for row in self._rows
+        )
 
     @classmethod
     def zero(cls, n: int) -> "GenMat":
@@ -52,75 +83,78 @@ class GenMat:
         if self.n != other.n:
             raise DimensionMismatchError(f"matrix dimensions differ: {self.n} vs {other.n}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the common denominator."""
         if not isinstance(other, GenMat):
             return NotImplemented
         self._require_same_shape(other)
-        rows = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        rows = tuple(
+            tuple((s * a[0] + t * b[0], s * a[1] + t * b[1]) for a, b in zip(r1, r2))
+            for r1, r2 in zip(self._rows, other._rows)
+        )
         cls = HermMat if isinstance(self, HermMat) and isinstance(other, HermMat) else GenMat
-        return cls(rows)
+        return cls._of_grid(rows, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, GenMat):
-            return NotImplemented
-        self._require_same_shape(other)
-        rows = [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
-        cls = HermMat if isinstance(self, HermMat) and isinstance(other, HermMat) else GenMat
-        return cls(rows)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)([[-x for x in row] for row in self.entries])
+        return self._scaled(GaussRat(-1), type(self))
+
+    def _scaled(self, z: GaussRat, cls):
+        den = lcm(z.re.denominator, z.im.denominator)
+        w = (int(z.re * den), int(z.im * den))
+        return cls._of_grid(
+            tuple(tuple(_gmul(x, w) for x in row) for row in self._rows), self._den * den
+        )
 
     def scale(self, c) -> "GenMat":
-        z = _as_gauss(c)
-        return GenMat([[x * z for x in row] for row in self.entries])
+        return self._scaled(_as_gauss(c), GenMat)
 
     def __matmul__(self, other):
         if not isinstance(other, GenMat):
             return NotImplemented
         self._require_same_shape(other)
-        n = self.n
-        rows = [
-            [
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), GaussRat(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return GenMat(rows)
+        cols = tuple(zip(*other._rows))
+        rows = tuple(
+            tuple(
+                (sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
+                 sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
+                for col in cols
+            )
+            for row in self._rows
+        )
+        return GenMat._of_grid(rows, self._den * other._den)
 
     def conj_transpose(self) -> "GenMat":
-        n = self.n
-        return GenMat([[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)])
+        return GenMat._of_grid(
+            tuple(tuple((re, -im) for re, im in col) for col in zip(*self._rows)), self._den
+        )
 
     def trace(self) -> GaussRat:
-        t = GaussRat(0)
-        for i in range(self.n):
-            t = t + self.entries[i][i]
-        return t
+        re, im = map(sum, zip(*(self._rows[i][i] for i in range(self.n))))
+        return GaussRat(Fraction(re, self._den), Fraction(im, self._den))
 
     def det(self) -> GaussRat:
-        rows, scale = clear_gauss_matrix(self.entries)
-        dre, dim = gauss_det(rows)
-        s = scale ** self.n
+        dre, dim = gauss_det(self._rows)
+        s = self._den ** self.n
         return GaussRat(Fraction(dre, s), Fraction(dim, s))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(c for row in self._rows for z in row for c in z)
 
     def __eq__(self, other):
         if not isinstance(other, GenMat):
             return NotImplemented
-        return self.entries == other.entries
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self._den, self._rows))
 
     def __repr__(self):
         return f"{type(self).__name__}({[[str(x.re) if x.is_real else (str(x.re), str(x.im)) for x in row] for row in self.entries]!r})"
@@ -131,26 +165,26 @@ class HermMat(GenMat):
 
     __slots__ = ()
 
-    def __init__(self, rows):
-        super().__init__(rows)
-        e = self.entries
+    def _validate(self) -> None:
+        e = self._rows
         for i in range(self.n):
-            if e[i][i].im != 0:
+            if e[i][i][1] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) is not real")
             for j in range(i + 1, self.n):
-                if e[i][j] != e[j][i].conjugate():
+                if e[i][j] != (e[j][i][0], -e[j][i][1]):
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not conjugate")
 
     @classmethod
     def from_gram(cls, g: GenMat) -> "HermMat":
         """The Gram matrix G G*, Hermitian and positive semi-definite."""
-        return cls((g @ g.conj_transpose()).entries)
+        p = g @ g.conj_transpose()
+        return cls._of_grid(p._rows, p._den)
 
     def scale(self, c) -> "HermMat":
         z = _as_gauss(c)
         if not z.is_real:
             raise ValueError("scaling a Hermitian matrix requires a real scalar")
-        return HermMat([[x * z for x in row] for row in self.entries])
+        return self._scaled(z, HermMat)
 
 
 def _real_subdet(rows, idx_rows, idx_cols):
@@ -171,14 +205,13 @@ def principal_minor_sums(a: HermMat) -> list:
     """
     if not isinstance(a, HermMat):
         raise TypeError("positivity tests require a Hermitian matrix")
-    rows, scale = clear_gauss_matrix(a.entries)
     n = a.n
     out = []
     for k in range(1, n + 1):
         total = 0
         for subset in combinations(range(n), k):
-            total += _real_subdet(rows, subset, subset)
-        out.append(Fraction(total, scale ** k))
+            total += _real_subdet(a._rows, subset, subset)
+        out.append(Fraction(total, a._den ** k))
     return out
 
 
@@ -191,10 +224,9 @@ def is_pd(a: HermMat) -> bool:
     """Exact positive definiteness test via leading principal minors."""
     if not isinstance(a, HermMat):
         raise TypeError("positivity tests require a Hermitian matrix")
-    rows, _ = clear_gauss_matrix(a.entries)
     for k in range(1, a.n + 1):
-        # clearing scales each minor by scale^k > 0, so signs carry over
-        if _real_subdet(rows, range(k), range(k)) <= 0:
+        # the grid scales each minor by _den^k > 0, so signs carry over
+        if _real_subdet(a._rows, range(k), range(k)) <= 0:
             return False
     return True
 
@@ -207,21 +239,17 @@ def proportional(a: GenMat, b: GenMat) -> Optional[Rat]:
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
-    pivot = None
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.entries[i][j]:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    pairs = [(x, y) for r1, r2 in zip(a._rows, b._rows) for x, y in zip(r1, r2)]
+    pivot = next(((x, y) for x, y in pairs if x != (0, 0)), None)
     if pivot is None:
         return Fraction(0) if b.is_zero() else None
-    lam = b.entries[pivot[0]][pivot[1]] / a.entries[pivot[0]][pivot[1]]
-    if not lam.is_real:
+    # lam = (w / b._den) / (z / a._den) is real exactly when w conj(z) is
+    (zr, zi), (wr, wi) = pivot
+    if wi * zr != wr * zi:
         return None
-    for r1, r2 in zip(a.entries, b.entries):
-        for x, y in zip(r1, r2):
-            if y != x * lam:
-                return None
-    return lam.re
+    lam = Fraction((wr * zr + wi * zi) * a._den, (zr * zr + zi * zi) * b._den)
+    # y / b._den == lam x / a._den, cross-multiplied
+    p, q = lam.numerator * b._den, lam.denominator * a._den
+    if any(q * y[0] != p * x[0] or q * y[1] != p * x[1] for x, y in pairs):
+        return None
+    return lam

@@ -12,16 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Sequence
 
-from ._kernels import (
-    _multinomial_expansion,
-    _polarize,
-    clear_gauss_matrix,
-    gauss_det,
-    mixed_perm_sum,
-)
+from ._kernels import _multinomial_expansion, _polarize, gauss_det, mixed_perm_sum
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from .matrixcore import GenMat, HermMat
 from .rationals import GaussRat, as_rat
@@ -74,11 +68,8 @@ def mixed_discriminant(t: MatTuple) -> GaussRat:
             f"permutation route limited to n <= {PERMUTATION_ROUTE_MAX_N}, got {n}; "
             "use mixed_discriminant_polarized"
         )
-    cleared = [clear_gauss_matrix(m.entries) for m in t.mats]
-    sre, sim = mixed_perm_sum([rows for rows, _ in cleared])
-    denom = factorial(n)
-    for _, scale in cleared:
-        denom *= scale
+    sre, sim = mixed_perm_sum([m._rows for m in t.mats])
+    denom = factorial(n) * prod(m._den for m in t.mats)
     return _finalize(t, Fraction(sre, denom), Fraction(sim, denom))
 
 
@@ -86,20 +77,20 @@ def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
     """D(A_1, ..., A_n) by multiset polarization over sum determinants.
 
     Equal matrices are grouped, and n! D is the polarization sum of
-    det(sum_i k_i B_i) over 0 <= k <= r, k != 0 (`_polarize`); the B_i
-    are cleared over one common scale, so each sum is an integer grid.
+    det(sum_i k_i B_i) over 0 <= k <= r, k != 0 (`_polarize`); over the
+    lcm of the B_i denominators, each sum is an integer grid.
     """
     n = t.n
     if n > POLARIZED_ROUTE_MAX_N:
         raise SizeLimitError(
             f"polarization route limited to n <= {POLARIZED_ROUTE_MAX_N}, got {n}"
         )
-    counts = Counter(m.entries for m in t.mats)
-    stacked, scale = clear_gauss_matrix([row for e in counts for row in e])
-    grids = [stacked[i * n:(i + 1) * n] for i in range(len(counts))]
+    counts = Counter(t.mats)
+    scale = lcm(*(m._den for m in counts))
+    grids = [(scale // m._den, m._rows) for m in counts]
 
     def det_of_sum(k):
-        terms = [(c, g) for c, g in zip(k, grids) if c]
+        terms = [(c * f, g) for c, (f, g) in zip(k, grids) if c]
         return GaussRat(*gauss_det([
             [tuple(sum(c * g[r][j][part] for c, g in terms) for part in (0, 1)) for j in range(n)]
             for r in range(n)
@@ -171,11 +162,9 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
         row = []
         for k in range(n):
             minors = [
-                GenMat(
-                    [
-                        [m.entries[r][c] for c in range(n) if c != k]
-                        for r in range(n) if r != j
-                    ]
+                GenMat._of_grid(
+                    tuple(r[:k] + r[k + 1:] for r in m._rows[:j] + m._rows[j + 1:]),
+                    m._den,
                 )
                 for m in part
             ]

@@ -20,26 +20,30 @@ from .mixdisc import MatTuple, _discriminant_auto
 from .rationals import Rat, as_rat
 
 
+def _symmetric_rows(entries, name, detail=""):
+    """The rows of a square symmetric table of rationals, validated; the
+    symmetry error names the table and then `detail` with (i, j) filled in."""
+    rows = tuple(tuple(as_rat(x) for x in row) for row in entries)
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatchError(f"{name} must be square")
+    for i in range(len(rows)):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"{name} must be symmetric" + detail.format(i=i, j=j))
+    return rows
+
+
 class GramTable:
     """Symmetric (r+1) x (r+1) table of pairings, r >= 1."""
 
     __slots__ = ("r", "d")
 
     def __init__(self, d):
-        rows = tuple(tuple(as_rat(x) for x in row) for row in d)
-        size = len(rows)
-        if size < 2:
+        d = tuple(d)
+        if len(d) < 2:
             raise ValueError("a Gram table needs at least two classes")
-        if any(len(row) != size for row in rows):
-            raise DimensionMismatchError("Gram table must be square")
-        for i in range(size):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(
-                        f"Gram table must be symmetric: entries ({i},{j}) and ({j},{i}) differ"
-                    )
-        self.r = size - 1
-        self.d = rows
+        self.d = _symmetric_rows(d, "Gram table", ": entries ({i},{j}) and ({j},{i}) differ")
+        self.r = len(self.d) - 1
 
     def __eq__(self, other):
         return isinstance(other, GramTable) and self.d == other.d
@@ -57,16 +61,8 @@ class ShephardMatrix:
     __slots__ = ("r", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_rat(x) for x in row) for row in entries)
-        r = len(rows)
-        if any(len(row) != r for row in rows):
-            raise DimensionMismatchError("Shephard matrix must be square")
-        for i in range(r):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Shephard matrix must be symmetric")
-        self.r = r
-        self.entries = rows
+        self.entries = _symmetric_rows(entries, "Shephard matrix")
+        self.r = len(self.entries)
 
     def __eq__(self, other):
         return isinstance(other, ShephardMatrix) and self.entries == other.entries

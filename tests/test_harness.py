@@ -325,3 +325,33 @@ def test_summary_matches_dumped_lines():
     cfg = RunConfig(seed=3, trials=3, n=2, mode="discriminant")
     record, lines = run_to_lines(cfg)
     assert json.loads(lines[-1]) == json.loads(dumps_canonical(record.summary))
+
+
+def test_kernel_arithmetic_error_is_recorded_per_instance(monkeypatch):
+    # a non-exact kernel division at one index used to abort the whole run
+    real = harness._GENERATED_RUNNERS["discriminant"]
+
+    def runner(cfg, rng, kind, record):
+        if record["index"] == 1:
+            raise ArithmeticError("non-exact division in a fraction-free elimination step")
+        return real(cfg, rng, kind, record)
+
+    monkeypatch.setitem(harness._GENERATED_RUNNERS, "discriminant", runner)
+    monkeypatch.delenv("AFKIT_THREADS", raising=False)
+    cfg = RunConfig(seed=46, trials=3, n=2, mode="discriminant")
+    result = run_suite(cfg, io.StringIO())
+    assert [r["index"] for r in result.records] == [0, 1, 2]
+    assert result.records[1]["error"] == (
+        "InvariantViolationError: non-exact division in a fraction-free elimination step"
+    )
+    assert "error" not in result.records[0] and "error" not in result.records[2]
+    assert result.summary["failed_indices"] == [1]
+
+
+def test_config_json_lists_every_field():
+    cfg = RunConfig(seed=7, trials=2, n=4, r=3, m=3, mode="bm", tolerance=1e-6,
+                    entry_bound=9, grid=5, exact_only=False)
+    assert harness.config_to_json(cfg) == {
+        "seed": 7, "trials": 2, "n": 4, "r": 3, "m": 3, "mode": "bm",
+        "tolerance": 1e-6, "entry_bound": 9, "grid": 5, "exact_only": False,
+    }

@@ -12,6 +12,8 @@ from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError, S
 from afkit.ineqcheck import (
     ConcavityReport,
     GapReport,
+    _concavity_report,
+    _grid,
     af_gap_discriminant,
     af_gap_volume,
     af_m_fold_discriminant,
@@ -302,6 +304,16 @@ def test_bm_volume_samples_past_the_float_range():
     assert rep.values[-1] == pytest.approx(2 ** 0.5 * 1e160, rel=1e-12)
     assert rep.max_violation <= 1e-12 * 1e160
 
+
+
+def test_concavity_violation_near_the_float_maximum_is_reported():
+    # roots just below the float maximum: unscaled, the second difference
+    # 1.0 + 1.65 - 2 * 1.6 (times 10^308) is inf - inf = NaN and the 0.05
+    # bulge of the middle triple was skipped, reporting 0.0
+    samples = [F(c, 100) * 10 ** 308 for c in (100, 160, 165, 175, 120)]
+    rep = _concavity_report(5, dict(zip(_grid(5), samples)).__getitem__, 1)
+    assert rep.max_violation == pytest.approx(5e306, rel=1e-12)
+    assert rep.values == pytest.approx([float(v) for v in samples], rel=1e-15)
 
 def test_equality_lambda():
     assert equality_lambda(2, 6) == 3

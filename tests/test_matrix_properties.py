@@ -1,0 +1,148 @@
+"""Property tests for the integer grid behind GenMat and HermMat.
+
+Every matrix operation works on a Gaussian-integer grid over one
+denominator in lowest terms. These properties check each operation
+against the entrywise GaussRat reference built from `entries`, the
+determinant against the cofactor oracle, and the canonical form: equal
+matrices have equal grids, equal hashes and a denominator coprime to
+the grid. Draws are derandomized and bounded, so the suite stays
+deterministic and keeps no example database.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from afkit.matrixcore import GenMat, HermMat, proportional
+from afkit.rationals import GaussRat
+
+from oracles import det_cofactor
+from support import as_pairs
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+nonzero_rats = rats.filter(bool)
+gauss = st.builds(GaussRat, rats, rats)
+
+
+@st.composite
+def gen_mats(draw, n=None):
+    n = draw(st.integers(1, 4)) if n is None else n
+    return GenMat([[draw(gauss) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def herm_mats(draw, n=None):
+    n = draw(st.integers(1, 4)) if n is None else n
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussRat(draw(rats))
+        for j in range(i + 1, n):
+            rows[i][j] = draw(gauss)
+            rows[j][i] = rows[i][j].conjugate()
+    return HermMat(rows)
+
+
+@st.composite
+def same_size(draw, kind):
+    n = draw(st.integers(1, 4))
+    return draw(kind(n)), draw(kind(n))
+
+
+def assert_canonical(m):
+    assert m._den > 0
+    assert gcd(m._den, *(c for row in m._rows for z in row for c in z)) == 1
+    assert m == GenMat(m.entries)
+    assert hash(m) == hash(GenMat(m.entries))
+
+
+def entrywise(f, *mats):
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*(m.entries for m in mats))]
+
+
+def assert_entries(m, want):
+    assert [list(row) for row in m.entries] == want
+    assert_canonical(m)
+
+
+@SETTINGS
+@given(same_size(gen_mats))
+def test_sum_and_difference_are_entrywise(pair):
+    a, b = pair
+    assert_entries(a + b, entrywise(lambda x, y: x + y, a, b))
+    assert_entries(a - b, entrywise(lambda x, y: x - y, a, b))
+    assert_entries(-a, entrywise(lambda x: -x, a))
+
+
+@SETTINGS
+@given(gen_mats(), gauss)
+def test_scale_is_entrywise(a, z):
+    assert_entries(a.scale(z), entrywise(lambda x: x * z, a))
+
+
+@SETTINGS
+@given(same_size(gen_mats))
+def test_product_and_conjugate_transpose_match_the_reference(pair):
+    a, b = pair
+    n = a.n
+    ea, eb = a.entries, b.entries
+    want = [
+        [sum((ea[i][k] * eb[k][j] for k in range(n)), GaussRat(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert_entries(a @ b, want)
+    assert_entries(a.conj_transpose(), [[ea[j][i].conjugate() for j in range(n)] for i in range(n)])
+
+
+@SETTINGS
+@given(gen_mats())
+def test_trace_det_and_zero_test_match_the_reference(a):
+    e = a.entries
+    assert a.trace() == sum((e[i][i] for i in range(a.n)), GaussRat(0))
+    got = a.det()
+    assert (got.re, got.im) == det_cofactor(as_pairs(a))
+    assert a.is_zero() == all(not x for row in e for x in row)
+    assert a.scale(0).is_zero()
+
+
+@SETTINGS
+@given(same_size(herm_mats), nonzero_rats)
+def test_hermitian_results_stay_hermitian(pair, q):
+    a, b = pair
+    for m in (a + b, a - b, -a, a.scale(q), HermMat.from_gram(a)):
+        assert isinstance(m, HermMat)
+        assert_canonical(m)
+    want = entrywise(lambda x, y: x * q + y, a, b)
+    assert_entries(a.scale(q) + b, want)
+
+
+@SETTINGS
+@given(gen_mats(), nonzero_rats)
+def test_the_grid_is_canonical(a, q):
+    assert_canonical(a)
+    assert a + a == a.scale(2)
+    assert hash(a + a) == hash(a.scale(2))
+    assert a.scale(q).scale(1 / q) == a
+    assert hash(a.scale(q).scale(1 / q)) == hash(a)
+    assert a - a == GenMat.zero(a.n)
+
+
+@SETTINGS
+@given(herm_mats(), rats)
+def test_proportional_recovers_the_real_ratio(a, q):
+    assume(not a.is_zero())
+    assert proportional(a, a.scale(q)) == q
+    if q:
+        assert proportional(a.scale(q), a) == 1 / q
+
+
+@SETTINGS
+@given(gen_mats(), nonzero_rats, nonzero_rats)
+def test_proportional_rejects_a_complex_ratio(a, re, im):
+    assume(not a.is_zero())
+    assert proportional(a, a.scale(GaussRat(re, im))) is None
+    assert proportional(a, a.scale(GaussRat(0, im))) is None
+    assert proportional(a, a.scale(GaussRat(re))) == Fraction(re)

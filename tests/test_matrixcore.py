@@ -1,11 +1,14 @@
 """Matrix layer: construction invariants, exact determinants, positivity
 tests, and proportionality detection."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import afkit
 from afkit.errors import DimensionMismatchError
 from afkit.matrixcore import GenMat, HermMat, is_pd, is_psd, proportional
 
@@ -168,3 +171,25 @@ def test_hermitian_closed_under_real_arithmetic():
 def test_trace():
     assert diag(1, 2, 3).trace() == 6
     assert gen([[gr(0, 1), 5], [7, gr(0, -1)]]).trace() == 0
+
+
+def test_only_matrixcore_clears_a_matrix():
+    # a matrix is cleared once, at construction, and every consumer reads
+    # its integer grid; the GaussRat entries are a derived view
+    users = set()
+    slots = None
+    for path in sorted(Path(afkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "clear_gauss_matrix":
+                users.add(path.stem)
+            if isinstance(node, ast.ClassDef) and node.name == "GenMat":
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__slots__":
+                        slots = ast.literal_eval(stmt.value)
+    assert users == {"matrixcore"}
+    assert slots is not None and "entries" not in slots
+    assert set(slots) == {"n", "_rows", "_den"}
