@@ -1,26 +1,26 @@
 """Exact convex body engine over the rationals.
 
-Bodies are stored by vertices only (V-representation); every operation
-re-canonicalizes to extreme points. Hulls are built by incremental facet
-insertion on denominator-cleared integer coordinates. One hull pass per
+A body is stored by its extreme points only (V-representation): one
+integer grid over one denominator, cleared once at construction, on
+which hulls are built by incremental facet insertion. One hull pass per
 point cloud yields both the extreme points and the exact volume, a
 simplex fan over the same facets from a fixed base vertex; a Polytope
 keeps the volume it was built with.
 
 Mixed volumes use multiset polarization: equal bodies are grouped, so a
 tuple with multiplicities r_i needs prod_i (r_i + 1) - 1 Minkowski sums
-rather than 2^d - 1. Each sum is built from a smaller one plus a single
-body, reduced to its extreme points, and kept in a bounded memo keyed
-by the (body, count) multiset and the vertex budget, which the pair,
-m-fold and concavity checks of one instance share. Everything is
-integer or Fraction arithmetic end to end.
+rather than 2^d - 1. Each sum is `minkowski_sum` of a smaller one and a
+single body, kept in a bounded LRU memo keyed by the (body, count)
+multiset and the vertex budget, which the pair, m-fold and concavity
+checks of one instance share. Hulls and sums are integer arithmetic;
+Fractions appear only in the volumes and vertices handed out.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
@@ -39,12 +39,8 @@ def _dot(a, b):
 
 def _clear_points(points):
     """Scale rational points to integer coordinates by a common factor."""
-    dens = [1]
-    for p in points:
-        for c in p:
-            dens.append(c.denominator)
-    scale = lcm(*dens)
-    ints = [tuple(int(c * scale) for c in p) for p in points]
+    scale = lcm(1, *(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
     return ints, scale
 
 
@@ -201,8 +197,8 @@ def _extreme_indices(ints, d, facets):
     return out
 
 
-def _hull(points, d):
-    """Extreme indices and exact d-volume of a deduped cloud, in one pass.
+def _hull(ints, d):
+    """Extreme indices and d! times the volume of an integer cloud, in one pass.
 
     A full-dimensional cloud is hulled once by `_hull_full_dim`; the
     ascending extreme indices are read off its facets, and the volume is
@@ -212,18 +208,17 @@ def _hull(points, d):
     keeping only those coordinates is injective on the affine span and
     keeps the extreme points; the projected cloud is recursed.
     """
-    if len(points) == 1:
-        return [0], Fraction(0)
+    if len(ints) == 1:
+        return [0], 0
     if d == 1:
-        lo = min(range(len(points)), key=points.__getitem__)
-        hi = max(range(len(points)), key=points.__getitem__)
-        return sorted({lo, hi}), points[hi][0] - points[lo][0]
-    ints, scale = _clear_points(points)
+        lo = min(range(len(ints)), key=ints.__getitem__)
+        hi = max(range(len(ints)), key=ints.__getitem__)
+        return sorted({lo, hi}), ints[hi][0] - ints[lo][0]
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
         flat = [tuple(p[piv] for piv, _ in ech.rows) for p in ints]
-        return _hull(flat, rank)[0], Fraction(0)
+        return _hull(flat, rank)[0], 0
     facets, apex = _hull_full_dim(ints, d, basis_idx)
     ap = ints[apex]
     total = 0
@@ -232,21 +227,21 @@ def _hull(points, d):
             continue
         rows = [[ints[v][j] - ap[j] for j in range(d)] for v in vidx]
         total += abs(int_det(rows))
-    return _extreme_indices(ints, d, facets), Fraction(total, factorial(d) * scale ** d)
+    return _extreme_indices(ints, d, facets), total
 
 
 class Polytope:
-    """Convex polytope in Q^d, stored by its extreme points.
+    """Convex polytope in Q^d: its extreme points, the integer grid `_pts`
+    over `_den` > 0 with gcd(_den, every coordinate) = 1.
 
-    Construction canonicalizes: whatever point set comes in, vertices end
-    up as the lexicographically sorted extreme points of its hull, so
-    equal bodies compare equal structurally. Flat (lower-dimensional)
-    bodies are allowed. The exact volume comes out of the same hull
-    pass and is kept alongside the vertices, as is the hash, since
+    Construction canonicalizes: whatever point set comes in, `_pts` holds
+    the sorted extreme points of its hull, so equal bodies have equal
+    grids. Flat bodies are allowed. The exact volume comes out of the
+    same hull pass and is kept with the grid, as is the hash, since
     bodies key the Minkowski-sum memo.
     """
 
-    __slots__ = ("dim", "vertices", "_volume", "_hash")
+    __slots__ = ("dim", "_pts", "_den", "_volume", "_hash")
 
     def __init__(self, points):
         pts = [tuple(as_rat(c) for c in p) for p in points]
@@ -261,22 +256,43 @@ class Polytope:
             raise SizeLimitError(
                 f"dimension {d} exceeds the supported maximum {MAX_DIMENSION}"
             )
-        uniq = sorted(set(pts))
-        self.dim = d
-        idx, self._volume = _hull(uniq, d)
-        self.vertices = tuple(uniq[i] for i in idx)
-        self._hash = hash((d, self.vertices))
+        self._set_grid(*_clear_points(set(pts)), d)
+
+    @classmethod
+    def _of_grid(cls, ints, den: int, d: int) -> "Polytope":
+        """The hull of the points ints / den, for distinct integer points and den > 0."""
+        p = object.__new__(cls)
+        p._set_grid(ints, den, d)
+        return p
+
+    def _set_grid(self, ints, den, d):
+        # reduce after the hull: a dropped point may hold a factor of den
+        uniq = sorted(ints)
+        idx, vol = _hull(uniq, d)
+        pts = tuple(uniq[i] for i in idx)
+        g = gcd(den, *(c for p in pts for c in p))
+        if g > 1:
+            pts = tuple(tuple(c // g for c in p) for p in pts)
+        self.dim, self._pts, self._den = d, pts, den // g
+        self._volume = Fraction(vol, factorial(d) * den ** d)
+        self._hash = hash((d, self._den, pts))
+
+    @property
+    def vertices(self) -> tuple:
+        """The extreme points as Fraction tuples, for serialization and display."""
+        den = self._den
+        return tuple(tuple(Fraction(c, den) for c in p) for p in self._pts)
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
+        return (self.dim, self._den, self._pts) == (other.dim, other._den, other._pts)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, vertices={len(self._pts)})"
 
 
 class BodyTuple:
@@ -312,13 +328,13 @@ def volume(p: Polytope) -> Rat:
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Hull of all pairwise vertex sums."""
+    """Hull of all pairwise vertex sums, added on the grids over lcm(den)."""
     if p.dim != q.dim:
         raise DimensionMismatchError(f"body dimensions differ: {p.dim} vs {q.dim}")
-    return Polytope({
-        tuple(a + b for a, b in zip(u, v))
-        for u in p.vertices for v in q.vertices
-    })
+    den = lcm(p._den, q._den)
+    s, t = den // p._den, den // q._den
+    sums = {tuple(s * a + t * b for a, b in zip(u, v)) for u in p._pts for v in q._pts}
+    return Polytope._of_grid(sums, den, p.dim)
 
 
 def translate(p: Polytope, vec) -> Polytope:
@@ -339,52 +355,38 @@ def dilate(p: Polytope, lam) -> Polytope:
     return Polytope([tuple(lam * c for c in v) for v in p.vertices])
 
 
-# Bounded memo of Minkowski sums, shared by every mixed_volume call, so
-# the pair, m-fold and concavity checks of one instance hull each sum
+# Bounded LRU memo of Minkowski sums, shared by every mixed_volume call,
+# so the pair, m-fold and concavity checks of one instance hull each sum
 # once. The key is the (body, count) pairs in canonical body order plus
 # the vertex budget, so a tighter budget never reuses a sum built under
-# a looser one; the value is (extreme points, exact volume). One pair
-# check at d = MAX_DIMENSION touches 2^d - 1 sums for V(K, L, rest) and
-# 2^(d-2) more each for V(K, K, rest) and V(L, L, rest): 23 at d = 4.
-# Holding them all lets the m = 2 fold that follows run on lookups
-# alone; least recently used entries go first. The lock makes each
-# lookup-and-touch and insert-and-evict atomic across threads.
+# a looser one; the value is the sum Polytope. One pair check at
+# d = MAX_DIMENSION touches 2^d - 1 sums for V(K, L, rest) and 2^(d-2)
+# more each for V(K, K, rest) and V(L, L, rest): 23 at d = 4. Holding
+# them all lets the m = 2 fold that follows run on lookups alone. The
+# lru_cache is thread-safe and caches no exception, and single bodies
+# stay out of it.
 _SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
-_sum_memo: OrderedDict = OrderedDict()
-_sum_memo_lock = threading.Lock()
 
 
-def _minkowski_entry(bodies, k, budget):
-    """(extreme points, volume) of sum_i k_i K_i, bodies in canonical order.
-
-    A sum of two or more bodies is built from the reduced cloud of the
-    same sum with one copy of its last body removed, plus that body.
-    """
-    j = max(i for i, c in enumerate(k) if c)
-    body = bodies[j]
+def _minkowski_entry(bodies, k, budget) -> Polytope:
+    """sum_i k_i K_i, bodies in canonical order."""
     if sum(k) == 1:
-        return body.vertices, body._volume
-    key = (tuple((b, c) for b, c in zip(bodies, k) if c), budget)
-    with _sum_memo_lock:
-        entry = _sum_memo.get(key)
-        if entry is not None:
-            _sum_memo.move_to_end(key)
-            return entry
-    a = _minkowski_entry(bodies, k[:j] + (k[j] - 1,) + k[j + 1:], budget)[0]
-    b = body.vertices
-    if len(a) * len(b) > budget:
+        return bodies[k.index(1)]
+    return _sum_memo(tuple((b, c) for b, c in zip(bodies, k) if c), budget)
+
+
+@lru_cache(maxsize=_SUM_MEMO_SIZE)
+def _sum_memo(terms, budget) -> Polytope:
+    """A sum of two or more (body, count) terms: the same sum with one
+    copy of its last body removed, plus that body."""
+    *head, (body, c) = terms
+    a = _minkowski_entry(*zip(*head, (body, c - 1)), budget)
+    if len(a._pts) * len(body._pts) > budget:
         raise SizeLimitError(
-            f"intermediate Minkowski sum of {len(a) * len(b)} points "
+            f"intermediate Minkowski sum of {len(a._pts) * len(body._pts)} points "
             f"exceeds the budget of {budget}"
         )
-    sums = sorted({tuple(x + y for x, y in zip(u, v)) for u in a for v in b})
-    idx, vol = _hull(sums, body.dim)
-    entry = (tuple(sums[i] for i in idx), vol)
-    with _sum_memo_lock:
-        _sum_memo[key] = entry
-        if len(_sum_memo) > _SUM_MEMO_SIZE:
-            _sum_memo.popitem(last=False)
-    return entry
+    return minkowski_sum(a, body)
 
 
 def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
@@ -400,7 +402,7 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     counts = Counter(t.bodies)
     bodies = sorted(counts, key=attrgetter("vertices"))
     mults = [counts[b] for b in bodies]
-    total = _polarize(mults, lambda k: _minkowski_entry(bodies, k, budget)[1])
+    total = _polarize(mults, lambda k: _minkowski_entry(bodies, k, budget)._volume)
     result = total / factorial(d)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")

@@ -82,6 +82,16 @@ def _check_hermitian(mats) -> None:
             raise TypeError(f"expected a Hermitian matrix, got {type(m).__name__}")
 
 
+def _check_bodies(bodies) -> None:
+    for b in bodies:
+        if not isinstance(b, Polytope):
+            raise TypeError(f"expected a Polytope, got {type(b).__name__}")
+    if len({b.dim for b in bodies}) > 1:
+        raise DimensionMismatchError(
+            f"bodies must share one dimension, got {[b.dim for b in bodies]}"
+        )
+
+
 def _pair_gap(value, ratio, x, y, rest, characterized, context) -> GapReport:
     """V(x, y, rest)^2 against V(x, x, rest) V(y, y, rest), with value
     evaluating V on a list of slots and certificate ratio(x, y)."""
@@ -166,6 +176,7 @@ def homothety_ratio(k: Polytope, l: Polytope) -> Optional[Rat]:
     lexicographic order of vertices, so sorted vertex lists must match
     position by position.
     """
+    _check_bodies([k, l])
     u, v = k.vertices, l.vertices
     if len(v) == 1:
         return Fraction(0)
@@ -284,6 +295,7 @@ def bm_concavity_volume(
 ) -> ConcavityReport:
     """Sample lam -> V(((1-lam)K0 + lam K1)^[m], rest)^(1/m) on [0, 1]."""
     rest = list(rest)
+    _check_bodies([k0, k1] + rest)
     d = k0.dim
     if not 1 <= m <= d:
         raise ValueError(f"m must lie in [1, {d}], got {m}")

@@ -1,15 +1,18 @@
 """Convex body engine: hulls, exact volumes, Minkowski arithmetic, and
 mixed volumes, cross-checked against brute-force geometry oracles."""
 
+import ast
 import itertools
 import random
 import sys
 import threading
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import afkit
 from afkit import convexvol
 from afkit.convexvol import (
     BodyTuple,
@@ -372,8 +375,8 @@ def test_memo_stays_bounded():
     for _ in range(2 * convexvol._SUM_MEMO_SIZE):
         k, l = (convex_hull(rand_cloud(rng, 2, 5)) for _ in range(2))
         af_gap_volume(k, l)
-        assert len(convexvol._sum_memo) <= convexvol._SUM_MEMO_SIZE
-    assert len(convexvol._sum_memo) == convexvol._SUM_MEMO_SIZE
+        assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
+    assert convexvol._sum_memo.cache_info().currsize == convexvol._SUM_MEMO_SIZE
 
 
 def test_memo_shared_across_threads():
@@ -410,7 +413,7 @@ def test_memo_shared_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(done) == 8
-    assert len(convexvol._sum_memo) <= convexvol._SUM_MEMO_SIZE
+    assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
 
 
 def test_expansion_single_body():
@@ -460,3 +463,41 @@ def test_body_tuple_validation():
 def test_polytope_canonicalizes_on_construction():
     p = Polytope([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
     assert p.vertices == tuple(fr_points([(0, 0), (0, 2), (2, 0), (2, 2)]))
+    with pytest.raises(AttributeError):
+        p.vertices = ()
+
+
+def _scoped_names(node, scope=()):
+    """(scope, name) for every name, attribute and import alias in node,
+    scope being the enclosing class and function names."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    name = node.name if isinstance(node, ast.alias) else getattr(node, "id", None)
+    name = name or getattr(node, "attr", None)
+    if name:
+        yield ".".join(scope), name
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped_names(child, scope)
+
+
+def test_only_the_constructor_clears_a_polytope():
+    # a body is cleared once, at construction; every other operation works
+    # on its integer grid, which no other module reads, and the Fraction
+    # vertices are a derived view
+    clears, grid_readers, slots = set(), set(), None
+    for path in sorted(Path(afkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name in _scoped_names(tree):
+            if name == "_clear_points":
+                clears.add((path.stem, scope))
+            if name == "_pts":
+                grid_readers.add(path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Polytope":
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__slots__":
+                        slots = ast.literal_eval(stmt.value)
+    assert clears == {("convexvol", "Polytope.__init__")}
+    assert grid_readers == {"convexvol"}
+    assert slots is not None and "vertices" not in slots
+    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_hash"}

@@ -21,6 +21,7 @@ from afkit.ineqcheck import (
     bm_concavity_discriminant,
     bm_concavity_volume,
     equality_lambda,
+    homothety_ratio,
 )
 from afkit.matrixcore import proportional
 from afkit.mixdisc import MatTuple
@@ -168,6 +169,18 @@ def test_af_volume_frozen_square_vs_segment():
     assert r.rhs == 0
     assert r.gap == F(1, 4)
     assert not r.characterized
+
+
+def test_volume_checks_reject_foreign_and_mixed_dimension_bodies():
+    k = unit_square()
+    with pytest.raises(DimensionMismatchError):
+        homothety_ratio(convex_hull([(0,), (1,)]), convex_hull([(0, 0), (2, 0)]))
+    with pytest.raises(TypeError):
+        homothety_ratio(k, "x")
+    with pytest.raises(TypeError):
+        bm_concavity_volume([[0, 0]], k, [], 2)
+    with pytest.raises(DimensionMismatchError):
+        bm_concavity_volume(k, k, [convex_hull([(0, 0, 0)])], 1)
 
 
 def test_af_volume_equal_and_homothetic():
