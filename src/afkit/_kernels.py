@@ -1,6 +1,6 @@
 """Integer kernels: exact determinants over Z and Z[i], the
-permutation-sum accumulator behind mixed discriminants, and the
-polarization and expansion sums shared by both engines.
+permutation-sum DP behind mixed discriminants and mixed adjugates, and
+the polarization and expansion sums shared by both engines.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
@@ -153,41 +153,107 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
+def _perm_step(dp, grids, col):
+    """One column of the (rows used, matrices used) subset DP.
+
+    Extends every state by column col of one unused grid, drawn at one
+    unused row r; placing r after the rows already used contributes
+    (-1)^(count of used rows above r), which accumulates sign(tau).
+    """
+    nxt = {}
+    rows = range(len(grids[0]))
+    for (rmask, mmask), (ar, ai) in dp.items():
+        # each unused row with the sign of placing it after rmask
+        free = [(r, (rmask >> (r + 1)).bit_count() & 1) for r in rows if not rmask >> r & 1]
+        for mi, grid in enumerate(grids):
+            if mmask >> mi & 1:
+                continue
+            nm = mmask | 1 << mi
+            for r, odd in free:
+                er, ei = grid[r][col]
+                if not (er or ei):
+                    continue
+                if odd:
+                    er, ei = -er, -ei
+                key = (rmask | 1 << r, nm)
+                tr, ti = ar * er - ai * ei, ar * ei + ai * er
+                cur = nxt.get(key)
+                nxt[key] = (tr, ti) if cur is None else (cur[0] + tr, cur[1] + ti)
+    return nxt
+
+
 def mixed_perm_sum(mats):
     """Sum, over all ways to draw column j of a working matrix from a
     distinct source matrix, of the determinant of the result.
 
     Equals n! times the mixed discriminant of the integer inputs. The
     double sum over (matrix assignment, row permutation) folds into one
-    subset DP keyed by (rows used, matrices used); the permutation sign
-    accrues one inversion-count factor per placed row.
+    subset DP keyed by (rows used, matrices used), one `_perm_step` per
+    column.
     """
     n = len(mats)
     dp = {(0, 0): (1, 0)}
     for col in range(n):
-        nxt = {}
-        for (rmask, mmask), acc in dp.items():
-            for mi in range(n):
-                if mmask >> mi & 1:
-                    continue
-                grid = mats[mi]
-                nm = mmask | 1 << mi
-                # placing row r after the rows in rmask contributes
-                # (-1)^(count of used rows above r), accumulating sign(tau)
-                for r in range(n):
-                    if rmask >> r & 1:
-                        continue
-                    e = grid[r][col]
-                    if e == _GZERO:
-                        continue
-                    term = _gmul(acc, e)
-                    if (rmask >> (r + 1)).bit_count() & 1:
-                        term = (-term[0], -term[1])
-                    key = (rmask | 1 << r, nm)
-                    cur = nxt.get(key)
-                    nxt[key] = term if cur is None else (cur[0] + term[0], cur[1] + term[1])
-        dp = nxt
+        dp = _perm_step(dp, mats, col)
         if not dp:
             return _GZERO
     full = (1 << n) - 1
     return dp.get((full, full), _GZERO)
+
+
+def mixed_adjugate_sum(mats):
+    """The grid G with G[r][c] = n! D(E_rc, A_1, ..., A_(n-1)) for the
+    n - 1 integer n x n inputs A_i, E_rc the single-entry basis matrix.
+
+    G[r][c] sums the permutation-sum terms that give column c to E_rc,
+    so row r sits at column c. A forward sweep F_c(R, M) fills columns
+    0..c-1 with rows R and matrices M; a backward sweep B_(c+1)(S, N)
+    fills columns c+1..n-1 with rows S and matrices N. It is the forward
+    sweep run on the grids turned by 180 degrees, whose sign rule counts
+    the later rows below each placed row. With S = rows - R - {r} and N
+    the matrices not in M,
+
+        G[r][c] = sum F_c(R, M) B_(c+1)(S, N) (-1)^(#{p in R: p > r} + cross(S)),
+
+    where cross(S) = sum_(s in S) #{p not in S: p > s} counts the
+    inversions between the rows before column c+1 and those after it.
+    """
+    n = len(mats[0])
+    full = (1 << n) - 1
+    fullm = (1 << len(mats)) - 1
+    flip = [0] * (1 << n)  # row mask of the turned grids -> unturned
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        flip[mask] = flip[mask ^ low] | 1 << (n - low.bit_length())
+    cross = [  # parity of cross(S)
+        sum(((full & ~mask) >> (s + 1)).bit_count() for s in range(n) if mask >> s & 1) & 1
+        for mask in range(1 << n)
+    ]
+    turned = [tuple(tuple(row[::-1]) for row in reversed(g)) for g in mats]
+    # back[k] holds B_(n-k), keyed in the unturned row coordinates
+    back = [{(0, 0): (1, 0)}]
+    for k in range(n - 1):
+        back.append(_perm_step(back[-1], turned, k))
+    back = [{(flip[s], m): v for (s, m), v in layer.items()} for layer in back]
+    out = [[_GZERO] * n for _ in range(n)]
+    fwd = {(0, 0): (1, 0)}
+    for c in range(n):
+        later = back[n - 1 - c]
+        for (rmask, mmask), (fr, fi) in fwd.items():
+            rest = full & ~rmask
+            nm = fullm & ~mmask
+            for r in range(n):
+                if not rest >> r & 1:
+                    continue
+                s = rest & ~(1 << r)
+                b = later.get((s, nm))
+                if b is None:
+                    continue
+                br, bi = b
+                if ((rmask >> (r + 1)).bit_count() + cross[s]) & 1:
+                    br, bi = -br, -bi
+                cr, ci = out[r][c]
+                out[r][c] = (cr + fr * br - fi * bi, ci + fr * bi + fi * br)
+        if c < n - 1:
+            fwd = _perm_step(fwd, mats, c)
+    return tuple(tuple(row) for row in out)

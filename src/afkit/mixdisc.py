@@ -1,27 +1,50 @@
 """Mixed discriminants of matrix tuples.
 
 Two independent evaluation routes cross-validate each other: a folded
-permutation sum (fast, n factorial collapsed into a subset DP) and the
-multiset polarization sum over sum determinants. The module also
-carries the determinant expansion identity checker and the mixed
-adjugate, the matrix of discriminants against single-entry basis
-matrices.
+permutation sum (n factorial collapsed into a subset DP) and the
+multiset polarization sum over sum determinants; `_discriminant_auto`
+takes the cheaper one for each multiset. The module also carries the
+determinant expansion identity checker and the mixed adjugate, the
+matrix of discriminants against single-entry basis matrices, computed
+in one forward and one backward sweep of the same DP. Both memoize
+their exact values by matrix multiset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import lru_cache
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
-from ._kernels import _multinomial_expansion, _polarize, gauss_det, mixed_perm_sum
+from ._kernels import (
+    _multinomial_expansion,
+    _polarize,
+    gauss_det,
+    mixed_adjugate_sum,
+    mixed_perm_sum,
+)
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from .matrixcore import GenMat, HermMat
 from .rationals import GaussRat, as_rat
 
 PERMUTATION_ROUTE_MAX_N = 6
 POLARIZED_ROUTE_MAX_N = 20
+
+# A torus instance asks for the three values of the pair theorem, then
+# the n + 1 <= 7 Khovanskii-Teissier values, then the m-fold values,
+# whose first is the pair's D(g1, g2, rest) again (at m = 2 all three
+# are). 3 + 7 entries keep the pair's values until the fold asks; the
+# discriminant mode's pair-then-fold pattern needs only its 3.
+_VALUE_MEMO_SIZE = 10
+# The pair theorem builds W(g1, rest) and W(g2, rest); the m-fold
+# theorem that follows builds C(2m - 2, m - 1) adjugates in
+# lexicographic order, the pair's two among them. At m = 2 they are its
+# first two; at m = 3 the second comes fifth, after three new ones, so
+# 5 entries catch both. Larger m asks again later than a few n x n
+# grids are worth keeping.
+_ADJUGATE_MEMO_SIZE = 5
 
 
 class MatTuple:
@@ -101,10 +124,40 @@ def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
     return _finalize(t, total.re / denom, total.im / denom)
 
 
+def _memo_key(mats) -> tuple:
+    """The matrix multiset, order-free, plus the all-Hermitian flag.
+
+    D and W are symmetric in their matrices, so the multiset fixes their
+    value. GenMat and HermMat grids compare equal; the flag keeps them
+    apart, so a value cached for general matrices never skips the
+    Hermitian invariant of a Hermitian tuple.
+    """
+    return frozenset(Counter(mats).items()), all(isinstance(m, HermMat) for m in mats)
+
+
+def _unpack(counts) -> list:
+    return [m for m, r in counts for _ in range(r)]
+
+
+def _polarized_is_cheaper(n: int, mults) -> bool:
+    """prod(r_i + 1) - 1 sum determinants at about n^3 steps each,
+    against the DP's sum over columns c of C(n, c)^2 states with
+    (n - c)^2 extensions each."""
+    dets = prod(r + 1 for r in mults) - 1
+    return dets * n ** 3 < sum(comb(n, c) ** 2 * (n - c) ** 2 for c in range(n))
+
+
 def _discriminant_auto(t: MatTuple) -> GaussRat:
-    if t.n <= PERMUTATION_ROUTE_MAX_N:
-        return mixed_discriminant(t)
-    return mixed_discriminant_polarized(t)
+    return _auto_value(*_memo_key(t.mats))
+
+
+@lru_cache(maxsize=_VALUE_MEMO_SIZE)
+def _auto_value(counts, hermitian) -> GaussRat:
+    """D of the multiset by the cheaper route; `hermitian` only keys."""
+    t = MatTuple(_unpack(counts))
+    if t.n > PERMUTATION_ROUTE_MAX_N or _polarized_is_cheaper(t.n, (r for _, r in counts)):
+        return mixed_discriminant_polarized(t)
+    return mixed_discriminant(t)
 
 
 def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:
@@ -137,13 +190,9 @@ def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:
 def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
     """The matrix W with W[j][k] = D(E_jk, A_1, ..., A_(n-1)).
 
-    E_jk is the single-entry basis matrix. Expanding the lone nonzero
-    column reduces each entry to a mixed discriminant of row/column
-    deleted minors:
-
-        W[j][k] = (-1)^(j+k) / n * D(A_1 del (j,k), ..., A_(n-1) del (j,k))
-
-    which is what is computed here. The pairing identity
+    E_jk is the single-entry basis matrix. Over the integer grids,
+    n! prod(den) W is one forward and one backward sweep of the
+    permutation-sum DP (`mixed_adjugate_sum`). The pairing identity
     D(B, A_1, ..., A_(n-1)) = sum_jk B[j][k] W[j][k] holds for every B.
     """
     part = list(partial)
@@ -157,24 +206,17 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
         raise DimensionMismatchError(
             f"need exactly {n - 1} Hermitian matrices of dimension {n}"
         )
-    rows_out = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            minors = [
-                GenMat._of_grid(
-                    tuple(r[:k] + r[k + 1:] for r in m._rows[:j] + m._rows[j + 1:]),
-                    m._den,
-                )
-                for m in part
-            ]
-            val = _discriminant_auto(MatTuple(minors)) * Fraction(1, n)
-            if (j + k) & 1:
-                val = -val
-            row.append(val)
-        rows_out.append(row)
+    return _adjugate(*_memo_key(part))
+
+
+@lru_cache(maxsize=_ADJUGATE_MEMO_SIZE)
+def _adjugate(counts, hermitian) -> HermMat:
+    """W of the multiset; `hermitian` only keys, and is always true here."""
+    part = _unpack(counts)
+    grid = mixed_adjugate_sum([m._rows for m in part])
+    den = factorial(part[0].n) * prod(m._den for m in part)
     try:
-        return HermMat(rows_out)
+        return HermMat._of_grid(grid, den)
     except ValueError as exc:
         raise InvariantViolationError(
             "mixed adjugate of Hermitian inputs must be Hermitian"

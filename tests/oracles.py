@@ -32,16 +32,30 @@ def c_scale(a, s):
 
 
 def det_cofactor(rows):
-    """Determinant by first-row cofactor expansion; rows of (re, im) pairs."""
+    """Determinant by first-row cofactor expansion; rows of (re, im) pairs.
+
+    The minor below row i is fixed by its column set, so each one is
+    expanded once per call, and zero entries are skipped.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = c_mul(rows[0][j], det_cofactor(minor))
-        total = c_add(total, term) if j % 2 == 0 else c_sub(total, term)
-    return total
+    memo = {}
+
+    def minor(i, cols):
+        if i == n - 1:
+            return rows[i][cols[0]]
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        total = ZERO
+        for pos, j in enumerate(cols):
+            if rows[i][j] == ZERO:
+                continue
+            term = c_mul(rows[i][j], minor(i + 1, cols[:pos] + cols[pos + 1:]))
+            total = c_add(total, term) if pos % 2 == 0 else c_sub(total, term)
+        memo[cols] = total
+        return total
+
+    return minor(0, tuple(range(n)))
 
 
 def mixed_disc_perm(mats):
@@ -51,10 +65,17 @@ def mixed_disc_perm(mats):
     assembled matrix is taken from mats[sigma[j]].
     """
     n = len(mats)
+    # equal matrices assemble equal working matrices: label each matrix
+    # by its first equal and expand each assembly once
+    label = [next(i for i in range(n) if mats[i] == m) for m in mats]
+    dets = {}
     acc = ZERO
     for sigma in permutations(range(n)):
-        rows = [[mats[sigma[j]][i][j] for j in range(n)] for i in range(n)]
-        acc = c_add(acc, det_cofactor(rows))
+        key = tuple(label[s] for s in sigma)
+        if key not in dets:
+            rows = [[mats[key[j]][i][j] for j in range(n)] for i in range(n)]
+            dets[key] = det_cofactor(rows)
+        acc = c_add(acc, dets[key])
     f = factorial(n)
     return (acc[0] / f, acc[1] / f)
 
@@ -76,6 +97,28 @@ def mixed_disc_polarized(mats):
         acc = c_add(acc, term)
     f = factorial(n)
     return (acc[0] / f, acc[1] / f)
+
+
+def mixed_adjugate_minors(mats):
+    """Mixed adjugate by minor expansion, for n - 1 grids of dimension n.
+
+    Expanding the lone nonzero column of E_jk in D(E_jk, A_1, ...,
+    A_(n-1)) leaves the row/column deleted minors:
+
+        W[j][k] = (-1)^(j+k) / n * D(A_1 del (j,k), ..., A_(n-1) del (j,k))
+
+    with D from `mixed_disc_perm`.
+    """
+    n = len(mats[0])
+    out = []
+    for j in range(n):
+        row = []
+        for k in range(n):
+            minors = [[r[:k] + r[k + 1:] for i, r in enumerate(m) if i != j] for m in mats]
+            val = c_scale(mixed_disc_perm(minors), Fraction(1, n))
+            row.append(c_sub(ZERO, val) if (j + k) & 1 else val)
+        out.append(row)
+    return out
 
 
 def permanent(rows):

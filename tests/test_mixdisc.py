@@ -1,16 +1,21 @@
 """Mixed discriminants: frozen values, route equivalence against a
-permutation-enumeration reference, multilinearity, and the mixed adjugate."""
+permutation-enumeration reference, the cost-chosen route, the exact-value
+memos, multilinearity, and the mixed adjugate."""
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from afkit.errors import DimensionMismatchError, SizeLimitError
-from afkit.matrixcore import HermMat
+from afkit import mixdisc
+from afkit.errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
+from afkit.matrixcore import GenMat, HermMat
 from afkit.mixdisc import (
     MatTuple,
+    _discriminant_auto,
     det_expansion_check,
     mixed_adjugate,
     mixed_discriminant,
@@ -191,7 +196,7 @@ def test_adjugate_frozen_diagonal():
 
 def test_adjugate_matches_basis_definition():
     rng = random.Random(53)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         part = [rand_herm(rng, n, denom=2) for _ in range(n - 1)]
         w = mixed_adjugate(part)
         assert isinstance(w, HermMat)
@@ -236,3 +241,164 @@ def test_polarized_route_beyond_the_permutation_cap():
     b = rand_herm(rng, 7, bound=3, denom=2)
     assert mixed_discriminant_polarized(MatTuple([a] * 7)) == a.det()
     assert det_expansion_check([a, b], [Fraction(2, 3), -3])
+
+
+def partitions(n, most=None):
+    """Multiplicity shapes of n matrices: partitions of n, largest part first."""
+    most = n if most is None else most
+    if n == 0:
+        yield ()
+        return
+    for head in range(min(n, most), 0, -1):
+        for tail in partitions(n - head, head):
+            yield (head,) + tail
+
+
+def shaped_tuple(rng, shape, n):
+    mats = [rand_gen(rng, n, bound=3, denom=2) for _ in shape]
+    return [m for m, r in zip(mats, shape) for _ in range(r)]
+
+
+def test_auto_route_matches_both_routes_on_every_shape():
+    rng = random.Random(61)
+    for n in range(2, 7):
+        for shape in partitions(n):
+            mats = shaped_tuple(rng, shape, n)
+            t = MatTuple(mats)
+            got = _discriminant_auto(t)
+            assert got == mixed_discriminant(t) == mixed_discriminant_polarized(t)
+            assert (got.re, got.im) == mixed_disc_perm([as_pairs(m) for m in mats])
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def route_calls(monkeypatch, mats):
+    """(DP calls, sum determinants) that one uncached evaluation makes."""
+    mixdisc._auto_value.cache_clear()
+    dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
+    dets = count_calls(monkeypatch, mixdisc, "gauss_det")
+    _discriminant_auto(MatTuple(mats))
+    return len(dp), len(dets)
+
+
+def test_cost_rule_pins_the_route(monkeypatch):
+    rng = random.Random(67)
+    for n in range(2, 7):
+        a = rand_herm(rng, n)
+        distinct = [rand_herm(rng, n) for _ in range(n)]
+        # all-distinct tuples stay on the DP
+        assert route_calls(monkeypatch, distinct) == (1, 0)
+        # A^[n] costs n sum determinants; that beats the DP from n = 4 on
+        assert route_calls(monkeypatch, [a] * n) == ((0, n) if n >= 4 else (1, 0))
+    # past the permutation cap the polarized route is the only one
+    assert route_calls(monkeypatch, [identity(7)] * 7) == (0, 7)
+
+
+def test_value_memo_stays_bounded():
+    rng = random.Random(71)
+    mixdisc._auto_value.cache_clear()
+    for _ in range(2 * mixdisc._VALUE_MEMO_SIZE):
+        _discriminant_auto(MatTuple([rand_herm(rng, 3) for _ in range(3)]))
+        assert mixdisc._auto_value.cache_info().currsize <= mixdisc._VALUE_MEMO_SIZE
+    assert mixdisc._auto_value.cache_info().currsize == mixdisc._VALUE_MEMO_SIZE
+    mixdisc._adjugate.cache_clear()
+    for _ in range(2 * mixdisc._ADJUGATE_MEMO_SIZE):
+        mixed_adjugate([rand_herm(rng, 3) for _ in range(2)])
+        assert mixdisc._adjugate.cache_info().currsize <= mixdisc._ADJUGATE_MEMO_SIZE
+    assert mixdisc._adjugate.cache_info().currsize == mixdisc._ADJUGATE_MEMO_SIZE
+
+
+def test_permuted_tuple_is_a_memo_hit():
+    rng = random.Random(73)
+    a, b, c, d = (rand_herm(rng, 4) for _ in range(4))
+    mixdisc._auto_value.cache_clear()
+    first = _discriminant_auto(MatTuple([a, b, a, c]))
+    assert _discriminant_auto(MatTuple([c, a, b, a])) == first
+    info = mixdisc._auto_value.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    mixdisc._adjugate.cache_clear()
+    w = mixed_adjugate([a, b, d])
+    assert mixed_adjugate([d, a, b]) == w
+    info = mixdisc._adjugate.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_memo_never_caches_an_exception(monkeypatch):
+    mixdisc._auto_value.cache_clear()
+    big = MatTuple([identity(21)] * 21)
+    for _ in range(2):
+        with pytest.raises(SizeLimitError):
+            _discriminant_auto(big)
+    assert mixdisc._auto_value.cache_info().currsize == 0
+    # a kernel fault raises again on every call instead of being served
+    mixdisc._adjugate.cache_clear()
+    calls = []
+
+    def skewed(mats):
+        calls.append(1)
+        n = len(mats[0])
+        return tuple(tuple((r - c, 0) for c in range(n)) for r in range(n))
+
+    monkeypatch.setattr(mixdisc, "mixed_adjugate_sum", skewed)
+    for _ in range(2):
+        with pytest.raises(InvariantViolationError):
+            mixed_adjugate([identity(3), diag(1, 2, 3)])
+    assert len(calls) == 2
+    assert mixdisc._adjugate.cache_info().currsize == 0
+
+
+def test_general_and_hermitian_grids_get_separate_entries(monkeypatch):
+    rng = random.Random(79)
+    h = [rand_herm(rng, 3) for _ in range(3)]
+    g = [GenMat(m.entries) for m in h]
+    assert g == h  # equal grids compare equal across the two types
+    mixdisc._auto_value.cache_clear()
+    dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
+    assert _discriminant_auto(MatTuple(g)) == _discriminant_auto(MatTuple(h))
+    assert len(dp) == 2
+    assert mixdisc._auto_value.cache_info().currsize == 2
+
+
+def test_value_memo_shared_across_threads():
+    # slightly more multisets than the memo holds, drawn at random by more
+    # threads than cores: lookups keep racing evictions of the same keys
+    rng = random.Random(89)
+    tuples = [MatTuple([rand_herm(rng, 2) for _ in range(2)])
+              for _ in range(mixdisc._VALUE_MEMO_SIZE + 3)]
+    want = [mixed_discriminant(t) for t in tuples]
+    errors, done = [], []
+
+    def work(seed):
+        pick = random.Random(seed)
+        try:
+            for _ in range(1000):
+                i = pick.randrange(len(tuples))
+                assert _discriminant_auto(tuples[i]) == want[i]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+        done.append(seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(done) == 8
+    assert mixdisc._auto_value.cache_info().currsize <= mixdisc._VALUE_MEMO_SIZE
