@@ -2,10 +2,10 @@
 
 A body is stored by its extreme points only (V-representation): one
 integer grid over one denominator, cleared once at construction, on
-which hulls are built by incremental facet insertion. One hull pass per
-point cloud yields both the extreme points and the exact volume, a
-simplex fan over the same facets from a fixed base vertex; a Polytope
-keeps the volume it was built with.
+which hulls are built from outside sets, each step adding the farthest
+point above one facet. One hull pass per point cloud yields both the
+extreme points and the exact volume, a simplex fan over the same facets
+from a fixed base vertex; a Polytope keeps the volume it was built with.
 
 Mixed volumes use multiset polarization: equal bodies are grouped, so a
 tuple with multiplicities r_i needs prod_i (r_i + 1) - 1 Minkowski sums
@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
@@ -89,29 +90,42 @@ def _affine_basis(ints, d):
 def _facet_plane(ints, vidx):
     """Primitive (normal, offset) of the hyperplane through d points.
 
-    Normal components are cofactors of the edge matrix, hence orthogonal
-    to every edge; a zero normal would mean an affinely degenerate facet,
-    which the insertion logic rules out.
+    The normal is the cofactor vector of the d - 1 edge vectors from the
+    first point, in closed form: (e1, -e0) in the plane, the cross
+    product in space, and four 3 x 3 minors over six shared 2 x 2 ones
+    at d = 4. It is orthogonal to every edge; a zero normal would mean
+    an affinely degenerate facet, which the hull logic rules out.
     """
-    d = len(ints[0])
     base = ints[vidx[0]]
-    edges = [tuple(ints[v][j] - base[j] for j in range(d)) for v in vidx[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[e[c] for c in range(d) if c != j] for e in edges]
-        a = int_det(minor)
-        normal.append(-a if j & 1 else a)
+    edges = [[x - y for x, y in zip(ints[v], base)] for v in vidx[1:]]
+    if len(edges) == 1:
+        ((e0, e1),) = edges
+        normal = (e1, -e0)
+    elif len(edges) == 2:
+        (u0, u1, u2), (v0, v1, v2) = edges
+        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    else:
+        (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = edges
+        m01 = v0 * w1 - v1 * w0
+        m02 = v0 * w2 - v2 * w0
+        m03 = v0 * w3 - v3 * w0
+        m12 = v1 * w2 - v2 * w1
+        m13 = v1 * w3 - v3 * w1
+        m23 = v2 * w3 - v3 * w2
+        normal = (
+            u1 * m23 - u2 * m13 + u3 * m12,
+            u2 * m03 - u0 * m23 - u3 * m02,
+            u0 * m13 - u1 * m03 + u3 * m01,
+            u1 * m02 - u0 * m12 - u2 * m01,
+        )
     if not any(normal):
         raise InvariantViolationError("degenerate facet in hull construction")
     b = _dot(normal, base)
-    g = 0
-    for x in normal:
-        g = gcd(g, x)
-    g = gcd(g, b)
+    g = gcd(*normal, b)
     if g > 1:
-        normal = [x // g for x in normal]
+        normal = tuple(x // g for x in normal)
         b //= g
-    return tuple(normal), b
+    return normal, b
 
 
 def _oriented(plane, cref, dplus1):
@@ -127,47 +141,89 @@ def _oriented(plane, cref, dplus1):
 
 
 def _hull_full_dim(ints, d, basis_idx):
-    """Incremental hull of a full-dimensional integer point cloud.
+    """Hull of a full-dimensional integer point cloud by outside sets.
 
     Returns (facets, apex index). Facets are (normal, offset, vertex
     index tuple) triples forming a simplicial triangulation of the
     boundary, oriented so that normal . x <= offset holds on the hull.
+
+    Each live facet keeps the unprocessed points strictly above it, each
+    point in at most one such outside set; a point above no facet is
+    inside the current hull and dropped for good. A step takes a facet
+    with a nonempty set and its farthest point, the largest a . p with
+    ties to the lowest index; walks across shared ridges (a ridge to
+    facets dict) to collect the facets that point sees; replaces them
+    by one new facet per horizon ridge; and hands their points to the
+    new facets. A point of a removed set that lies above none of them
+    is inside the new hull, since the new facets bound its tangent cone
+    at the apex. The apex itself lies on every new facet, so it is
+    handed to none.
     """
     cref = tuple(sum(ints[i][j] for i in basis_idx) for j in range(d))
     dplus1 = d + 1
-    facets = []
-    for drop in range(dplus1):
-        vidx = tuple(basis_idx[i] for i in range(dplus1) if i != drop)
+    facets = {}  # id -> (normal, offset, vertex indices, ridge keys)
+    outside = {}  # id -> indices of the points strictly above that facet
+    ridges = {}  # sorted ridge vertex indices -> ids of its facets
+    pending = []  # ids whose outside set was nonempty when assigned
+    ids = count()
+
+    def add(vidx):
+        fid = next(ids)
         a, b = _oriented(_facet_plane(ints, vidx), cref, dplus1)
-        facets.append((a, b, vidx))
+        keys = [tuple(sorted(vidx[:i] + vidx[i + 1:])) for i in range(d)]
+        facets[fid] = (a, b, vidx, keys)
+        for key in keys:
+            ridges.setdefault(key, []).append(fid)
+        return fid
+
+    def assign(points, fids):
+        # each point goes to the first new facet it lies strictly above
+        sets = [(facets[f][0], facets[f][1], outside.setdefault(f, [])) for f in fids]
+        for q in points:
+            p = ints[q]
+            for a, b, bucket in sets:
+                if _dot(a, p) > b:
+                    bucket.append(q)
+                    break
+        pending.extend(f for f in fids if outside[f])
+
     seeded = set(basis_idx)
-    for pi, p in enumerate(ints):
-        if pi in seeded:
+    simplex = [
+        add(tuple(basis_idx[i] for i in range(dplus1) if i != drop)) for drop in range(dplus1)
+    ]
+    assign([i for i in range(len(ints)) if i not in seeded], simplex)
+    while pending:
+        fid = pending.pop()
+        if fid not in facets:
             continue
-        visible = []
-        kept = []
-        for f in facets:
-            if _dot(f[0], p) > f[1]:
-                visible.append(f)
-            else:
-                kept.append(f)
-        if not visible:
-            continue
-        # a ridge shared by two visible facets is interior to the visible
-        # region; one seen exactly once lies on the horizon
-        ridge_count = {}
-        for _, _, vidx in visible:
-            for drop in range(d):
-                ridge = tuple(sorted(vidx[i] for i in range(d) if i != drop))
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for ridge, count in ridge_count.items():
-            if count != 1:
-                continue
-            vidx = ridge + (pi,)
-            a, b = _oriented(_facet_plane(ints, vidx), cref, dplus1)
-            kept.append((a, b, vidx))
-        facets = kept
-    return facets, basis_idx[0]
+        a = facets[fid][0]
+        pi = max(outside[fid], key=lambda q: (_dot(a, ints[q]), -q))
+        p = ints[pi]
+        visible = [fid]
+        seen = {fid: True}  # facet id -> whether p lies strictly above it
+        horizon = []
+        for f in visible:  # grows while walked
+            for key in facets[f][3]:
+                g0, g1 = ridges[key]
+                g = g1 if g0 == f else g0
+                above = seen.get(g)
+                if above is None:
+                    ga, gb = facets[g][:2]
+                    above = seen[g] = _dot(ga, p) > gb
+                    if above:
+                        visible.append(g)
+                if not above:
+                    horizon.append(key)
+        handed = []
+        for f in visible:
+            handed += outside.pop(f)
+            for key in facets.pop(f)[3]:
+                through = ridges[key]
+                through.remove(f)
+                if not through:
+                    del ridges[key]
+        assign(handed, [add(key + (pi,)) for key in horizon])
+    return [f[:3] for f in facets.values()], basis_idx[0]
 
 
 def _extreme_indices(ints, d, facets):

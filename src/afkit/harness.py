@@ -10,6 +10,7 @@ the JSONL output is byte-identical for identical configs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -158,6 +159,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("grid size must be at least 3")
     if not cfg.tolerance > 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(cfg.tolerance):
+        # an infinite tolerance would reach the summary line, which
+        # strict JSON cannot encode
+        raise ValueError("tolerance must be finite")
     if cfg.r < 1:
         raise ValueError("r must be at least 1")
     if cfg.exact_only and cfg.mode == "bm":

@@ -4,12 +4,17 @@ Everything here is deliberately independent of the package internals:
 complex rationals are plain (re, im) Fraction pairs, determinants are
 literal cofactor expansions, mixed discriminants enumerate permutations
 one by one, and polytope membership is a brute-force Caratheodory search.
-Slow is fine; these exist to catch bugs in the fast code.
+The one exception is the lexicographic insertion hull, the convex
+engine's former hull, which keeps the Bareiss kernel `int_det` for its
+plane minors and fan volume. Slow is fine; these exist to catch bugs in
+the fast code.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, gcd
+
+from afkit._kernels import int_det
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -269,3 +274,115 @@ def simplex_volume(verts, d):
     """Volume of the simplex spanned by d+1 points."""
     rows = [[verts[i + 1][c] - verts[0][c] for c in range(d)] for i in range(d)]
     return abs(real_det(rows)) / factorial(d)
+
+
+def echelon_pivots(rows):
+    """Pivot columns of the reduced row echelon form of rational rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def facet_plane_minors(ints, vidx):
+    """Primitive (normal, offset) of the hyperplane through d integer points.
+
+    The normal is the cofactor vector of the edge matrix, each component
+    a general Bareiss determinant of one (d-1) x (d-1) minor; the plane
+    is divided by the gcd of the normal and the offset.
+    """
+    d = len(ints[0])
+    base = ints[vidx[0]]
+    edges = [tuple(ints[v][j] - base[j] for j in range(d)) for v in vidx[1:]]
+    normal = []
+    for j in range(d):
+        minor = [[e[c] for c in range(d) if c != j] for e in edges]
+        a = int_det(minor)
+        normal.append(-a if j & 1 else a)
+    if not any(normal):
+        raise ValueError("degenerate facet")
+    b = sum(x * y for x, y in zip(normal, base))
+    g = gcd(*normal, b)
+    return tuple(x // g for x in normal), b // g
+
+
+def hull_insertion(ints, d):
+    """Extreme indices and d! times the volume of distinct integer points.
+
+    The former `convexvol._hull`, kept as the reference: the points go
+    into the simplex of a greedy affine basis one by one in index order,
+    each tested against every facet; the facets it sees are replaced by
+    one new facet per horizon ridge, with planes from
+    `facet_plane_minors`. A flat cloud is projected on the pivot
+    coordinates of its difference vectors and recursed, with volume 0.
+    """
+    if len(ints) == 1:
+        return [0], 0
+    if d == 1:
+        lo = min(range(len(ints)), key=ints.__getitem__)
+        hi = max(range(len(ints)), key=ints.__getitem__)
+        return sorted({lo, hi}), ints[hi][0] - ints[lo][0]
+    diffs = [[a - b for a, b in zip(p, ints[0])] for p in ints]
+    pivots = echelon_pivots(diffs)
+    if len(pivots) < d:
+        flat = [tuple(p[c] for c in pivots) for p in ints]
+        return hull_insertion(flat, len(pivots))[0], 0
+    basis = [0]
+    for i in range(1, len(ints)):
+        if len(echelon_pivots([diffs[j] for j in basis[1:] + [i]])) == len(basis):
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    cref = [sum(ints[i][j] for i in basis) for j in range(d)]
+
+    def plane(vidx):
+        # orient so that the basis barycenter lies strictly beneath
+        a, b = facet_plane_minors(ints, vidx)
+        s = sum(x * y for x, y in zip(a, cref))
+        if s == (d + 1) * b:
+            raise ValueError("interior reference point on a facet plane")
+        return (a, b) if s < (d + 1) * b else (tuple(-x for x in a), -b)
+
+    def above(f, p):
+        return sum(x * y for x, y in zip(f[0], p)) > f[1]
+
+    facets = []
+    for drop in range(d + 1):
+        vidx = tuple(basis[i] for i in range(d + 1) if i != drop)
+        facets.append(plane(vidx) + (vidx,))
+    for pi, p in enumerate(ints):
+        if pi in basis:
+            continue
+        visible = [f for f in facets if above(f, p)]
+        if not visible:
+            continue
+        ridge_count = {}
+        for _, _, vidx in visible:
+            for drop in range(d):
+                ridge = tuple(sorted(vidx[i] for i in range(d) if i != drop))
+                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        facets = [f for f in facets if not above(f, p)]
+        facets += [plane(r + (pi,)) + (r + (pi,),) for r, c in ridge_count.items() if c == 1]
+
+    listed = sorted({v for _, _, vidx in facets for v in vidx})
+    extreme = []
+    for v in listed:
+        active = [a for a, b, _ in facets if sum(x * y for x, y in zip(a, ints[v])) == b]
+        if len(echelon_pivots(active)) == d:
+            extreme.append(v)
+    apex = ints[0]
+    total = 0
+    for _, _, vidx in facets:
+        if 0 not in vidx:
+            total += abs(int_det([[ints[v][j] - apex[j] for j in range(d)] for v in vidx]))
+    return extreme, total

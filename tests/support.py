@@ -6,6 +6,8 @@ only construct inputs, never compute expected answers.
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from afkit.convexvol import Polytope, convex_hull, minkowski_sum
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
@@ -72,6 +74,30 @@ def rand_psd(rng, n, bound=3):
 def rand_pd(rng, n, bound=3):
     """Gram matrix plus the identity, positive definite by construction."""
     return rand_psd(rng, n, bound) + identity(n)
+
+
+rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+gauss = st.builds(GaussRat, rats, rats)
+
+
+@st.composite
+def gen_mats(draw, n=None):
+    """A GenMat of Gaussian rationals, of size n or a drawn size 1..4."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    return GenMat([[draw(gauss) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def herm_mats(draw, n=None):
+    """A HermMat of Gaussian rationals, of size n or a drawn size 1..4."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussRat(draw(rats))
+        for j in range(i + 1, n):
+            rows[i][j] = draw(gauss)
+            rows[j][i] = rows[i][j].conjugate()
+    return HermMat(rows)
 
 
 def as_pairs(mat):

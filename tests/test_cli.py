@@ -160,3 +160,16 @@ def test_entry_bound_beyond_64_bits_exits_2(tmp_path, capsys):
     assert code == 2
     assert "entry bound" in errs
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "-inf", "nan"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, tol):
+    # inf and 1e400 pass the positivity test; strict JSON cannot carry
+    # them into the summary line, so they are rejected before any work
+    out = tmp_path / "tol.jsonl"
+    code, outs, errs = run_main(["--mode", "bm", f"--tol={tol}", "--out", str(out)], capsys)
+    assert code == 2
+    assert outs == ""
+    expected = "must be finite" if tol in ("inf", "1e400") else "must be positive"
+    assert f"configuration error: tolerance {expected}" in errs
+    assert not out.exists()

@@ -1,0 +1,129 @@
+"""The outside-set hull against the lexicographic insertion oracle.
+
+`_hull` must give the same extreme indices and the same d! * volume as
+`oracles.hull_insertion`, the former insertion hull, for d = 2..4 on
+random clouds, on subsets of {0,1,2}^d (heavy coplanarity), on points
+placed on the edges and facets of a few corners, and in any input order.
+The facets of `_hull_full_dim` must form a closed simplicial surface
+with primitive planes that every input point satisfies, and the closed
+form normal of `_facet_plane` must equal the Bareiss cofactor vector,
+sign included. Draws are derandomized and bounded, so the suite stays
+deterministic and keeps no example database.
+"""
+
+from collections import Counter
+from itertools import combinations, product
+from math import gcd
+from random import Random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from afkit.convexvol import _affine_basis, _facet_plane, _hull, _hull_full_dim
+from afkit.errors import InvariantViolationError
+
+from oracles import facet_plane_minors, hull_insertion
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+
+dims = st.sampled_from([2, 3, 4])
+# corners are multiples of 12, so every edge point k/12 of the way and
+# every barycenter of d corners (d <= 4) is an integer point
+SCALE = 12
+
+
+def points(d, lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * d)
+
+
+@st.composite
+def random_clouds(draw, d):
+    return draw(st.lists(points(d, -6, 6), min_size=1, max_size=14, unique=True))
+
+
+@st.composite
+def lattice_clouds(draw, d):
+    grid = list(product(range(3), repeat=d))
+    return draw(st.lists(st.sampled_from(grid), min_size=1, max_size=16, unique=True))
+
+
+@st.composite
+def boundary_clouds(draw, d):
+    """A few corners plus points on their edges and barycenters of d of them."""
+    corners = draw(st.lists(points(d, -2, 2), min_size=2, max_size=d + 3, unique=True))
+    corners = [tuple(SCALE * c for c in p) for p in corners]
+    idx = st.integers(0, len(corners) - 1)
+    cloud = set(corners)
+    for i, j, k in draw(st.lists(st.tuples(idx, idx, st.integers(1, SCALE - 1)), max_size=6)):
+        u, v = corners[i], corners[j]
+        cloud.add(tuple((k * a + (SCALE - k) * b) // SCALE for a, b in zip(u, v)))
+    if len(corners) >= d:
+        faces = st.lists(st.sampled_from(list(combinations(range(len(corners)), d))), max_size=4)
+        for face in draw(faces):
+            cloud.add(tuple(sum(corners[i][j] for i in face) // d for j in range(d)))
+    return sorted(cloud)
+
+
+@st.composite
+def clouds(draw):
+    """(d, distinct integer points in a drawn order)."""
+    d = draw(dims)
+    kind = draw(st.sampled_from([random_clouds, lattice_clouds, boundary_clouds]))
+    return d, draw(st.permutations(draw(kind(d))))
+
+
+@SETTINGS
+@given(clouds())
+def test_hull_matches_the_insertion_oracle(case):
+    d, pts = case
+    assert _hull(pts, d) == hull_insertion(pts, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_full_lattice_cube_in_shuffled_orders(d):
+    # every point of {0,1,2}^d: only the 2^d corners are extreme
+    cube = list(product(range(3), repeat=d))
+    for seed in range(3):
+        pts = cube[:]
+        Random(seed).shuffle(pts)
+        idx, vol = _hull(pts, d)
+        assert sorted(pts[i] for i in idx) == list(product((0, 2), repeat=d))
+        assert (idx, vol) == hull_insertion(pts, d)
+
+
+def dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+@SETTINGS
+@given(clouds())
+def test_facets_form_a_closed_surface_of_primitive_supporting_planes(case):
+    d, pts = case
+    basis_idx, ech = _affine_basis(pts, d)
+    assume(ech.rank == d)
+    facets, apex = _hull_full_dim(pts, d, basis_idx)
+    assert apex == basis_idx[0]
+    ridges = Counter()
+    for a, b, vidx in facets:
+        assert len(set(vidx)) == d
+        assert gcd(*a, b) == 1
+        assert all(dot(a, pts[v]) == b for v in vidx)
+        assert all(dot(a, p) <= b for p in pts)
+        ridges.update(tuple(sorted(r)) for r in combinations(vidx, d - 1))
+    assert set(ridges.values()) == {2}
+
+
+@SETTINGS
+@given(dims.flatmap(lambda d: st.lists(points(d, -40, 40), min_size=d, max_size=d)))
+def test_closed_form_normal_is_the_bareiss_cofactor_vector(pts):
+    vidx = tuple(range(len(pts)))
+    try:
+        want = facet_plane_minors(pts, vidx)
+    except ValueError:
+        # affinely dependent points: the closed form must refuse them too
+        with pytest.raises(InvariantViolationError, match="degenerate facet"):
+            _facet_plane(pts, vidx)
+        return
+    assert _facet_plane(pts, vidx) == want
+

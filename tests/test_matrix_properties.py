@@ -19,31 +19,11 @@ from afkit.matrixcore import GenMat, HermMat, proportional
 from afkit.rationals import GaussRat
 
 from oracles import det_cofactor
-from support import as_pairs
+from support import as_pairs, gauss, gen_mats, herm_mats, rats
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
-rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 nonzero_rats = rats.filter(bool)
-gauss = st.builds(GaussRat, rats, rats)
-
-
-@st.composite
-def gen_mats(draw, n=None):
-    n = draw(st.integers(1, 4)) if n is None else n
-    return GenMat([[draw(gauss) for _ in range(n)] for _ in range(n)])
-
-
-@st.composite
-def herm_mats(draw, n=None):
-    n = draw(st.integers(1, 4)) if n is None else n
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = GaussRat(draw(rats))
-        for j in range(i + 1, n):
-            rows[i][j] = draw(gauss)
-            rows[j][i] = rows[i][j].conjugate()
-    return HermMat(rows)
 
 
 @st.composite
