@@ -120,6 +120,46 @@ def gauss_det(rows):
     return (sign * d[0], sign * d[1]) if sign < 0 else d
 
 
+def gauss_charpoly(rows):
+    """Coefficients of det(tI - A), t^n first, of a Gaussian-integer
+    matrix by Berkowitz's division-free recursion; (re, im) int pairs.
+
+    With A_r the leading r x r block, R and S the rest of row and column
+    r and a its diagonal entry, the polynomial of A_(r+1) is the lower
+    triangular Toeplitz matrix with first column (1, -a, -R S, -R A_r S,
+    ..., -R A_r^(r-1) S) applied to the polynomial of A_r.
+    """
+    poly = [(1, 0)]
+    for r in range(len(rows)):
+        ar, ai = rows[r][r]
+        col = [(-ar, -ai)]
+        vec = [rows[i][r] for i in range(r)]
+        for j in range(r):
+            if j:
+                vec = [_gdot(rows[i], vec) for i in range(r)]
+            dr, di = _gdot(rows[r], vec)
+            col.append((-dr, -di))
+        nxt = poly + [_GZERO]
+        for i in range(1, r + 2):
+            tr, ti = nxt[i]
+            for j in range(i):
+                (cr, ci), (pr, pi) = col[i - 1 - j], poly[j]
+                tr += cr * pr - ci * pi
+                ti += cr * pi + ci * pr
+            nxt[i] = (tr, ti)
+        poly = nxt
+    return poly
+
+
+def _gdot(row, vec):
+    """sum_k row[k] vec[k] over the first len(vec) entries of row."""
+    tr = ti = 0
+    for (ar, ai), (br, bi) in zip(row, vec):
+        tr += ar * br - ai * bi
+        ti += ar * bi + ai * br
+    return (tr, ti)
+
+
 def int_det(rows):
     """Determinant of a plain integer matrix via Bareiss elimination."""
     n = len(rows)

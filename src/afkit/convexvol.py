@@ -226,30 +226,27 @@ def _hull_full_dim(ints, d, basis_idx):
     return [f[:3] for f in facets.values()], basis_idx[0]
 
 
-def _extreme_indices(ints, d, facets):
+def _extreme_indices(d, facets):
     """Indices of the extreme points, given the final facet list.
 
-    A boundary point is a vertex exactly when its active facet normals
-    span the whole space; testing every supporting plane makes coplanar
-    splits of a geometric facet harmless. Duplicate planes from such
-    splits contribute nothing to the rank, so they are deduplicated
-    up front.
+    A listed point is a vertex exactly when the planes of the facets it
+    belongs to span the whole space. Every geometric facet through a
+    vertex has a simplex at that vertex, while a point inside a face
+    meets only facets containing that face, whose planes have rank
+    below d; so coplanar splits of a geometric facet are harmless, and
+    their duplicate planes are dropped up front.
     """
-    listed = set()
-    for _, _, vidx in facets:
-        listed.update(vidx)
-    planes = sorted({(a, b) for a, b, _ in facets})
+    planes = {}  # vertex index -> the distinct planes of its facets
+    for a, b, vidx in facets:
+        for v in vidx:
+            planes.setdefault(v, set()).add((a, b))
     out = []
-    for v in sorted(listed):
-        p = ints[v]
+    for v in sorted(planes):
         ech = _IntEchelon()
-        for a, b in planes:
-            if _dot(a, p) == b:
-                ech.add(a)
-                if ech.rank == d:
-                    break
-        if ech.rank == d:
-            out.append(v)
+        for a, _ in planes[v]:
+            if ech.add(a) and ech.rank == d:
+                out.append(v)
+                break
     return out
 
 
@@ -283,7 +280,7 @@ def _hull(ints, d):
             continue
         rows = [[ints[v][j] - ap[j] for j in range(d)] for v in vidx]
         total += abs(int_det(rows))
-    return _extreme_indices(ints, d, facets), total
+    return _extreme_indices(d, facets), total
 
 
 class Polytope:

@@ -2,8 +2,9 @@
 
 Every left-hand side, right-hand side, and gap is an exact rational,
 and equality verdicts are exact comparisons. Floating point enters in
-exactly one place: the m-th roots sampled for concavity reports. The
-pair and m-fold checks, shared with the torus verdicts, are written once.
+exactly one place: the m-th roots of the concavity samples, which both
+engines form exactly from a pair's m+1 mixed values. The pair and m-fold
+checks, shared with the torus verdicts, are written once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexvol import BodyTuple, Polytope, dilate, minkowski_sum, mixed_volume
+from .convexvol import BodyTuple, Polytope, mixed_volume
 from .errors import (
     DimensionMismatchError,
     HypothesisError,
@@ -222,9 +223,20 @@ def _grid(grid_size: int):
     return [Fraction(k, grid_size - 1) for k in range(grid_size)]
 
 
-def _concavity_report(grid_size, sample, m) -> ConcavityReport:
+def _concavity_report(value, x0, x1, rest, m, grid_size) -> ConcavityReport:
+    """The m-th root of lam -> V(((1-lam)X0 + lam X1)^[m], rest) on the
+    grid. V is multilinear, so each sample is exactly sum_k C(m, k)
+    (1-lam)^(m-k) lam^k v_k with v_k = value(X0^[m-k], X1^[k], rest)."""
     grid = _grid(grid_size)
-    exact = [sample(lam) for lam in grid]
+    coeffs = [math.comb(m, k) * value([x0] * (m - k) + [x1] * k + rest) for k in range(m + 1)]
+    exact = [sum(c * (1 - lam) ** (m - k) * lam ** k for k, c in enumerate(coeffs)) for lam in grid]
+    if any(v < 0 for v in exact):
+        raise InvariantViolationError("discriminant of a semi-definite tuple must be nonnegative")
+    return _root_report(grid, exact, m)
+
+
+def _root_report(grid, exact, m) -> ConcavityReport:
+    """Float m-th roots of exact nonnegative samples on the grid."""
     # samples past 2^1000 are divided by a common 2^(m k) that brings
     # them below it, so no root, sum or difference of roots overflows to
     # inf (inf - inf is NaN, which no comparison reports); multiplying
@@ -259,9 +271,9 @@ def bm_concavity_discriminant(
 ) -> ConcavityReport:
     """Sample lam -> D(((1-lam)A0 + lam A1)^[m], rest)^(1/m) on [0, 1].
 
-    The inner discriminants are exact; only the m-th root is floated.
-    Concavity is probed two ways: second differences of consecutive
-    grid triples and shortfall below the chord through the endpoints.
+    The samples are exact; only the m-th root is floated. Concavity is
+    probed two ways: second differences of consecutive grid triples and
+    shortfall below the chord through the endpoints.
     """
     rest = list(rest)
     _check_hermitian([a0, a1] + rest)
@@ -274,16 +286,7 @@ def bm_concavity_discriminant(
         )
     if not all(is_psd(x) for x in [a0, a1] + rest):
         raise HypothesisError("concavity needs positive semi-definite matrices")
-
-    def sample(lam):
-        val = _discriminant_value([a0.scale(1 - lam) + a1.scale(lam)] * m + rest)
-        if val < 0:
-            raise InvariantViolationError(
-                "discriminant of a semi-definite tuple must be nonnegative"
-            )
-        return val
-
-    return _concavity_report(grid_size, sample, m)
+    return _concavity_report(_discriminant_value, a0, a1, rest, m, grid_size)
 
 
 def bm_concavity_volume(
@@ -303,11 +306,7 @@ def bm_concavity_volume(
         raise DimensionMismatchError(
             f"need {d - m} fixed bodies for m = {m}, got {len(rest)}"
         )
-
-    def sample(lam):
-        return _volume_value([minkowski_sum(dilate(k0, 1 - lam), dilate(k1, lam))] * m + rest)
-
-    return _concavity_report(grid_size, sample, m)
+    return _concavity_report(_volume_value, k0, k1, rest, m, grid_size)
 
 
 def equality_lambda(d00, d01) -> Rat:

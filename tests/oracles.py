@@ -4,10 +4,11 @@ Everything here is deliberately independent of the package internals:
 complex rationals are plain (re, im) Fraction pairs, determinants are
 literal cofactor expansions, mixed discriminants enumerate permutations
 one by one, and polytope membership is a brute-force Caratheodory search.
-The one exception is the lexicographic insertion hull, the convex
-engine's former hull, which keeps the Bareiss kernel `int_det` for its
-plane minors and fan volume. Slow is fine; these exist to catch bugs in
-the fast code.
+The exceptions are former library routes kept as references: the
+lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
+for its plane minors and fan volume, and the per-lambda Brunn-Minkowski
+samplers, which combine matrices and bodies with the public API. Slow is
+fine; these exist to catch bugs in the fast code.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from itertools import combinations, permutations
 from math import factorial, gcd
 
 from afkit._kernels import int_det
+from afkit.convexvol import BodyTuple, dilate, minkowski_sum, mixed_volume
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -124,6 +126,44 @@ def mixed_adjugate_minors(mats):
             row.append(c_sub(ZERO, val) if (j + k) & 1 else val)
         out.append(row)
     return out
+
+
+def principal_minor_sums_subsets(rows):
+    """Sums c_k of the k x k principal minors, k = 1..n, of a grid of
+    (re, im) pairs, as (re, im) pairs: the former library loop, one
+    cofactor determinant for each of the 2^n - 1 index subsets."""
+    n = len(rows)
+    out = []
+    for k in range(1, n + 1):
+        total = ZERO
+        for subset in combinations(range(n), k):
+            total = c_add(total, det_cofactor([[rows[i][j] for j in subset] for i in subset]))
+        out.append(total)
+    return out
+
+
+def bm_samples_matrices(a0, a1, rest, m, grid):
+    """D(((1-lam)A0 + lam A1)^[m], rest) at each lam of the grid: the
+    former per-lambda sampler, one combined matrix per lam, each tuple
+    evaluated by the literal permutation sum."""
+
+    def pairs(mat):
+        return [[(e.re, e.im) for e in row] for row in mat.entries]
+
+    fixed = [pairs(x) for x in rest]
+    return [
+        mixed_disc_perm([pairs(a0.scale(1 - lam) + a1.scale(lam))] * m + fixed)[0]
+        for lam in grid
+    ]
+
+
+def bm_samples_bodies(k0, k1, rest, m, grid):
+    """V(((1-lam)K0 + lam K1)^[m], rest) at each lam of the grid: the
+    former per-lambda sampler, one Minkowski combination per lam."""
+    return [
+        mixed_volume(BodyTuple([minkowski_sum(dilate(k0, 1 - lam), dilate(k1, lam))] * m + list(rest)))
+        for lam in grid
+    ]
 
 
 def permanent(rows):

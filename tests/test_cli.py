@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,3 +174,11 @@ def test_non_finite_tolerance_exits_2(tmp_path, capsys, tol):
     expected = "must be finite" if tol in ("inf", "1e400") else "must be positive"
     assert f"configuration error: tolerance {expected}" in errs
     assert not out.exists()
+
+
+def test_shephard_rank_40_finishes():
+    # principal-minor sums once took 2^r determinants: r = 16 ran 15 s
+    start = time.perf_counter()
+    code = main(["--mode", "shephard", "--n", "2", "--r", "40", "--trials", "1", "--out", os.devnull])
+    assert code == 0
+    assert time.perf_counter() - start < 10

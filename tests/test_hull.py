@@ -3,7 +3,8 @@
 `_hull` must give the same extreme indices and the same d! * volume as
 `oracles.hull_insertion`, the former insertion hull, for d = 2..4 on
 random clouds, on subsets of {0,1,2}^d (heavy coplanarity), on points
-placed on the edges and facets of a few corners, and in any input order.
+placed on the edges and facets of a few corners, and in any input order;
+points that lie on several facets without being vertices stay out.
 The facets of `_hull_full_dim` must form a closed simplicial surface
 with primitive planes that every input point satisfies, and the closed
 form normal of `_facet_plane` must equal the Bareiss cofactor vector,
@@ -12,6 +13,7 @@ deterministic and keeps no example database.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from random import Random
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit.convexvol import _affine_basis, _facet_plane, _hull, _hull_full_dim
+from afkit.convexvol import _affine_basis, _facet_plane, _hull, _hull_full_dim, convex_hull, volume
 from afkit.errors import InvariantViolationError
 
 from oracles import facet_plane_minors, hull_insertion
@@ -90,6 +92,27 @@ def test_full_lattice_cube_in_shuffled_orders(d):
         idx, vol = _hull(pts, d)
         assert sorted(pts[i] for i in idx) == list(product((0, 2), repeat=d))
         assert (idx, vol) == hull_insertion(pts, d)
+
+
+def test_points_on_several_facets_are_not_vertices():
+    # the 4-cube {0,2}^4 with its 32 edge midpoints, each on 3 facets,
+    # and some 2-face and 3-face centres: such a point that enters the
+    # boundary triangulation (through the initial simplex, say) can be a
+    # vertex of 4 or more simplices, so counting simplices would keep
+    # it; the rank of its distinct planes, at most 3, does not
+    corners = list(product((0, 2), repeat=4))
+    mids = [p for p in product(range(3), repeat=4) if sum(c == 1 for c in p) == 1]
+    centres = [(1, 1, 0, 2), (2, 1, 1, 0), (0, 2, 1, 1), (1, 1, 1, 0), (2, 1, 1, 1)]
+    pts = corners + mids + centres
+    for seed in range(3):
+        Random(seed).shuffle(pts)
+        idx, vol = _hull(pts, 4)
+        assert sorted(pts[i] for i in idx) == corners
+        assert vol == 16 * 24
+        assert (idx, vol) == hull_insertion(pts, 4)
+    body = convex_hull([tuple(Fraction(c) for c in p) for p in pts])
+    assert sorted(body.vertices) == corners
+    assert volume(body) == 16
 
 
 def dot(a, p):

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from afkit import ineqcheck
 from afkit.convexvol import BodyTuple, convex_hull, dilate, translate
 from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError, SizeLimitError
 from afkit.ineqcheck import (
     ConcavityReport,
     GapReport,
-    _concavity_report,
     _grid,
+    _root_report,
     af_gap_discriminant,
     af_gap_volume,
     af_m_fold_discriminant,
@@ -26,7 +27,7 @@ from afkit.ineqcheck import (
 from afkit.matrixcore import proportional
 from afkit.mixdisc import MatTuple
 
-from oracles import permanent
+from oracles import bm_samples_bodies, bm_samples_matrices, permanent
 from support import box, diag, gen, identity, rand_pd
 
 F = Fraction
@@ -324,9 +325,78 @@ def test_concavity_violation_near_the_float_maximum_is_reported():
     # 1.0 + 1.65 - 2 * 1.6 (times 10^308) is inf - inf = NaN and the 0.05
     # bulge of the middle triple was skipped, reporting 0.0
     samples = [F(c, 100) * 10 ** 308 for c in (100, 160, 165, 175, 120)]
-    rep = _concavity_report(5, dict(zip(_grid(5), samples)).__getitem__, 1)
+    rep = _root_report(_grid(5), samples, 1)
     assert rep.max_violation == pytest.approx(5e306, rel=1e-12)
     assert rep.values == pytest.approx([float(v) for v in samples], rel=1e-15)
+
+
+def _report_or_error(check, *args):
+    try:
+        return check(*args)
+    except SizeLimitError:
+        return SizeLimitError
+
+
+def _assert_samples_match(monkeypatch, check, oracle, x0, x1, rest, m, grid_size):
+    # the exact samples the shared sampler hands to _root_report equal
+    # the per-lambda oracle's, and so does the report built from them
+    seen = []
+
+    def spy(grid, exact, k):
+        seen.append(exact)
+        return _root_report(grid, exact, k)
+
+    monkeypatch.setattr(ineqcheck, "_root_report", spy)
+    got = _report_or_error(check, x0, x1, rest, m, grid_size)
+    grid = _grid(grid_size)
+    want = oracle(x0, x1, rest, m, grid)
+    assert seen == [want]
+    assert got == _report_or_error(_root_report, grid, want, m)
+
+
+@pytest.mark.parametrize("grid_size", [3, 5, 11])
+def test_bm_discriminant_samples_match_the_per_lambda_oracle(monkeypatch, grid_size):
+    rng = random.Random(229)
+    big = 2 ** 1001
+    for n in (2, 3):
+        a0 = rand_pd(rng, n)
+        huge0 = diag(*[big + i for i in range(n)])
+        pairs = [
+            (a0, rand_pd(rng, n)),
+            (a0, a0.scale(F(7, 3))),
+            (huge0, diag(*[3 * big - i for i in range(n)])),
+            (huge0, huge0.scale(F(1, 5))),
+        ]
+        for x0, x1 in pairs:
+            for m in range(1, n + 1):
+                rest = [rand_pd(rng, n) for _ in range(n - m)]
+                _assert_samples_match(
+                    monkeypatch, bm_concavity_discriminant, bm_samples_matrices,
+                    x0, x1, rest, m, grid_size,
+                )
+
+
+@pytest.mark.parametrize("grid_size", [3, 5, 11])
+def test_bm_volume_samples_match_the_per_lambda_oracle(monkeypatch, grid_size):
+    rng = random.Random(233)
+    big = 2 ** 600
+    for d in (2, 3):
+        k0 = convex_hull(rand_cloud(rng, d, count=d + 2, bound=2, denom=2))
+        huge0 = box([big + i for i in range(d)])
+        pairs = [
+            (k0, convex_hull(rand_cloud(rng, d, count=d + 2, bound=2, denom=2))),
+            (k0, translate(dilate(k0, F(5, 2)), [1] * d)),
+            (huge0, box([3 * big - i for i in range(d)])),
+            (huge0, dilate(huge0, F(1, 3))),
+        ]
+        for x0, x1 in pairs:
+            for m in range(1, d + 1):
+                rest = [convex_hull(rand_cloud(rng, d, count=d + 1, bound=2, denom=1)) for _ in range(d - m)]
+                _assert_samples_match(
+                    monkeypatch, bm_concavity_volume, bm_samples_bodies,
+                    x0, x1, rest, m, grid_size,
+                )
+
 
 def test_equality_lambda():
     assert equality_lambda(2, 6) == 3

@@ -5,8 +5,10 @@ denominator in lowest terms. These properties check each operation
 against the entrywise GaussRat reference built from `entries`, the
 determinant against the cofactor oracle, and the canonical form: equal
 matrices have equal grids, equal hashes and a denominator coprime to
-the grid. Draws are derandomized and bounded, so the suite stays
-deterministic and keeps no example database.
+the grid. The principal-minor sums from the division-free
+characteristic polynomial must equal the subset-minor oracle. Draws are
+derandomized and bounded, so the suite stays deterministic and keeps no
+example database.
 """
 
 from fractions import Fraction
@@ -15,15 +17,17 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit.matrixcore import GenMat, HermMat, proportional
+from afkit._kernels import gauss_charpoly
+from afkit.matrixcore import GenMat, HermMat, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
 
-from oracles import det_cofactor
+from oracles import det_cofactor, principal_minor_sums_subsets
 from support import as_pairs, gauss, gen_mats, herm_mats, rats
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
 nonzero_rats = rats.filter(bool)
+sizes = st.integers(1, 7)
 
 
 @st.composite
@@ -126,3 +130,23 @@ def test_proportional_rejects_a_complex_ratio(a, re, im):
     assert proportional(a, a.scale(GaussRat(re, im))) is None
     assert proportional(a, a.scale(GaussRat(0, im))) is None
     assert proportional(a, a.scale(GaussRat(re))) == Fraction(re)
+
+
+@SETTINGS
+@given(sizes.flatmap(gen_mats))
+def test_charpoly_coefficients_are_signed_principal_minor_sums(a):
+    # det(tI - A) = sum_k (-1)^k c_k t^(n-k) for any square A, with the
+    # grid scaling each c_k by den^k
+    poly = gauss_charpoly(a._rows)
+    assert len(poly) == a.n + 1 and poly[0] == (1, 0)
+    for k, (re, im) in enumerate(principal_minor_sums_subsets(as_pairs(a)), start=1):
+        scale = (-1) ** k * a._den ** k
+        assert poly[k] == (re * scale, im * scale)
+
+
+@SETTINGS
+@given(sizes.flatmap(herm_mats))
+def test_principal_minor_sums_match_the_subset_oracle(a):
+    want = principal_minor_sums_subsets(as_pairs(a))
+    assert all(im == 0 for _, im in want)
+    assert principal_minor_sums(a) == [re for re, _ in want]

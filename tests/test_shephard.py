@@ -92,6 +92,16 @@ def test_check_psd_witness_frozen():
     assert witness == (1, F(-91))
 
 
+def test_check_psd_at_rank_40():
+    # S = d_0i d_0j - d_00 d_ij has 2^40 principal minors; their sums come
+    # from one characteristic polynomial. d_00 = 1, d_0i = 0 and
+    # d_ij = delta_ij give S = -I; d_0i = 1 and d_ij = 1 - delta_ij give S = I
+    minus = GramTable([[int(i == j) for j in range(41)] for i in range(41)])
+    assert check_psd_shephard(minus) == (False, (1, F(-40)))
+    plus = GramTable([[1] * 41] + [[1] + [int(i != j) for j in range(40)] for i in range(40)])
+    assert check_psd_shephard(plus) == (True, None)
+
+
 def test_det_identity_r1():
     g = GramTable([[2, 3], [3, 5]])
     assert det_identity_check(g)
