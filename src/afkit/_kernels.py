@@ -81,7 +81,12 @@ def clear_gauss_matrix(entries):
             dens.append(z.im.denominator)
     scale = lcm(*dens)
     rows = tuple(
-        tuple((int(z.re * scale), int(z.im * scale)) for z in row) for row in entries
+        tuple(
+            (z.re.numerator * (scale // z.re.denominator),
+             z.im.numerator * (scale // z.im.denominator))
+            for z in row
+        )
+        for row in entries
     )
     return rows, scale
 

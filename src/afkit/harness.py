@@ -3,17 +3,15 @@
 Every instance is a pure function of (config, instance index): the
 index derives a child seed, the child seed drives a SplitMix64 stream,
 and the stream fully determines the generated matrices or bodies.
-Instances may therefore be verified in any order or in parallel, and
-the JSONL output is byte-identical for identical configs.
+`run_suite` verifies the instances one after another in index order,
+and the JSONL output is byte-identical for identical configs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -37,7 +35,7 @@ from .ineqcheck import (
 )
 from .matrixcore import GenMat, HermMat, proportional
 from .mixdisc import PERMUTATION_ROUTE_MAX_N, MatTuple
-from .rationals import GaussRat, format_rat
+from .rationals import format_rat
 from .shephard import (
     check_psd_shephard,
     det_identity_check,
@@ -89,17 +87,16 @@ def derive_seed(seed: int, index: int) -> int:
     return g.next_u64()
 
 
-def _gauss_int(rng: SplitMix64, bound: int) -> GaussRat:
-    re = rng.int_between(-bound, bound)
-    im = rng.int_between(-bound, bound)
-    return GaussRat(Fraction(re), Fraction(im))
-
-
 def gen_pd_hermitian(seed: int, n: int, entry_bound: int = 5) -> HermMat:
     """G G* + I for a random Gaussian-integer G: always positive definite."""
     rng = SplitMix64(seed)
-    g = GenMat([[_gauss_int(rng, entry_bound) for _ in range(n)] for _ in range(n)])
-    return HermMat.from_gram(g) + HermMat.identity(n)
+    b = entry_bound
+    # row-major draws, the real part before the imaginary part
+    grid = tuple(
+        tuple((rng.int_between(-b, b), rng.int_between(-b, b)) for _ in range(n))
+        for _ in range(n)
+    )
+    return HermMat.from_gram(GenMat._of_grid(grid, 1)) + HermMat.identity(n)
 
 
 def _rand_coord(rng: SplitMix64, bound: int) -> Fraction:
@@ -336,8 +333,7 @@ def _run_fixture(cfg, mode, obj, record):
     return rep.gap, rep.equality, True
 
 
-def _worker(task):
-    cfg, mode, index, fixture = task
+def _worker(cfg, mode, index, fixture):
     record = {"type": "instance", "mode": mode, "index": index}
     try:
         if fixture is None:
@@ -394,46 +390,20 @@ def load_fixtures(path, mode: str):
     return parsed
 
 
-def worker_count() -> int:
-    """Worker cap from AFKIT_THREADS, at most the CPU count; absent or
-    unusable means serial."""
-    raw = os.environ.get("AFKIT_THREADS", "")
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
-
-
 def run_suite(cfg: RunConfig, out=None, fixtures=None) -> RunRecord:
     """Verify `trials` instances (or the fixtures) under cfg.
 
     Writes one canonical JSON line per instance plus a trailing summary
-    line to `out` when given. Instances run concurrently when
-    AFKIT_THREADS allows, on no more workers than CPUs or instances,
-    but lines are always emitted in index order, so identical configs
-    give byte-identical output.
+    line to `out` when given. Instances run one after another in index
+    order, so identical configs give byte-identical output.
     """
     validate_config(cfg)
     start = time.monotonic()
     if fixtures is not None:
-        tasks = [(cfg, cfg.mode, i, obj) for i, obj in enumerate(fixtures)]
+        results = [_worker(cfg, cfg.mode, i, obj) for i, obj in enumerate(fixtures)]
     else:
-        tasks = []
-        index = 0
-        for _ in range(cfg.trials):
-            for mode in _instance_modes(cfg):
-                tasks.append((cfg, mode, index, None))
-                index += 1
-    # the fork start method launches every worker at the first submit
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_worker, tasks))
-        except OSError:
-            results = [_worker(t) for t in tasks]
-    else:
-        results = [_worker(t) for t in tasks]
+        modes = _instance_modes(cfg) * cfg.trials
+        results = [_worker(cfg, mode, i, None) for i, mode in enumerate(modes)]
     records = []
     failed_indices = []
     equalities = 0

@@ -127,10 +127,10 @@ def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
 def _memo_key(mats) -> tuple:
     """The matrix multiset, order-free, plus the all-Hermitian flag.
 
-    D and W are symmetric in their matrices, so the multiset fixes their
-    value. GenMat and HermMat grids compare equal; the flag keeps them
-    apart, so a value cached for general matrices never skips the
-    Hermitian invariant of a Hermitian tuple.
+    D is symmetric in its matrices, so the multiset fixes its value.
+    GenMat and HermMat grids compare equal; the flag keeps them apart,
+    so a value cached for general matrices never skips the Hermitian
+    invariant of a Hermitian tuple.
     """
     return frozenset(Counter(mats).items()), all(isinstance(m, HermMat) for m in mats)
 
@@ -206,12 +206,12 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
         raise DimensionMismatchError(
             f"need exactly {n - 1} Hermitian matrices of dimension {n}"
         )
-    return _adjugate(*_memo_key(part))
+    return _adjugate(frozenset(Counter(part).items()))
 
 
 @lru_cache(maxsize=_ADJUGATE_MEMO_SIZE)
-def _adjugate(counts, hermitian) -> HermMat:
-    """W of the multiset; `hermitian` only keys, and is always true here."""
+def _adjugate(counts) -> HermMat:
+    """W of the matrix multiset, which is all Hermitian."""
     part = _unpack(counts)
     grid = mixed_adjugate_sum([m._rows for m in part])
     den = factorial(part[0].n) * prod(m._den for m in part)

@@ -6,9 +6,10 @@ literal cofactor expansions, mixed discriminants enumerate permutations
 one by one, and polytope membership is a brute-force Caratheodory search.
 The exceptions are former library routes kept as references: the
 lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
-for its plane minors and fan volume, and the per-lambda Brunn-Minkowski
-samplers, which combine matrices and bodies with the public API. Slow is
-fine; these exist to catch bugs in the fast code.
+for its plane minors and fan volume, the per-lambda Brunn-Minkowski
+samplers, which combine matrices and bodies with the public API, and
+the GaussRat-entry matrix generator. Slow is fine; these exist to catch
+bugs in the fast code.
 """
 
 from fractions import Fraction
@@ -17,6 +18,9 @@ from math import factorial, gcd
 
 from afkit._kernels import int_det
 from afkit.convexvol import BodyTuple, dilate, minkowski_sum, mixed_volume
+from afkit.harness import SplitMix64
+from afkit.matrixcore import GenMat, HermMat
+from afkit.rationals import GaussRat
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -140,6 +144,29 @@ def principal_minor_sums_subsets(rows):
             total = c_add(total, det_cofactor([[rows[i][j] for j in subset] for i in subset]))
         out.append(total)
     return out
+
+
+def is_pd_sylvester(rows):
+    """Sylvester's criterion on a Hermitian grid of (re, im) pairs: every
+    leading principal minor is positive. The former library loop, one
+    cofactor determinant per leading block."""
+    n = len(rows)
+    return all(det_cofactor([row[:k] for row in rows[:k]])[0] > 0 for k in range(1, n + 1))
+
+
+def gen_pd_hermitian_gaussrat(seed, n, entry_bound=5):
+    """G G* + I with G drawn as in `harness.gen_pd_hermitian`: the former
+    library route, one GaussRat per entry of G, cleared by the GenMat
+    constructor."""
+    rng = SplitMix64(seed)
+
+    def entry():
+        re = rng.int_between(-entry_bound, entry_bound)
+        im = rng.int_between(-entry_bound, entry_bound)
+        return GaussRat(Fraction(re), Fraction(im))
+
+    g = GenMat([[entry() for _ in range(n)] for _ in range(n)])
+    return HermMat.from_gram(g) + HermMat.identity(n)
 
 
 def bm_samples_matrices(a0, a1, rest, m, grid):

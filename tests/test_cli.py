@@ -124,13 +124,26 @@ def test_console_script_subprocess(tmp_path):
     ]
     env = dict(os.environ)
     env.pop("AFKIT_THREADS", None)
-    serial = subprocess.run(args, capture_output=True, text=True, env=env)
-    assert serial.returncode == 0
+    plain = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert plain.returncode == 0
+    # the suite is serial: a leftover AFKIT_THREADS from older releases
+    # changes neither the bytes nor the exit code
     env["AFKIT_THREADS"] = "2"
-    threaded = subprocess.run(args, capture_output=True, text=True, env=env)
-    assert threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
-    assert "elapsed" in serial.stderr
+    leftover = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert leftover.returncode == 0
+    assert plain.stdout == leftover.stdout
+    assert "elapsed" in plain.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    # instances run serially, so starting the CLI pays for no pool machinery
+    code = (
+        "import sys, afkit.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_one_dimensional_fixtures_exit_2(tmp_path, capsys):

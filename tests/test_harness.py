@@ -27,7 +27,7 @@ from afkit.matrixcore import is_pd, is_psd
 from afkit.mixdisc import MatTuple
 from afkit.shephard import GramTable
 
-from oracles import real_det
+from oracles import gen_pd_hermitian_gaussrat, real_det
 from support import box, gen_psd_singular, rand_pd, segment, simplex, zonotope
 
 F = Fraction
@@ -62,11 +62,12 @@ def test_derive_seed_is_stream_position():
 
 
 def test_gen_pd_hermitian():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         for s in range(15):
-            m = gen_pd_hermitian(s, n)
-            assert m == gen_pd_hermitian(s, n)
-            assert is_pd(m)
+            for bound in (1, 5, 1 << 40):
+                m = gen_pd_hermitian(s, n, bound)
+                assert m == gen_pd_hermitian_gaussrat(s, n, bound)
+                assert is_pd(m)
 
 
 def test_gen_psd_singular():
@@ -231,58 +232,6 @@ def test_run_suite_byte_determinism():
         assert buf1.getvalue() == buf2.getvalue()
 
 
-def test_run_suite_threads_preserve_bytes(monkeypatch):
-    cfg = RunConfig(seed=44, trials=6, n=3, mode="discriminant")
-    buf1 = io.StringIO()
-    monkeypatch.delenv("AFKIT_THREADS", raising=False)
-    run_suite(cfg, buf1)
-    buf2 = io.StringIO()
-    monkeypatch.setenv("AFKIT_THREADS", "3")
-    run_suite(cfg, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-
-
-def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("AFKIT_THREADS", "64")
-    assert harness.worker_count() == 2
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    assert harness.worker_count() == 1
-    monkeypatch.setenv("AFKIT_THREADS", "0")
-    assert harness.worker_count() == 1
-
-
-def test_run_suite_never_asks_for_more_workers_than_instances(monkeypatch):
-    # a stand-in pool records its size and maps serially, so no process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    monkeypatch.setenv("AFKIT_THREADS", "8")
-    cfg = RunConfig(seed=45, trials=2, n=2, mode="discriminant")
-    buf = io.StringIO()
-    run_suite(cfg, buf)
-    assert sizes == [2]
-    serial = io.StringIO()
-    monkeypatch.delenv("AFKIT_THREADS")
-    run_suite(cfg, serial)
-    assert sizes == [2]
-    assert buf.getvalue() == serial.getvalue()
-
-
 def test_load_fixtures_and_fixture_run(tmp_path):
     rng = random.Random(409)
     t = MatTuple([rand_pd(rng, 3) for _ in range(3)])
@@ -337,7 +286,6 @@ def test_kernel_arithmetic_error_is_recorded_per_instance(monkeypatch):
         return real(cfg, rng, kind, record)
 
     monkeypatch.setitem(harness._GENERATED_RUNNERS, "discriminant", runner)
-    monkeypatch.delenv("AFKIT_THREADS", raising=False)
     cfg = RunConfig(seed=46, trials=3, n=2, mode="discriminant")
     result = run_suite(cfg, io.StringIO())
     assert [r["index"] for r in result.records] == [0, 1, 2]

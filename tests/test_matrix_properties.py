@@ -6,7 +6,9 @@ against the entrywise GaussRat reference built from `entries`, the
 determinant against the cofactor oracle, and the canonical form: equal
 matrices have equal grids, equal hashes and a denominator coprime to
 the grid. The principal-minor sums from the division-free
-characteristic polynomial must equal the subset-minor oracle. Draws are
+characteristic polynomial must equal the subset-minor oracle, and
+`is_pd`, which reads their signs, must agree with Sylvester's
+leading-minor criterion. Draws are
 derandomized and bounded, so the suite stays deterministic and keeps no
 example database.
 """
@@ -18,11 +20,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit._kernels import gauss_charpoly
-from afkit.matrixcore import GenMat, HermMat, principal_minor_sums, proportional
+from afkit.harness import gen_pd_hermitian
+from afkit.matrixcore import GenMat, HermMat, is_pd, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
 
-from oracles import det_cofactor, principal_minor_sums_subsets
-from support import as_pairs, gauss, gen_mats, herm_mats, rats
+from oracles import det_cofactor, is_pd_sylvester, principal_minor_sums_subsets
+from support import as_pairs, gauss, gen_mats, gen_psd_singular, herm_mats, rats
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -150,3 +153,28 @@ def test_principal_minor_sums_match_the_subset_oracle(a):
     want = principal_minor_sums_subsets(as_pairs(a))
     assert all(im == 0 for _, im in want)
     assert principal_minor_sums(a) == [re for re, _ in want]
+
+
+@st.composite
+def positivity_cases(draw):
+    """(kind, matrix) with kind "pd", "singular" (PSD, det 0) or
+    "indefinite" (a negative corner beside a positive diagonal; at
+    n = 1, negative definite)."""
+    n = draw(sizes)
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    kind = draw(st.sampled_from(("pd", "singular", "indefinite")))
+    p = gen_pd_hermitian(seed, n)
+    if kind == "singular":
+        return kind, gen_psd_singular(seed, n) if n > 1 else HermMat([[0]])
+    if kind == "indefinite":
+        shift = p.entries[0][0] + draw(st.integers(1, 5))
+        corner = [[shift if i == j == 0 else 0 for j in range(n)] for i in range(n)]
+        return kind, p - HermMat(corner)
+    return kind, p
+
+
+@SETTINGS
+@given(positivity_cases())
+def test_is_pd_matches_the_leading_minor_oracle(case):
+    kind, a = case
+    assert is_pd(a) == is_pd_sylvester(as_pairs(a)) == (kind == "pd")
