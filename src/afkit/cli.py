@@ -1,9 +1,10 @@
 """Command-line front end for the verification suite.
 
 Exit status: 0 when every exact assertion held, 1 when any instance
-failed, 2 on configuration or fixture-format errors (reported before
-any work). JSONL goes to --out or stdout; wall time goes to stderr so
-the data stream stays byte-deterministic.
+failed, 2 on configuration or fixture-format errors or an --out path
+that cannot be opened (reported before any work). JSONL goes to --out
+or stdout; wall time goes to stderr so the data stream stays
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -58,14 +59,16 @@ def main(argv=None) -> int:
         fixtures = None
         if args.fixture is not None:
             fixtures = load_fixtures(args.fixture, cfg.mode)
+        # opened last, so a configuration error leaves no file behind
+        out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     except (AfkitError, ValueError, OSError) as exc:
         print(f"afkit: configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.out is None:
-        record = run_suite(cfg, sys.stdout, fixtures)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            record = run_suite(cfg, fh, fixtures)
+    try:
+        record = run_suite(cfg, out, fixtures)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     print(
         f"afkit: {record.summary['instances']} instances, "
         f"{record.summary['failures']} failures, "

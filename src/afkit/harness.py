@@ -20,11 +20,10 @@ from .convexvol import (
     MAX_DIMENSION,
     BodyTuple,
     Polytope,
-    convex_hull,
     dilate,
     translate,
 )
-from .errors import AfkitError, FormatError
+from .errors import AfkitError, FormatError, SizeLimitError
 from .ineqcheck import (
     af_gap_discriminant,
     af_gap_volume,
@@ -99,15 +98,24 @@ def gen_pd_hermitian(seed: int, n: int, entry_bound: int = 5) -> HermMat:
     return HermMat.from_gram(GenMat._of_grid(grid, 1)) + HermMat.identity(n)
 
 
-def _rand_coord(rng: SplitMix64, bound: int) -> Fraction:
-    return Fraction(rng.int_between(-bound, bound), rng.int_between(1, 3))
+# lcm(1, 2, 3): every drawn coordinate p/q, 1 <= q <= 3, lies on this grid
+_POLYTOPE_DEN = 6
 
 
 def gen_polytope(seed: int, d: int, points: int = 6, coord_bound: int = 5) -> Polytope:
     """Hull of `points` random rational points in dimension d."""
+    if points < 1 or d < 1:
+        raise ValueError("a polytope needs at least one point and one coordinate")
+    if d > MAX_DIMENSION:
+        raise SizeLimitError(f"dimension {d} exceeds the supported maximum {MAX_DIMENSION}")
     rng = SplitMix64(seed)
-    cloud = [tuple(_rand_coord(rng, coord_bound) for _ in range(d)) for _ in range(points)]
-    return convex_hull(cloud)
+    b = coord_bound
+    # per coordinate, the numerator is drawn before the denominator
+    cloud = {
+        tuple(rng.int_between(-b, b) * (_POLYTOPE_DEN // rng.int_between(1, 3)) for _ in range(d))
+        for _ in range(points)
+    }
+    return Polytope._of_grid(cloud, _POLYTOPE_DEN, d)
 
 
 @dataclass(frozen=True)
@@ -370,6 +378,11 @@ def load_fixtures(path, mode: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"fixture file is not valid JSON: {exc}") from None
+    except ValueError:
+        # the decoder's one other ValueError: Python's int/str digit limit
+        raise FormatError("fixture file holds an integer past the integer digit limit") from None
+    except RecursionError:
+        raise FormatError("fixture file nests JSON too deeply to parse") from None
     items = data if isinstance(data, list) else [data]
     if not items:
         raise FormatError("fixture file holds no instances")

@@ -3,8 +3,9 @@
 Every left-hand side, right-hand side, and gap is an exact rational,
 and equality verdicts are exact comparisons. Floating point enters in
 exactly one place: the m-th roots of the concavity samples, which both
-engines form exactly from a pair's m+1 mixed values. The pair and m-fold
-checks, shared with the torus verdicts, are written once.
+engines form exactly from a pair's m+1 mixed values. There is one gap
+check, the m-fold one, shared with the torus verdicts; the pair check is
+its case m = 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NotBigError,
     SizeLimitError,
 )
-from .matrixcore import HermMat, is_pd, is_psd, proportional
+from .matrixcore import HermMat, is_psd, principal_minor_sums, proportional
 from .mixdisc import MatTuple, _discriminant_auto
 from .rationals import Rat, as_rat
 
@@ -93,21 +94,11 @@ def _check_bodies(bodies) -> None:
         )
 
 
-def _pair_gap(value, ratio, x, y, rest, characterized, context) -> GapReport:
-    """V(x, y, rest)^2 against V(x, x, rest) V(y, y, rest), with value
-    evaluating V on a list of slots and certificate ratio(x, y)."""
-    rest = list(rest)
-    v_xy = value([x, y] + rest)
-    v_xx = value([x, x] + rest)
-    v_yy = value([y, y] + rest)
-    return gap_report(v_xy ** 2, v_xx * v_yy, ratio(x, y), characterized, context)
-
-
 def _fold_gap(value, ratio, items, m, characterized, context) -> GapReport:
     """V(items)^m against prod_{i<m} V(items_i repeated m, items[m:]).
 
     The certificate is ratio(items[0], items[1]) when every items[i],
-    i < m, has a ratio to items[0].
+    i < m, has a ratio to items[0]. The pair check is m = 2.
     """
     items = list(items)
     tail = items[m:]
@@ -118,6 +109,12 @@ def _fold_gap(value, ratio, items, m, characterized, context) -> GapReport:
     ratios = [ratio(items[0], x) for x in items[1:m]]
     cert = ratios[0] if all(r is not None for r in ratios) else None
     return gap_report(lhs, rhs, cert, characterized, context)
+
+
+def _definiteness(mats) -> tuple:
+    """(all PSD, all PD), from one principal_minor_sums pass per matrix."""
+    sums = [c for mat in mats for c in principal_minor_sums(mat)]
+    return all(c >= 0 for c in sums), all(c > 0 for c in sums)
 
 
 def _discriminant_value(mats) -> Rat:
@@ -139,13 +136,13 @@ def af_gap_discriminant(a: HermMat, b: HermMat, rest: Sequence[HermMat] = ()) ->
     """
     rest = list(rest)
     _check_hermitian([a, b] + rest)
-    if not (is_psd(a) and all(is_psd(m) for m in rest)):
+    psd, characterized = _definiteness([a] + rest)
+    if not psd:
         raise HypothesisError(
             "the first and the fixed matrices must be positive semi-definite"
         )
-    characterized = is_pd(a) and all(is_pd(m) for m in rest)
-    return _pair_gap(
-        _discriminant_value, proportional, a, b, rest, characterized, "AF discriminant"
+    return _fold_gap(
+        _discriminant_value, proportional, [a, b] + rest, 2, characterized, "AF discriminant"
     )
 
 
@@ -162,9 +159,9 @@ def af_m_fold_discriminant(t: MatTuple, m: int) -> GapReport:
     if not 2 <= m <= n:
         raise ValueError(f"m must lie in [2, {n}], got {m}")
     _check_hermitian(t.mats)
-    if not all(is_psd(mat) for mat in t.mats):
+    psd, characterized = _definiteness(t.mats)
+    if not psd:
         raise HypothesisError("m-fold AF requires positive semi-definite matrices")
-    characterized = all(is_pd(mat) for mat in t.mats)
     return _fold_gap(
         _discriminant_value, proportional, t.mats, m, characterized, "m-fold AF discriminant"
     )
@@ -206,7 +203,7 @@ def af_gap_volume(k: Polytope, l: Polytope, rest: Sequence[Polytope] = ()) -> Ga
     which is sufficient for equality; no full equality characterization
     is claimed, so characterized is always False here.
     """
-    return _pair_gap(_volume_value, homothety_ratio, k, l, rest, False, "AF volume")
+    return _fold_gap(_volume_value, homothety_ratio, [k, l, *rest], 2, False, "AF volume")
 
 
 def af_m_fold_volume(t: BodyTuple, m: int) -> GapReport:

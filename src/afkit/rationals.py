@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import FormatError
+from .errors import FormatError, SizeLimitError
 
 Rat = Fraction
 
@@ -20,27 +20,51 @@ RatLike = Union[int, Fraction, str]
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def _brief(text) -> str:
+    """repr(text), cut short so an error message never echoes a huge literal."""
+    r = repr(text)
+    return r if len(r) <= 40 else f"{r[:30]}... ({len(text)} characters)"
+
+
 def parse_rat(text: str) -> Rat:
-    """Parse "p/q" (or the integer shorthand "p") into a Fraction."""
+    """Parse "p/q" (or the integer shorthand "p") into a Fraction.
+
+    A numerator or denominator past Python's limit on int/str
+    conversion (sys.get_int_max_str_digits()) raises FormatError.
+    """
     if not isinstance(text, str):
-        raise FormatError(f"not a rational literal: {text!r}")
+        raise FormatError(f"not a rational literal: {_brief(text)}")
     s = text.strip()
     if not _RAT_RE.match(s):
-        raise FormatError(f"not a rational literal: {text!r}")
+        raise FormatError(f"not a rational literal: {_brief(text)}")
     num, _, den = s.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise FormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:
+        # the pattern admits only digits, so the digit limit is the one cause
+        raise FormatError(
+            f"rational literal of {len(s)} characters exceeds the integer digit limit"
+        ) from None
+    if q == 0:
+        raise FormatError(f"zero denominator: {_brief(text)}")
+    return Fraction(p, q)
 
 
 def format_rat(x: Rat) -> str:
-    """Canonical "p/q" with q > 0 and gcd(|p|, q) = 1; integers as "p"."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical "p/q" with q > 0 and gcd(|p|, q) = 1; integers as "p".
+
+    A numerator or denominator past Python's limit on int/str
+    conversion raises SizeLimitError.
+    """
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise SizeLimitError(
+            f"a rational of {bits} bits exceeds the integer digit limit for output"
+        ) from None
 
 
 def as_rat(value: RatLike) -> Rat:

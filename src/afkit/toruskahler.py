@@ -5,7 +5,8 @@ the unit torus; the intersection number of n such classes is
 n! 2^n D(A_1, ..., A_n). Under this bridge nef means positive
 semi-definite, Kahler means positive definite, and big-given-nef means
 det > 0, so the AF inequality, the Khovanskii-Teissier inequalities,
-and the equality theorems all become exactly checkable.
+and the equality theorems all become exactly checkable. Both equality
+theorems run one core: the pair theorem is the m-fold theorem at m = 2.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import (
     InvariantViolationError,
     NotBigError,
 )
-from .ineqcheck import GapReport, _check_hermitian, _fold_gap, _pair_gap
-from .matrixcore import HermMat, is_pd, is_psd, proportional
+from .ineqcheck import GapReport, _check_hermitian, _fold_gap
+from .matrixcore import HermMat, principal_minor_sums, proportional
 from .mixdisc import MatTuple, _discriminant_auto, mixed_adjugate
 from .rationals import Rat
 
@@ -35,9 +36,11 @@ class TorusClass:
     def __init__(self, mat: HermMat):
         _check_hermitian([mat])
         self.mat = mat
-        self.nef = is_psd(mat)
-        self.big = mat.det().re > 0
-        self.kahler = is_pd(mat)
+        # one pass of principal minor sums c_1..c_n, with c_n = det
+        sums = principal_minor_sums(mat)
+        self.nef = all(c >= 0 for c in sums)
+        self.big = sums[-1] > 0
+        self.kahler = all(c > 0 for c in sums)
         if (self.nef and self.big) != self.kahler:
             raise InvariantViolationError(
                 "nef and big must coincide with Kahler on the torus"
@@ -92,11 +95,9 @@ def af_gap_torus(
     _check_classes([alpha, c] + rest)
     if not (c.kahler and all(x.kahler for x in rest)):
         raise HypothesisError("the reference and fixed classes must be Kahler")
-    rest_m = [x.mat for x in rest]
+    mats = [alpha.mat, c.mat] + [x.mat for x in rest]
     # the certificate is lam with alpha = lam c
-    return _pair_gap(
-        _inum, lambda a, b: proportional(b, a), alpha.mat, c.mat, rest_m, True, "AF Kahler"
-    )
+    return _fold_gap(_inum, lambda a, b: proportional(b, a), mats, 2, True, "AF Kahler")
 
 
 def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
@@ -146,6 +147,31 @@ class FullEqualityVerdict:
     matrices_proportional: bool
 
 
+def _equality_core(classes, m, context):
+    """The m-fold gap report of nef and big classes, and the ratio of each
+    later mixed adjugate W(g_{i_1}, ..., g_{i_(m-1)}, tail), all i_k < m,
+    to the first; gap = 0 exactly when every ratio exists (asserted)."""
+    classes = list(classes)
+    _check_classes(classes)
+    _require_big(classes)
+    mats = [c.mat for c in classes]
+    n = MatTuple(mats).n
+    if not 2 <= m <= n:
+        raise ValueError(f"m must lie in [2, {n}], got {m}")
+    report = _fold_gap(_inum, proportional, mats, m, True, context)
+    tail = mats[m:]
+    adjugates = [
+        mixed_adjugate([mats[i] for i in combo] + tail)
+        for combo in combinations_with_replacement(range(m), m - 1)
+    ]
+    ratios = [proportional(adjugates[0], w) for w in adjugates[1:]]
+    if report.equality != all(r is not None for r in ratios):
+        raise InvariantViolationError(
+            f"{context}: adjugate proportionality must match the equality case"
+        )
+    return report, ratios
+
+
 def equality_theorem_pair(
     g1: TorusClass, g2: TorusClass, rest: Sequence[TorusClass] = ()
 ) -> PairEqualityVerdict:
@@ -154,27 +180,11 @@ def equality_theorem_pair(
     The AF gap of (g1 g2 rest)^2 vs (g1^2 rest)(g2^2 rest) vanishes
     exactly when the mixed adjugates W(g1, rest) and W(g2, rest) are
     proportional, and exactly when g1 and g2 themselves are; both
-    biconditionals are asserted.
+    biconditionals are asserted. This is the m-fold theorem at m = 2.
     """
-    rest = list(rest)
-    _check_classes([g1, g2] + rest)
-    _require_big([g1, g2] + rest)
-    rest_m = [x.mat for x in rest]
-    report = _pair_gap(_inum, proportional, g1.mat, g2.mat, rest_m, True, "pair equality")
-    w1 = mixed_adjugate([g1.mat] + rest_m)
-    w2 = mixed_adjugate([g2.mat] + rest_m)
-    adjugate_ratio = proportional(w1, w2)
-    if report.equality != (adjugate_ratio is not None):
-        raise InvariantViolationError(
-            "adjugate proportionality must match the equality case"
-        )
-    return PairEqualityVerdict(
-        report,
-        adjugate_ratio is not None,
-        adjugate_ratio,
-        report.certificate is not None,
-        report.certificate,
-    )
+    report, (ratio,) = _equality_core([g1, g2, *rest], 2, "pair equality")
+    cert = report.certificate
+    return PairEqualityVerdict(report, ratio is not None, ratio, cert is not None, cert)
 
 
 def equality_theorem_m(classes: Sequence[TorusClass], m: int) -> MFoldEqualityVerdict:
@@ -185,26 +195,8 @@ def equality_theorem_m(classes: Sequence[TorusClass], m: int) -> MFoldEqualityVe
     drawn from the first m classes are pairwise proportional; the
     biconditional is asserted.
     """
-    classes = list(classes)
-    _check_classes(classes)
-    _require_big(classes)
-    mats = [c.mat for c in classes]
-    n = MatTuple(mats).n
-    if not 2 <= m <= n:
-        raise ValueError(f"m must lie in [2, {n}], got {m}")
-    report = _fold_gap(_inum, proportional, mats, m, True, "m-fold equality")
-    tail = mats[m:]
-    adjugates = [
-        mixed_adjugate([mats[i] for i in combo] + tail)
-        for combo in combinations_with_replacement(range(m), m - 1)
-    ]
-    base = adjugates[0]
-    all_prop = all(proportional(base, w) is not None for w in adjugates[1:])
-    if report.equality != all_prop:
-        raise InvariantViolationError(
-            "adjugate family proportionality must match the m-fold equality case"
-        )
-    return MFoldEqualityVerdict(report, all_prop, len(adjugates))
+    report, ratios = _equality_core(classes, m, "m-fold equality")
+    return MFoldEqualityVerdict(report, all(r is not None for r in ratios), len(ratios) + 1)
 
 
 def equality_corollary_full(classes: Sequence[TorusClass]) -> FullEqualityVerdict:

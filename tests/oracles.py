@@ -7,8 +7,9 @@ one by one, and polytope membership is a brute-force Caratheodory search.
 The exceptions are former library routes kept as references: the
 lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
 for its plane minors and fan volume, the per-lambda Brunn-Minkowski
-samplers, which combine matrices and bodies with the public API, and
-the GaussRat-entry matrix generator. Slow is fine; these exist to catch
+samplers, which combine matrices and bodies with the public API, the
+GaussRat-entry matrix generator and the Fraction-cloud polytope
+generator. Slow is fine; these exist to catch
 bugs in the fast code.
 """
 
@@ -17,7 +18,7 @@ from itertools import combinations, permutations
 from math import factorial, gcd
 
 from afkit._kernels import int_det
-from afkit.convexvol import BodyTuple, dilate, minkowski_sum, mixed_volume
+from afkit.convexvol import BodyTuple, convex_hull, dilate, minkowski_sum, mixed_volume
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
 from afkit.rationals import GaussRat
@@ -167,6 +168,19 @@ def gen_pd_hermitian_gaussrat(seed, n, entry_bound=5):
 
     g = GenMat([[entry() for _ in range(n)] for _ in range(n)])
     return HermMat.from_gram(g) + HermMat.identity(n)
+
+
+def gen_polytope_fraction(seed, d, points=6, coord_bound=5):
+    """The hull of the cloud drawn as in `harness.gen_polytope`: the
+    former library route, one Fraction per coordinate, hulled by
+    `convex_hull`."""
+    rng = SplitMix64(seed)
+    b = coord_bound
+    cloud = [
+        tuple(Fraction(rng.int_between(-b, b), rng.int_between(1, 3)) for _ in range(d))
+        for _ in range(points)
+    ]
+    return convex_hull(cloud)
 
 
 def bm_samples_matrices(a0, a1, rest, m, grid):

@@ -4,14 +4,36 @@ Unlike oracles.py, these are allowed to use the public package API; they
 only construct inputs, never compute expected answers.
 """
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from afkit.convexvol import Polytope, convex_hull, minkowski_sum
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
 from afkit.rationals import GaussRat
+
+
+# Python's limit on int/str conversion in decimal digits; 0 where the
+# interpreter has none (before 3.10.7) or it is switched off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter has no int/str digit limit"
+)
+
+
+def shephard_table_past_the_digit_limit() -> dict:
+    """A well-formed r x r Shephard fixture whose witness has more digits
+    than DIGIT_LIMIT: d00 = d_rr = 1, d_ii = -10^200 for 0 < i < r, and
+    every other entry 0. At the 4,300-digit default r = 30."""
+    r = DIGIT_LIMIT // 200 + 9
+    d = [["0"] * (r + 1) for _ in range(r + 1)]
+    d[0][0] = d[r][r] = "1"
+    for i in range(1, r):
+        d[i][i] = str(-10 ** 200)
+    return {"r": r, "d": d}
 
 
 def gr(re, im=0):

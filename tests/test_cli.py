@@ -10,6 +10,8 @@ import pytest
 
 from afkit.cli import build_parser, main
 
+from support import DIGIT_LIMIT, needs_digit_limit, shephard_table_past_the_digit_limit
+
 
 def run_main(args, capsys=None):
     code = main(args)
@@ -195,3 +197,42 @@ def test_shephard_rank_40_finishes():
     code = main(["--mode", "shephard", "--n", "2", "--r", "40", "--trials", "1", "--out", os.devnull])
     assert code == 0
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unopenable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "run.jsonl"
+    code, outs, errs = run_main(["--mode", "discriminant", "--trials", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert outs == ""
+    assert errs.startswith("afkit: configuration error: ")
+    assert "Traceback" not in errs
+
+
+@pytest.mark.parametrize("payload", ["digits", "nesting"])
+def test_unreadable_fixture_numbers_and_nesting_exit_2(tmp_path, capsys, payload):
+    if payload == "digits" and not DIGIT_LIMIT:
+        pytest.skip("this interpreter has no int/str digit limit")
+    fx = tmp_path / "fx.json"
+    if payload == "digits":
+        fx.write_text(f'{{"r": 1, "d": [[{"7" * (DIGIT_LIMIT + 1)}, "0"], ["0", "1"]]}}')
+    else:
+        fx.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "run.jsonl"
+    code, outs, errs = run_main(["--mode", "shephard", "--in", str(fx), "--out", str(out)], capsys)
+    assert code == 2
+    assert errs.startswith("afkit: configuration error: ")
+    assert len(errs) < 300
+    assert not out.exists()
+
+
+@needs_digit_limit
+def test_witness_past_the_digit_limit_exits_1_with_the_error_recorded(tmp_path, capsys):
+    fx = tmp_path / "wide.json"
+    fx.write_text(json.dumps(shephard_table_past_the_digit_limit()))
+    code, outs, errs = run_main(["--mode", "shephard", "--in", str(fx)], capsys)
+    assert code == 1
+    first, summary = map(json.loads, outs.splitlines())
+    assert first["error"].startswith("SizeLimitError: ")
+    assert summary["failed_indices"] == [0]
+    assert "Traceback" not in errs

@@ -10,7 +10,7 @@ import pytest
 
 from afkit.convexvol import volume
 from afkit import harness
-from afkit.errors import FormatError
+from afkit.errors import FormatError, SizeLimitError
 from afkit.harness import (
     RunConfig,
     RunRecord,
@@ -27,8 +27,18 @@ from afkit.matrixcore import is_pd, is_psd
 from afkit.mixdisc import MatTuple
 from afkit.shephard import GramTable
 
-from oracles import gen_pd_hermitian_gaussrat, real_det
-from support import box, gen_psd_singular, rand_pd, segment, simplex, zonotope
+from oracles import gen_pd_hermitian_gaussrat, gen_polytope_fraction, real_det
+from support import (
+    DIGIT_LIMIT,
+    box,
+    gen_psd_singular,
+    needs_digit_limit,
+    rand_pd,
+    segment,
+    shephard_table_past_the_digit_limit,
+    simplex,
+    zonotope,
+)
 
 F = Fraction
 
@@ -85,6 +95,26 @@ def test_gen_polytope_deterministic():
     q = gen_polytope(17, 3, 7, 4)
     assert p == q
     assert p.dim == 3
+
+
+def test_gen_polytope_matches_the_fraction_cloud_oracle():
+    for d in range(1, 5):
+        for s in range(50):
+            for bound in (1, 5, 1 << 40):
+                for points in (1, d + 3):
+                    p = gen_polytope(s, d, points, bound)
+                    q = gen_polytope_fraction(s, d, points, bound)
+                    assert p == q and hash(p) == hash(q)
+                    assert volume(p) == volume(q)
+
+
+def test_gen_polytope_rejects_empty_and_oversized_shapes():
+    with pytest.raises(ValueError):
+        gen_polytope(1, 0)
+    with pytest.raises(ValueError):
+        gen_polytope(1, 2, 0)
+    with pytest.raises(SizeLimitError):
+        gen_polytope(1, 5)
 
 
 def test_named_generators():
@@ -268,6 +298,37 @@ def test_load_fixtures_rejections(tmp_path):
         load_fixtures(str(path), "all")
     with pytest.raises(ValueError):
         load_fixtures(str(path), "bm")
+
+
+def test_fixture_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(FormatError):
+        load_fixtures(str(path), "shephard")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("literal", ["json integer", "string"])
+def test_fixture_number_past_the_digit_limit_is_a_format_error(tmp_path, literal):
+    big = "7" * (DIGIT_LIMIT + 1)
+    entry = big if literal == "json integer" else f'"{big}"'
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"r": 1, "d": [[{entry}, "0"], ["0", "1"]]}}')
+    with pytest.raises(FormatError) as exc:
+        load_fixtures(str(path), "shephard")
+    assert len(str(exc.value)) < 200
+
+
+@needs_digit_limit
+def test_output_past_the_digit_limit_is_recorded_per_instance(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(shephard_table_past_the_digit_limit()))
+    fixtures = load_fixtures(str(path), "shephard")
+    record, lines = run_to_lines(RunConfig(mode="shephard", n=3), fixtures)
+    assert record.summary["failed_indices"] == [0]
+    obj = json.loads(lines[0])
+    assert obj["psd"] is False
+    assert obj["error"].startswith("SizeLimitError: ")
 
 
 def test_summary_matches_dumped_lines():

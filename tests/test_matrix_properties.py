@@ -8,7 +8,8 @@ matrices have equal grids, equal hashes and a denominator coprime to
 the grid. The principal-minor sums from the division-free
 characteristic polynomial must equal the subset-minor oracle, and
 `is_pd`, which reads their signs, must agree with Sylvester's
-leading-minor criterion. Draws are
+leading-minor criterion; the `TorusClass` flags, read off one pass of
+them, must agree with `is_psd`, the determinant and `is_pd`. Draws are
 derandomized and bounded, so the suite stays deterministic and keeps no
 example database.
 """
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 
 from afkit._kernels import gauss_charpoly
 from afkit.harness import gen_pd_hermitian
-from afkit.matrixcore import GenMat, HermMat, is_pd, principal_minor_sums, proportional
+from afkit.matrixcore import GenMat, HermMat, is_pd, is_psd, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
+from afkit.toruskahler import TorusClass
 
 from oracles import det_cofactor, is_pd_sylvester, principal_minor_sums_subsets
 from support import as_pairs, gauss, gen_mats, gen_psd_singular, herm_mats, rats
@@ -178,3 +180,12 @@ def positivity_cases(draw):
 def test_is_pd_matches_the_leading_minor_oracle(case):
     kind, a = case
     assert is_pd(a) == is_pd_sylvester(as_pairs(a)) == (kind == "pd")
+
+
+@SETTINGS
+@given(positivity_cases())
+def test_torus_class_flags_match_the_three_pass_oracle(case):
+    kind, a = case
+    c = TorusClass(a)
+    assert (c.nef, c.big, c.kahler) == (is_psd(a), a.det().re > 0, is_pd(a))
+    assert c.kahler == (kind == "pd")

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from afkit.errors import FormatError
+from afkit.errors import FormatError, SizeLimitError
 from afkit.rationals import GaussRat, format_rat, parse_rat
 
 from oracles import c_add, c_mul, c_sub
+from support import DIGIT_LIMIT, needs_digit_limit
 
 
 def pair(z):
@@ -42,6 +43,35 @@ def test_format_canonical():
     assert format_rat(Fraction(-1, 2)) == "-1/2"
     assert format_rat(Fraction(10, 2)) == "5"
     assert format_rat(Fraction(0)) == "0"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("form", ["{}", "-{}", "{}/7", "7/{}"])
+def test_parse_past_the_digit_limit_is_a_format_error(form):
+    with pytest.raises(FormatError) as exc:
+        parse_rat(form.format("1" * (DIGIT_LIMIT + 1)))
+    assert len(str(exc.value)) < 200
+    assert parse_rat(form.format("1" * DIGIT_LIMIT)) != 0
+
+
+def test_format_errors_do_not_echo_a_long_literal():
+    for bad in ("1" * 100_000 + "x", "0" * 100_000 + "1/0"):
+        with pytest.raises(FormatError) as exc:
+            parse_rat(bad)
+        assert len(str(exc.value)) < 200
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("invert", [False, True])
+def test_format_past_the_digit_limit_is_a_size_limit_error(sign, invert):
+    def rat(digits):
+        x = Fraction(sign * 10 ** (digits - 1))
+        return 1 / x if invert else x
+
+    with pytest.raises(SizeLimitError):
+        format_rat(rat(DIGIT_LIMIT + 1))
+    assert parse_rat(format_rat(rat(DIGIT_LIMIT))) == rat(DIGIT_LIMIT)
 
 
 def test_format_parse_roundtrip():
