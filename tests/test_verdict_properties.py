@@ -59,18 +59,13 @@ def body_pairs(draw):
     return kind, k, l, rest
 
 
-def assert_same_report(pair, fold):
-    assert (pair.lhs, pair.rhs, pair.gap) == (fold.lhs, fold.rhs, fold.gap)
-    assert (pair.equality, pair.certificate) == (fold.equality, fold.certificate)
-    assert pair == fold
-
-
 @SETTINGS
 @given(matrix_pairs())
 def test_discriminant_pair_is_the_fold_at_m_two(case):
     kind, a, b, rest = case
     pair = af_gap_discriminant(a, b, rest)
-    assert_same_report(pair, af_m_fold_discriminant(MatTuple([a, b, *rest]), 2))
+    # equal reports: lhs, rhs, gap, equality, certificate and characterized
+    assert pair == af_m_fold_discriminant(MatTuple([a, b, *rest]), 2)
     assert pair.equality == (kind == "proportional")
 
 
@@ -79,7 +74,7 @@ def test_discriminant_pair_is_the_fold_at_m_two(case):
 def test_volume_pair_is_the_fold_at_m_two(case):
     kind, k, l, rest = case
     pair = af_gap_volume(k, l, rest)
-    assert_same_report(pair, af_m_fold_volume(BodyTuple([k, l, *rest]), 2))
+    assert pair == af_m_fold_volume(BodyTuple([k, l, *rest]), 2)
     if kind == "proportional":
         assert pair.equality and pair.certificate is not None
 
