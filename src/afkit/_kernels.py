@@ -6,8 +6,17 @@ Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
 divide the scale factor back out afterwards; the determinant kernels are
 pure integer arithmetic, so intermediate growth is the only cost.
+
+The permutation-sum DP runs column by column over (rows used, matrices
+used) states. A layer maps each matrix mask to two flat int lists, the
+real and imaginary parts, indexed by row mask. Each state of the next
+layer is pulled from its predecessors: per member row, the products
+with each member matrix's entry go into local sums, signed once by the
+row's parity, and the state is stored once. The mask tables behind it
+are built once per n, on first use.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
 
@@ -198,33 +207,76 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _perm_step(dp, grids, col):
-    """One column of the (rows used, matrices used) subset DP.
+@lru_cache(maxsize=8)
+def _mask_tables(n):
+    """Tables of the subset DP over n bits, built once per n on first use.
 
-    Extends every state by column col of one unused grid, drawn at one
-    unused row r; placing r after the rows already used contributes
-    (-1)^(count of used rows above r), which accumulates sign(tau).
+    by_count[c] lists the masks with c bits set; members[mask] lists, for
+    each bit r of mask, (mask without r, r, parity of the bits of mask
+    above r); flip[mask] reverses the n bits; cross[mask] is the parity
+    of the pairs (s in mask, p not in mask) with p > s.
     """
-    nxt = {}
-    rows = range(len(grids[0]))
-    for (rmask, mmask), (ar, ai) in dp.items():
-        # each unused row with the sign of placing it after rmask
-        free = [(r, (rmask >> (r + 1)).bit_count() & 1) for r in rows if not rmask >> r & 1]
-        for mi, grid in enumerate(grids):
-            if mmask >> mi & 1:
-                continue
-            nm = mmask | 1 << mi
-            for r, odd in free:
-                er, ei = grid[r][col]
-                if not (er or ei):
-                    continue
-                if odd:
-                    er, ei = -er, -ei
-                key = (rmask | 1 << r, nm)
-                tr, ti = ar * er - ai * ei, ar * ei + ai * er
-                cur = nxt.get(key)
-                nxt[key] = (tr, ti) if cur is None else (cur[0] + tr, cur[1] + ti)
-    return nxt
+    by_count = [[] for _ in range(n + 1)]
+    members = []
+    flip = [0] * (1 << n)
+    cross = []
+    full = (1 << n) - 1
+    for mask in range(1 << n):
+        by_count[mask.bit_count()].append(mask)
+        own = tuple(
+            (mask ^ 1 << r, r, (mask >> (r + 1)).bit_count() & 1) for r in range(n) if mask >> r & 1
+        )
+        members.append(own)
+        cross.append(sum(((full ^ mask) >> (r + 1)).bit_count() for _, r, _ in own) & 1)
+        if mask:
+            low = mask & -mask
+            flip[mask] = flip[mask ^ low] | 1 << (n - low.bit_length())
+    return tuple(map(tuple, by_count)), tuple(members), tuple(flip), tuple(cross)
+
+
+def _dp_layers(grids, n):
+    """Yield the subset-DP layers over n x n grids, from the empty one.
+
+    Layer c maps each mask of c matrices to (re, im) lists indexed by the
+    mask of c rows: the signed sum over the ways to fill columns 0..c-1,
+    column j from one of those matrices each, at those rows. Row r of a
+    state of layer c + 1 pulls the layer-c values at both masks less r
+    and a matrix k, times entry (r, c) of k, signed by (-1)^(rows of the
+    mask above r); the signs accumulate sign(tau).
+    """
+    size = 1 << n
+    rows_by, rmembers, _, _ = _mask_tables(n)
+    mats_by, mmembers, _, _ = _mask_tables(len(grids))
+    one = [0] * size
+    one[0] = 1
+    layer = {0: (one, [0] * size)}
+    yield layer
+    for col in range(min(n, len(grids))):
+        cre = [[g[r][col][0] for r in range(n)] for g in grids]
+        cim = [[g[r][col][1] for r in range(n)] for g in grids]
+        nxt = {}
+        for nm in mats_by[col + 1]:
+            srcs = [(*layer[pm], cre[mi], cim[mi]) for pm, mi, _ in mmembers[nm]]
+            re = [0] * size
+            im = [0] * size
+            for rp in rows_by[col + 1]:
+                tr = ti = 0
+                for pr, r, odd in rmembers[rp]:
+                    sr = si = 0
+                    for pre, pim, gre, gim in srcs:
+                        ar, ai = pre[pr], pim[pr]
+                        er, ei = gre[r], gim[r]
+                        sr += ar * er - ai * ei
+                        si += ar * ei + ai * er
+                    if odd:
+                        sr, si = -sr, -si
+                    tr += sr
+                    ti += si
+                re[rp] = tr
+                im[rp] = ti
+            nxt[nm] = (re, im)
+        layer = nxt
+        yield layer
 
 
 def mixed_perm_sum(mats):
@@ -232,18 +284,14 @@ def mixed_perm_sum(mats):
     distinct source matrix, of the determinant of the result.
 
     Equals n! times the mixed discriminant of the integer inputs. The
-    double sum over (matrix assignment, row permutation) folds into one
-    subset DP keyed by (rows used, matrices used), one `_perm_step` per
-    column.
+    double sum over (matrix assignment, row permutation) folds into the
+    subset DP of `_dp_layers`, of which only the current layer is kept.
     """
     n = len(mats)
-    dp = {(0, 0): (1, 0)}
-    for col in range(n):
-        dp = _perm_step(dp, mats, col)
-        if not dp:
-            return _GZERO
-    full = (1 << n) - 1
-    return dp.get((full, full), _GZERO)
+    for layer in _dp_layers(mats, n):
+        pass
+    re, im = layer[(1 << n) - 1]
+    return (re[-1], im[-1])
 
 
 def mixed_adjugate_sum(mats):
@@ -255,8 +303,9 @@ def mixed_adjugate_sum(mats):
     0..c-1 with rows R and matrices M; a backward sweep B_(c+1)(S, N)
     fills columns c+1..n-1 with rows S and matrices N. It is the forward
     sweep run on the grids turned by 180 degrees, whose sign rule counts
-    the later rows below each placed row. With S = rows - R - {r} and N
-    the matrices not in M,
+    the later rows below each placed row, and its lists are read through
+    the bit reversal `flip` of the row masks. With S = rows - R - {r}
+    and N the matrices not in M,
 
         G[r][c] = sum F_c(R, M) B_(c+1)(S, N) (-1)^(#{p in R: p > r} + cross(S)),
 
@@ -266,39 +315,25 @@ def mixed_adjugate_sum(mats):
     n = len(mats[0])
     full = (1 << n) - 1
     fullm = (1 << len(mats)) - 1
-    flip = [0] * (1 << n)  # row mask of the turned grids -> unturned
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        flip[mask] = flip[mask ^ low] | 1 << (n - low.bit_length())
-    cross = [  # parity of cross(S)
-        sum(((full & ~mask) >> (s + 1)).bit_count() for s in range(n) if mask >> s & 1) & 1
-        for mask in range(1 << n)
-    ]
+    by_count, members, flip, cross = _mask_tables(n)
     turned = [tuple(tuple(row[::-1]) for row in reversed(g)) for g in mats]
-    # back[k] holds B_(n-k), keyed in the unturned row coordinates
-    back = [{(0, 0): (1, 0)}]
-    for k in range(n - 1):
-        back.append(_perm_step(back[-1], turned, k))
-    back = [{(flip[s], m): v for (s, m), v in layer.items()} for layer in back]
-    out = [[_GZERO] * n for _ in range(n)]
-    fwd = {(0, 0): (1, 0)}
-    for c in range(n):
+    # back[k] holds B_(n-k), over the turned row masks
+    back = list(_dp_layers(turned, n))
+    cols = []
+    for c, fwd in enumerate(_dp_layers(mats, n)):
         later = back[n - 1 - c]
-        for (rmask, mmask), (fr, fi) in fwd.items():
-            rest = full & ~rmask
-            nm = fullm & ~mmask
-            for r in range(n):
-                if not rest >> r & 1:
-                    continue
-                s = rest & ~(1 << r)
-                b = later.get((s, nm))
-                if b is None:
-                    continue
-                br, bi = b
-                if ((rmask >> (r + 1)).bit_count() + cross[s]) & 1:
-                    br, bi = -br, -bi
-                cr, ci = out[r][c]
-                out[r][c] = (cr + fr * br - fi * bi, ci + fr * bi + fi * br)
-        if c < n - 1:
-            fwd = _perm_step(fwd, mats, c)
-    return tuple(tuple(row) for row in out)
+        gre = [0] * n
+        gim = [0] * n
+        for mmask, (fre, fim) in fwd.items():
+            bre, bim = later[fullm ^ mmask]
+            for rmask in by_count[c]:
+                fr, fi = fre[rmask], fim[rmask]
+                for s, r, _ in members[full ^ rmask]:
+                    t = flip[s]
+                    br, bi = bre[t], bim[t]
+                    if ((rmask >> (r + 1)).bit_count() + cross[s]) & 1:
+                        br, bi = -br, -bi
+                    gre[r] += fr * br - fi * bi
+                    gim[r] += fr * bi + fi * br
+        cols.append((gre, gim))
+    return tuple(tuple((cols[c][0][r], cols[c][1][r]) for c in range(n)) for r in range(n))

@@ -341,6 +341,9 @@ def _run_fixture(cfg, mode, obj, record):
     return rep.gap, rep.equality, True
 
 
+_IDENTITY_FIELDS = ("type", "mode", "index", "seed", "kind", "source")
+
+
 def _worker(cfg, mode, index, fixture):
     record = {"type": "instance", "mode": mode, "index": index}
     try:
@@ -356,6 +359,8 @@ def _worker(cfg, mode, index, fixture):
     except (AfkitError, ArithmeticError) as exc:
         # a non-exact kernel division breaks an invariant of this instance only
         name = type(exc).__name__ if isinstance(exc, AfkitError) else "InvariantViolationError"
+        # an error record carries no partial verdict: only who it is and what went wrong
+        record = {k: record[k] for k in _IDENTITY_FIELDS if k in record}
         record["error"] = f"{name}: {exc}"
         return record, True, None, False
     return record, not ok, gap, equality

@@ -8,9 +8,9 @@ The exceptions are former library routes kept as references: the
 lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
 for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
-GaussRat-entry matrix generator and the Fraction-cloud polytope
-generator. Slow is fine; these exist to catch
-bugs in the fast code.
+GaussRat-entry matrix generator, the Fraction-cloud polytope generator
+and the dict-keyed permutation-sum DP. Slow is fine; these exist to
+catch bugs in the fast code.
 """
 
 from fractions import Fraction
@@ -131,6 +131,60 @@ def mixed_adjugate_minors(mats):
             row.append(c_sub(ZERO, val) if (j + k) & 1 else val)
         out.append(row)
     return out
+
+
+def _perm_step(dp, grids, col):
+    """One column of the (rows used, matrices used) subset DP, pushed:
+    every state extends by column col of one unused grid at one unused
+    row r, signed by (-1)^(count of used rows above r)."""
+    nxt = {}
+    rows = range(len(grids[0]))
+    for (rmask, mmask), (ar, ai) in dp.items():
+        free = [(r, (rmask >> (r + 1)).bit_count() & 1) for r in rows if not rmask >> r & 1]
+        for mi, grid in enumerate(grids):
+            if mmask >> mi & 1:
+                continue
+            nm = mmask | 1 << mi
+            for r, odd in free:
+                er, ei = grid[r][col]
+                if not (er or ei):
+                    continue
+                if odd:
+                    er, ei = -er, -ei
+                key = (rmask | 1 << r, nm)
+                tr, ti = ar * er - ai * ei, ar * ei + ai * er
+                cur = nxt.get(key)
+                nxt[key] = (tr, ti) if cur is None else (cur[0] + tr, cur[1] + ti)
+    return nxt
+
+
+def perm_sum_dict(mats):
+    """n! D of n integer grids by the former library DP: one dict keyed
+    by (rows used, matrices used) per column, which skips zero entries
+    and stops at an empty layer."""
+    n = len(mats)
+    dp = {(0, 0): (1, 0)}
+    for col in range(n):
+        dp = _perm_step(dp, mats, col)
+        if not dp:
+            return (0, 0)
+    full = (1 << n) - 1
+    return dp.get((full, full), (0, 0))
+
+
+def adjugate_sum_dict(mats):
+    """n! W for n - 1 integer grids of dimension n, by the minor
+    expansion of `mixed_adjugate_minors` over `perm_sum_dict`:
+    n! W[j][k] = (-1)^(j+k) (n-1)! D(A_1 del (j,k), ...)."""
+    n = len(mats[0])
+    out = []
+    for j in range(n):
+        row = []
+        for k in range(n):
+            re, im = perm_sum_dict([[r[:k] + r[k + 1:] for i, r in enumerate(m) if i != j] for m in mats])
+            row.append((-re, -im) if (j + k) & 1 else (re, im))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def principal_minor_sums_subsets(rows):

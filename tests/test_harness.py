@@ -327,7 +327,8 @@ def test_output_past_the_digit_limit_is_recorded_per_instance(tmp_path):
     record, lines = run_to_lines(RunConfig(mode="shephard", n=3), fixtures)
     assert record.summary["failed_indices"] == [0]
     obj = json.loads(lines[0])
-    assert obj["psd"] is False
+    # the record carries no partial verdict, only its identity and the error
+    assert sorted(obj) == ["error", "index", "mode", "source", "type"]
     assert obj["error"].startswith("SizeLimitError: ")
 
 
@@ -355,6 +356,21 @@ def test_kernel_arithmetic_error_is_recorded_per_instance(monkeypatch):
     )
     assert "error" not in result.records[0] and "error" not in result.records[2]
     assert result.summary["failed_indices"] == [1]
+
+
+def test_error_record_drops_fields_written_before_the_raise(monkeypatch):
+    real = harness._GENERATED_RUNNERS["discriminant"]
+
+    def runner(cfg, rng, kind, record):
+        out = real(cfg, rng, kind, record)
+        if record["index"] == 1:
+            raise ArithmeticError("non-exact division in a fraction-free elimination step")
+        return out
+
+    monkeypatch.setitem(harness._GENERATED_RUNNERS, "discriminant", runner)
+    result = run_suite(RunConfig(seed=46, trials=3, n=2, mode="discriminant"), io.StringIO())
+    assert sorted(result.records[1]) == ["error", "index", "kind", "mode", "seed", "type"]
+    assert "report" in result.records[0] and "report" in result.records[2]
 
 
 def test_config_json_lists_every_field():

@@ -1,0 +1,87 @@
+"""Property tests for the subset-DP kernels on sparse integer grids.
+
+`mixed_perm_sum` and `mixed_adjugate_sum` are checked against the
+literal permutation-sum and minor-expansion oracles for n = 1..5, and
+against the former dict-keyed DP at n = 6, on grids with entries in
+{-1, 0, 1} for both parts, zero columns, singular and repeated matrices.
+Draws are derandomized and bounded.
+"""
+
+from math import factorial
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from afkit._kernels import mixed_adjugate_sum, mixed_perm_sum
+
+from oracles import adjugate_sum_dict, mixed_adjugate_minors, mixed_disc_perm, perm_sum_dict
+
+# no shrinking: a failing example is reported as drawn, since the
+# oracles make every shrink step slow
+SETTINGS = settings(
+    derandomize=True, deadline=None, max_examples=15, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+
+unit = st.sampled_from((-1, 0, 1))
+entry = st.tuples(unit, unit)
+
+
+@st.composite
+def sparse_grids(draw, n, count):
+    """count n x n grids of (re, im) pairs, each part in {-1, 0, 1}; then
+    maybe a zero column, a singular matrix (a row copied onto another,
+    or zeroed at n = 1) and a matrix repeated in another slot."""
+    mats = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(count)]
+    slot = st.integers(0, count - 1)
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        m, c = draw(slot), draw(index)
+        for row in mats[m]:
+            row[c] = (0, 0)
+    if draw(st.booleans()):
+        m, i, j = draw(slot), draw(index), draw(index)
+        mats[m][j] = list(mats[m][i]) if i != j else [(0, 0)] * n
+    if count > 1 and draw(st.booleans()):
+        src, dst = draw(slot), draw(slot)
+        mats[dst] = [list(row) for row in mats[src]]
+    return [tuple(tuple(row) for row in m) for m in mats]
+
+
+def scaled(value, factor):
+    re, im = value
+    return (re * factor, im * factor)
+
+
+def test_empty_perm_sum_is_one():
+    assert mixed_perm_sum([]) == (1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@SETTINGS
+@given(data=st.data())
+def test_perm_sum_matches_the_permutation_oracle(n, data):
+    mats = data.draw(sparse_grids(n, n))
+    assert mixed_perm_sum(mats) == scaled(mixed_disc_perm(mats), factorial(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@SETTINGS
+@given(data=st.data())
+def test_adjugate_sum_matches_the_minor_oracle(n, data):
+    mats = data.draw(sparse_grids(n, n - 1))
+    want = [tuple(scaled(z, factorial(n)) for z in row) for row in mixed_adjugate_minors(mats)]
+    assert list(mixed_adjugate_sum(mats)) == want
+
+
+@settings(SETTINGS, max_examples=10)
+@given(mats=sparse_grids(6, 6))
+def test_perm_sum_matches_the_dict_dp_at_n6(mats):
+    assert mixed_perm_sum(mats) == perm_sum_dict(mats)
+
+
+@settings(SETTINGS, max_examples=5)
+@given(mats=sparse_grids(6, 5))
+def test_adjugate_sum_matches_the_dict_dp_at_n6(mats):
+    assert mixed_adjugate_sum(mats) == adjugate_sum_dict(mats)

@@ -30,6 +30,15 @@ PINS = [
      "281c6c2e34b2943bb0455b4f69cb86def690e255d56f2536cf481b629cb4c285", 0),
     ("--mode volume --n 3 --m 3 --trials 3 --seed 5",
      "bf57f4f42a5c7f32bfeb79eb94cab086dbc01e5808edf7df72b264bfc9552af1", 0),
+    # n = 5 and 6, where the distinct-matrix values and the adjugates run the subset DP
+    ("--mode discriminant --n 6 --trials 3 --seed 0",
+     "b7b022f6f0d488d443f62f1d505c043ea494c80cf6cf20459e8f62d509fcf4d3", 0),
+    ("--mode shephard --n 6 --r 3 --trials 3 --seed 0",
+     "bf3b9a4b5c287739df7dd132d30e41c52e4dfedda2509496b593ef8007454ce1", 0),
+    ("--mode torus --n 5 --trials 3 --seed 0",
+     "fcb19321b9f00076dac8648f8ad6c5d1b047d9889df031c1ea2a445de4f358ec", 0),
+    ("--mode torus --n 6 --m 3 --trials 3 --seed 0",
+     "d12f6ff0ffd8562860916415914ed6926867c98ab821157c232ce8d4eb0510c0", 0),
 ]
 
 
