@@ -7,13 +7,14 @@ Matrices at this level are tuples of tuples, with Gaussian integers as
 divide the scale factor back out afterwards; the determinant kernels are
 pure integer arithmetic, so intermediate growth is the only cost.
 
-The permutation-sum DP runs column by column over (rows used, matrices
-used) states. A layer maps each matrix mask to two flat int lists, the
-real and imaginary parts, indexed by row mask. Each state of the next
-layer is pulled from its predecessors: per member row, the products
-with each member matrix's entry go into local sums, signed once by the
-row's parity, and the state is stored once. The mask tables behind it
-are built once per n, on first use.
+The permutation-sum DP runs matrix by matrix over (rows used, columns
+used) states. A layer maps each row mask to two flat int lists, the real
+and imaginary parts, indexed by column mask. Each state of the next
+layer is pulled from its predecessors and stored once; the mask tables
+behind it are built once per n, on first use. Both kernels take the
+trailing matrices first, and the layer after them comes from a small
+memo keyed by their multiset, so the values and adjugates that share
+fixed matrices build that layer once.
 """
 
 from functools import lru_cache
@@ -207,90 +208,109 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
+# Layers kept by `_rest_layer`; mixdisc's memo notes give the sizing.
+_REST_LAYER_MEMO_SIZE = 4
+
+
 @lru_cache(maxsize=8)
 def _mask_tables(n):
     """Tables of the subset DP over n bits, built once per n on first use.
 
-    by_count[c] lists the masks with c bits set; members[mask] lists, for
-    each bit r of mask, (mask without r, r, parity of the bits of mask
-    above r); flip[mask] reverses the n bits; cross[mask] is the parity
-    of the pairs (s in mask, p not in mask) with p > s.
+    by_count[t] lists the masks with t bits set; members[mask] lists, for
+    each bit b of mask, (mask without b, 2b + parity of the bits of mask
+    above b), the second being the index of that bit in a signed row.
     """
     by_count = [[] for _ in range(n + 1)]
     members = []
-    flip = [0] * (1 << n)
-    cross = []
-    full = (1 << n) - 1
     for mask in range(1 << n):
         by_count[mask.bit_count()].append(mask)
-        own = tuple(
-            (mask ^ 1 << r, r, (mask >> (r + 1)).bit_count() & 1) for r in range(n) if mask >> r & 1
-        )
-        members.append(own)
-        cross.append(sum(((full ^ mask) >> (r + 1)).bit_count() for _, r, _ in own) & 1)
-        if mask:
-            low = mask & -mask
-            flip[mask] = flip[mask ^ low] | 1 << (n - low.bit_length())
-    return tuple(map(tuple, by_count)), tuple(members), tuple(flip), tuple(cross)
+        members.append(tuple(
+            (mask ^ 1 << b, 2 * b + ((mask >> (b + 1)).bit_count() & 1))
+            for b in range(n) if mask >> b & 1
+        ))
+    return tuple(map(tuple, by_count)), tuple(members)
 
 
-def _dp_layers(grids, n):
-    """Yield the subset-DP layers over n x n grids, from the empty one.
+def _signed_rows(grid):
+    """(re, im) lists with part[2r + p][2c + q] = (-1)^(p + q) grid[r][c]."""
+    re, im = [], []
+    for row in grid:
+        pre = [x for z in row for x in (z[0], -z[0])]
+        pim = [x for z in row for x in (z[1], -z[1])]
+        re += (pre, [-x for x in pre])
+        im += (pim, [-x for x in pim])
+    return re, im
 
-    Layer c maps each mask of c matrices to (re, im) lists indexed by the
-    mask of c rows: the signed sum over the ways to fill columns 0..c-1,
-    column j from one of those matrices each, at those rows. Row r of a
-    state of layer c + 1 pulls the layer-c values at both masks less r
-    and a matrix k, times entry (r, c) of k, signed by (-1)^(rows of the
-    mask above r); the signs accumulate sign(tau).
+
+def _add_matrix(layer, grid, n):
+    """The DP layer after one more n x n grid A.
+
+    A layer maps each row mask R of its count t to (re, im) lists
+    indexed by column mask C: F_t(R, C), the signed sum over the ways to
+    give each of its t matrices its own row in R and column in C. Each
+    state of the next layer is pulled from its predecessors,
+
+        F_(t+1)(R, C) = sum_(r in R, c in C) (-1)^(#(R above r) + #(C above c))
+                        A[r][c] F_t(R - r, C - c),
+
+    the signs accumulating sign(rho) sign(gamma); both parities are
+    read off `_signed_rows`. A new layer never shares a list with the old.
     """
+    by_count, members = _mask_tables(n)
+    masks = by_count[next(iter(layer)).bit_count() + 1]
+    sre, sim = _signed_rows(grid)
     size = 1 << n
-    rows_by, rmembers, _, _ = _mask_tables(n)
-    mats_by, mmembers, _, _ = _mask_tables(len(grids))
-    one = [0] * size
-    one[0] = 1
-    layer = {0: (one, [0] * size)}
-    yield layer
-    for col in range(min(n, len(grids))):
-        cre = [[g[r][col][0] for r in range(n)] for g in grids]
-        cim = [[g[r][col][1] for r in range(n)] for g in grids]
-        nxt = {}
-        for nm in mats_by[col + 1]:
-            srcs = [(*layer[pm], cre[mi], cim[mi]) for pm, mi, _ in mmembers[nm]]
-            re = [0] * size
-            im = [0] * size
-            for rp in rows_by[col + 1]:
-                tr = ti = 0
-                for pr, r, odd in rmembers[rp]:
-                    sr = si = 0
-                    for pre, pim, gre, gim in srcs:
-                        ar, ai = pre[pr], pim[pr]
-                        er, ei = gre[r], gim[r]
-                        sr += ar * er - ai * ei
-                        si += ar * ei + ai * er
-                    if odd:
-                        sr, si = -sr, -si
-                    tr += sr
-                    ti += si
-                re[rp] = tr
-                im[rp] = ti
-            nxt[nm] = (re, im)
-        layer = nxt
-        yield layer
+    nxt = {}
+    for rmask in masks:
+        srcs = [(*layer[pr], sre[k], sim[k]) for pr, k in members[rmask]]
+        re = [0] * size
+        im = [0] * size
+        for cmask in masks:
+            cols = members[cmask]
+            tr = ti = 0
+            for pre, pim, gre, gim in srcs:
+                for pc, k in cols:
+                    fr, fi = pre[pc], pim[pc]
+                    er, ei = gre[k], gim[k]
+                    tr += fr * er - fi * ei
+                    ti += fr * ei + fi * er
+            re[cmask] = tr
+            im[cmask] = ti
+        nxt[rmask] = (re, im)
+    return nxt
+
+
+@lru_cache(maxsize=_REST_LAYER_MEMO_SIZE)
+def _rest_layer(n, grids):
+    """The layer after the grids, from the empty one. F_t is symmetric
+    in its matrices, so the caller passes the multiset sorted; cached
+    layers are shared and never mutated."""
+    layer = {0: ([1] + [0] * ((1 << n) - 1), [0] * (1 << n))}
+    for g in grids:
+        layer = _add_matrix(layer, g, n)
+    return layer
+
+
+def _layer_after(n, rest, lead):
+    """The layer after the rest grids, from the memo, then the lead ones."""
+    layer = _rest_layer(n, tuple(sorted(rest)))
+    for g in lead:
+        layer = _add_matrix(layer, g, n)
+    return layer
 
 
 def mixed_perm_sum(mats):
-    """Sum, over all ways to draw column j of a working matrix from a
-    distinct source matrix, of the determinant of the result.
+    """n! times the mixed discriminant of the n integer n x n inputs:
 
-    Equals n! times the mixed discriminant of the integer inputs. The
-    double sum over (matrix assignment, row permutation) folds into the
-    subset DP of `_dp_layers`, of which only the current layer is kept.
+        n! D(A_1, ..., A_n) = sum_(rho, gamma in S_n) sgn(rho) sgn(gamma)
+                              prod_i A_i[rho(i)][gamma(i)],
+
+    which is F_n(all rows, all columns). The layer after mats[2:] comes
+    from the rest-layer memo, so calls that share their trailing grids
+    pay only for the leading two.
     """
     n = len(mats)
-    for layer in _dp_layers(mats, n):
-        pass
-    re, im = layer[(1 << n) - 1]
+    re, im = _layer_after(n, mats[2:], mats[:2])[(1 << n) - 1]
     return (re[-1], im[-1])
 
 
@@ -298,42 +318,19 @@ def mixed_adjugate_sum(mats):
     """The grid G with G[r][c] = n! D(E_rc, A_1, ..., A_(n-1)) for the
     n - 1 integer n x n inputs A_i, E_rc the single-entry basis matrix.
 
-    G[r][c] sums the permutation-sum terms that give column c to E_rc,
-    so row r sits at column c. A forward sweep F_c(R, M) fills columns
-    0..c-1 with rows R and matrices M; a backward sweep B_(c+1)(S, N)
-    fills columns c+1..n-1 with rows S and matrices N. It is the forward
-    sweep run on the grids turned by 180 degrees, whose sign rule counts
-    the later rows below each placed row, and its lists are read through
-    the bit reversal `flip` of the row masks. With S = rows - R - {r}
-    and N the matrices not in M,
-
-        G[r][c] = sum F_c(R, M) B_(c+1)(S, N) (-1)^(#{p in R: p > r} + cross(S)),
-
-    where cross(S) = sum_(s in S) #{p not in S: p > s} counts the
-    inversions between the rows before column c+1 and those after it.
+    Giving E_rc the last row r and column c leaves the other n - 1
+    matrices every other row and column, so
+    G[r][c] = (-1)^(r + c) F_(n-1)(rows - r, columns - c). The layer
+    after mats[1:] comes from the rest-layer memo, the one that
+    `mixed_perm_sum` reads for the same trailing grids.
     """
     n = len(mats[0])
     full = (1 << n) - 1
-    fullm = (1 << len(mats)) - 1
-    by_count, members, flip, cross = _mask_tables(n)
-    turned = [tuple(tuple(row[::-1]) for row in reversed(g)) for g in mats]
-    # back[k] holds B_(n-k), over the turned row masks
-    back = list(_dp_layers(turned, n))
-    cols = []
-    for c, fwd in enumerate(_dp_layers(mats, n)):
-        later = back[n - 1 - c]
-        gre = [0] * n
-        gim = [0] * n
-        for mmask, (fre, fim) in fwd.items():
-            bre, bim = later[fullm ^ mmask]
-            for rmask in by_count[c]:
-                fr, fi = fre[rmask], fim[rmask]
-                for s, r, _ in members[full ^ rmask]:
-                    t = flip[s]
-                    br, bi = bre[t], bim[t]
-                    if ((rmask >> (r + 1)).bit_count() + cross[s]) & 1:
-                        br, bi = -br, -bi
-                    gre[r] += fr * br - fi * bi
-                    gim[r] += fr * bi + fi * br
-        cols.append((gre, gim))
-    return tuple(tuple((cols[c][0][r], cols[c][1][r]) for c in range(n)) for r in range(n))
+    layer = _layer_after(n, mats[1:], mats[:1])
+
+    def entry(r, c):
+        re, im = layer[full ^ 1 << r]
+        k = full ^ 1 << c
+        return (-re[k], -im[k]) if (r + c) & 1 else (re[k], im[k])
+
+    return tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))

@@ -278,6 +278,51 @@ def real_det(rows):
     return det_cofactor([[(x, Fraction(0)) for x in row] for row in rows])[0]
 
 
+def negative_direction(rows):
+    """A rational vector x with x^T M x < 0 for a symmetric grid M of
+    Fractions, or None when M is positive semi-definite, by exact
+    symmetric elimination (LDL^T) with diagonal pivoting.
+
+    A negative diagonal entry gives a basis vector. A zero diagonal
+    entry M_ii beside a nonzero M_ij gives x = e_j + t e_i with
+    x^T M x = M_jj + 2t M_ij = -1. Otherwise a positive pivot M_pp is
+    eliminated: a witness y of the Schur complement, extended by
+    x_p = -(M_p . y) / M_pp, has x^T M x = y^T (Schur) y.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    k = len(m)
+    for i in range(k):
+        if m[i][i] < 0:
+            return [Fraction(int(j == i)) for j in range(k)]
+    for i in range(k):
+        if m[i][i] == 0:
+            for j in range(k):
+                if m[i][j] != 0:
+                    x = [Fraction(0)] * k
+                    x[j] = Fraction(1)
+                    x[i] = -(m[j][j] + 1) / (2 * m[i][j])
+                    return x
+    pivots = [i for i in range(k) if m[i][i] > 0]
+    if not pivots:
+        return None
+    p = pivots[0]
+    others = [i for i in range(k) if i != p]
+    schur = [[m[a][b] - m[a][p] * m[p][b] / m[p][p] for b in others] for a in others]
+    y = negative_direction(schur)
+    if y is None:
+        return None
+    x = [Fraction(0)] * k
+    for a, v in zip(others, y):
+        x[a] = v
+    x[p] = -sum(m[p][a] * x[a] for a in others) / m[p][p]
+    return x
+
+
+def quadratic_form(rows, x):
+    """x^T M x over Fractions."""
+    return sum(x[i] * rows[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
 def shoelace_area(pts):
     """Twice the polygon area is the shoelace sum; pts in ccw or cw order."""
     n = len(pts)

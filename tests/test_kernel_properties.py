@@ -3,8 +3,9 @@
 `mixed_perm_sum` and `mixed_adjugate_sum` are checked against the
 literal permutation-sum and minor-expansion oracles for n = 1..5, and
 against the former dict-keyed DP at n = 6, on grids with entries in
-{-1, 0, 1} for both parts, zero columns, singular and repeated matrices.
-Draws are derandomized and bounded.
+{-1, 0, 1} for both parts, zero columns, singular and repeated matrices,
+alone and in call sequences that share their trailing grids, through a
+cold and a warm rest-layer memo. Draws are derandomized and bounded.
 """
 
 from math import factorial
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from afkit import _kernels
 from afkit._kernels import mixed_adjugate_sum, mixed_perm_sum
 
 from oracles import adjugate_sum_dict, mixed_adjugate_minors, mixed_disc_perm, perm_sum_dict
@@ -85,3 +87,40 @@ def test_perm_sum_matches_the_dict_dp_at_n6(mats):
 @given(mats=sparse_grids(6, 5))
 def test_adjugate_sum_matches_the_dict_dp_at_n6(mats):
     assert mixed_adjugate_sum(mats) == adjugate_sum_dict(mats)
+
+
+def reference_perm_sum(mats):
+    n = len(mats)
+    return scaled(mixed_disc_perm(mats), factorial(n)) if n <= 5 else perm_sum_dict(mats)
+
+
+def reference_adjugate_sum(mats):
+    n = len(mats[0])
+    if n > 5:
+        return adjugate_sum_dict(mats)
+    return tuple(tuple(scaled(z, factorial(n)) for z in row) for row in mixed_adjugate_minors(mats))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_calls_sharing_a_rest_match_the_oracles(n, data):
+    """Calls whose trailing grids form one multiset, in shuffled order,
+    with leading grids drawn from the rest itself, a zero grid and the
+    sparse pool; a second rest of the same size sits between them. The
+    first call of each example starts from a cold rest-layer memo."""
+    size = max(n - 2, 0)
+    pool = data.draw(sparse_grids(n, size + 3))
+    rest, other = pool[:size], pool[1:size + 1]
+    zero = tuple(tuple((0, 0) for _ in range(n)) for _ in range(n))
+    leads = st.sampled_from(pool + [zero])
+    _kernels._rest_layer.cache_clear()
+    for tail in (rest, other, rest):
+        lead = [data.draw(leads) for _ in range(min(n, 2))]
+        mats = lead + data.draw(st.permutations(tail))
+        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+        if n >= 2:
+            part = lead[:1] + data.draw(st.permutations(tail))
+            assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+    # one build per distinct rest multiset: the rest again is a hit
+    assert _kernels._rest_layer.cache_info().misses == (1 if sorted(rest) == sorted(other) else 2)

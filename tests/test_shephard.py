@@ -2,11 +2,14 @@
 PSD certification, the unconditional determinant identity, and the
 r = 2 inequality."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afkit.errors import DimensionMismatchError, HypothesisError
 from afkit.mixdisc import MatTuple, mixed_discriminant
@@ -21,7 +24,7 @@ from afkit.shephard import (
     shephard_matrix,
 )
 
-from oracles import real_det
+from oracles import negative_direction, quadratic_form, real_det
 from support import diag, identity, rand_pd, rand_psd
 
 F = Fraction
@@ -226,3 +229,56 @@ def test_psd_adapter_entries_nonnegative():
     classes = [rand_psd(rng, 3) for _ in range(3)]
     g = gram_from_discriminants(classes, [rand_psd(rng, 3)])
     assert all(x >= 0 for row in g.d for x in row)
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Gram tables of r + 1 = 2..5 classes with small integer entries,
+    sometimes with rows copied so that the Shephard matrix is singular."""
+    r = draw(st.integers(1, 4))
+    d = [[0] * (r + 1) for _ in range(r + 1)]
+    for i in range(r + 1):
+        for j in range(i, r + 1):
+            d[i][j] = d[j][i] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        # class j a copy of class i: row and column j repeat row i
+        i, j = draw(st.integers(0, r)), draw(st.integers(0, r))
+        if i != j:
+            for k in range(r + 1):
+                d[j][k] = d[i][k]
+            for k in range(r + 1):
+                d[k][j] = d[k][i]
+            d[j][j] = d[i][i]
+    return GramTable(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(g=symmetric_tables())
+@example(g=GramTable([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))  # S = 0
+@example(g=GramTable([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))  # S = [[0, -1], [-1, 0]]
+def test_psd_witness_is_sound(g):
+    """A (False, (k, c_k)) verdict names the first negative sum of
+    principal k x k minors; one of those minors is negative, and exact
+    LDL^T on it yields a rational x with x^T S x < 0. A True verdict
+    leaves no such x."""
+    s = shephard_matrix(g).entries
+    ok, witness = check_psd_shephard(g)
+    if ok:
+        assert witness is None
+        assert negative_direction(s) is None
+        return
+    k, c_k = witness
+    minors = {
+        idx: real_det([[s[a][b] for b in idx] for a in idx])
+        for idx in itertools.combinations(range(g.r), k)
+    }
+    assert sum(minors.values()) == c_k < 0
+    for j in range(1, k):
+        assert sum(real_det([[s[a][b] for b in idx] for a in idx])
+                   for idx in itertools.combinations(range(g.r), j)) >= 0
+    idx = next(i for i, v in minors.items() if v < 0)
+    y = negative_direction([[s[a][b] for b in idx] for a in idx])
+    x = [F(0)] * g.r
+    for a, v in zip(idx, y):
+        x[a] = v
+    assert quadratic_form(s, x) < 0
