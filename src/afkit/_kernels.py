@@ -14,7 +14,8 @@ layer is pulled from its predecessors and stored once; the mask tables
 behind it are built once per n, on first use. Both kernels take the
 trailing matrices first, and the layer after them comes from a small
 memo keyed by their multiset, so the values and adjugates that share
-fixed matrices build that layer once.
+fixed matrices build that layer once. It is the only cache of the
+matrix engine: finished values and adjugates are not kept.
 """
 
 from functools import lru_cache
@@ -208,7 +209,16 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-# Layers kept by `_rest_layer`; mixdisc's memo notes give the sizing.
+# Layers kept by `_rest_layer`. The discriminant, shephard and bm
+# (m = 2) modes and the torus pair theorem ask for one rest per
+# instance, back to back: the 3 values, the 10 Gram entries of r = 3,
+# the 3 coefficients, or the pair's 3 values and 2 adjugates. The
+# Khovanskii-Teissier values D(g1^[m], g2^[n - m]) that follow visit
+# their n - 2 rests back to back, each built once at any size. A torus
+# fold at m = 3 interleaves three rests, g_i + tail for its leading
+# classes g_i: its values D(g_i^[3], tail) and adjugates
+# W(g_i, g_j, tail) revisit each. 4 layers keep those three with one to
+# spare, at about 30 KB a layer for n = 6.
 _REST_LAYER_MEMO_SIZE = 4
 
 

@@ -211,7 +211,8 @@ def _run_discriminant(cfg, rng, kind, record):
             b = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
     pair = af_gap_discriminant(a, b, rest)
     record["report"] = jsonio.gap_report_to_json(pair)
-    fold = af_m_fold_discriminant(MatTuple([a, b] + rest), cfg.m)
+    # the m = 2 fold is the pair check on the same matrices
+    fold = pair if cfg.m == 2 else af_m_fold_discriminant(MatTuple([a, b] + rest), cfg.m)
     record["mfold"] = jsonio.gap_report_to_json(fold)
     return pair.gap, pair.equality, True
 
@@ -279,18 +280,19 @@ def _run_torus(cfg, rng, kind, record):
         ]
     g2 = lead[0]
     rest = lead[1:] + tail
-    outcome = _torus_pair(g1, g2, rest, record)
-    fold = equality_theorem_m([g1, g2] + rest, cfg.m)
+    pair = _torus_pair(g1, g2, rest, record)
+    # the m = 2 fold is the pair theorem on the same classes
+    fold = pair if cfg.m == 2 else equality_theorem_m([g1, g2] + rest, cfg.m)
     record["mfold"] = {
         "report": jsonio.gap_report_to_json(fold.report),
         "adjugates_proportional": fold.adjugates_proportional,
     }
-    return outcome
+    return pair.report.gap, pair.report.equality, True
 
 
 def _torus_pair(g1, g2, rest, record):
     """Record the pair equality verdict and the KT sequence of (g1, g2);
-    return the runner outcome of the pair verdict."""
+    return the pair verdict."""
     pair = equality_theorem_pair(g1, g2, rest)
     record["report"] = jsonio.gap_report_to_json(pair.report)
     record["pair"] = {
@@ -298,7 +300,7 @@ def _torus_pair(g1, g2, rest, record):
         "matrices_proportional": pair.matrices_proportional,
     }
     record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
-    return pair.report.gap, pair.report.equality, True
+    return pair
 
 
 def _run_bm(cfg, rng, kind, record):
@@ -330,7 +332,8 @@ def _run_fixture(cfg, mode, obj, record):
         return _certify_gram(obj, record)
     if mode == "torus":
         classes = [TorusClass(m) for m in obj.mats]
-        return _torus_pair(classes[0], classes[1], classes[2:], record)
+        pair = _torus_pair(classes[0], classes[1], classes[2:], record)
+        return pair.report.gap, pair.report.equality, True
     if mode == "discriminant":
         rep = af_gap_discriminant(obj.mats[0], obj.mats[1], list(obj.mats[2:]))
     elif mode == "volume":

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from afkit.convexvol import volume
-from afkit import harness
+from afkit import harness, mixdisc
 from afkit.errors import FormatError, SizeLimitError
 from afkit.harness import (
     RunConfig,
@@ -22,10 +22,12 @@ from afkit.harness import (
     run_suite,
     validate_config,
 )
-from afkit.jsonio import dumps_canonical, gram_to_json, tuple_to_json
+from afkit.ineqcheck import af_m_fold_discriminant
+from afkit.jsonio import dumps_canonical, gap_report_to_json, gram_to_json, tuple_to_json
 from afkit.matrixcore import is_pd, is_psd
 from afkit.mixdisc import MatTuple
 from afkit.shephard import GramTable
+from afkit.toruskahler import equality_theorem_m
 
 from oracles import gen_pd_hermitian_gaussrat, gen_polytope_fraction, real_det
 from support import (
@@ -380,3 +382,59 @@ def test_config_json_lists_every_field():
         "seed": 7, "trials": 2, "n": 4, "r": 3, "m": 3, "mode": "bm",
         "tolerance": 1e-6, "entry_bound": 9, "grid": 5, "exact_only": False,
     }
+
+
+def spy_on_pairs(monkeypatch, mode):
+    """Patch the runner's pair check for mode to record its items."""
+    name = "af_gap_discriminant" if mode == "discriminant" else "equality_theorem_pair"
+    seen = []
+    real = getattr(harness, name)
+
+    def spy(first, second, rest):
+        seen.append([first, second, *rest])
+        return real(first, second, rest)
+
+    monkeypatch.setattr(harness, name, spy)
+    return seen
+
+
+def fresh_fold(mode, items, m):
+    if mode == "discriminant":
+        return gap_report_to_json(af_m_fold_discriminant(MatTuple(items), m))
+    fold = equality_theorem_m(items, m)
+    return {
+        "report": gap_report_to_json(fold.report),
+        "adjugates_proportional": fold.adjugates_proportional,
+    }
+
+
+# seeds whose proportional instance 2 draws lambda = 1, so two leading items are equal
+@pytest.mark.parametrize("mode, seed", [("discriminant", 7), ("torus", 4)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_mfold_record_matches_a_fresh_fold(monkeypatch, mode, seed, m):
+    # at m = 2 the runner reuses its pair verdict as the fold; at m = 3 it must not
+    seen = spy_on_pairs(monkeypatch, mode)
+    run = run_suite(RunConfig(mode=mode, n=4, m=m, trials=6, seed=seed))
+    assert run.summary["failures"] == 0
+    assert len(seen) == len(run.records) == 6
+    for record, items in zip(run.records, seen):
+        assert record["mfold"] == fresh_fold(mode, items, m)
+    kinds = [r["kind"] for r in run.records]
+    assert kinds.count("generic") == 4 and kinds.count("proportional") == 2
+    assert seen[2][0] == seen[2][1]
+
+
+def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
+    # the pair theorem builds W(g1, rest) and W(g2, rest); at m = 2 the
+    # fold record is that verdict, so no adjugate is built again
+    calls = []
+    sweep = mixdisc.mixed_adjugate_sum
+
+    def counted(mats):
+        calls.append(1)
+        return sweep(mats)
+
+    monkeypatch.setattr(mixdisc, "mixed_adjugate_sum", counted)
+    run = run_suite(RunConfig(mode="torus", n=4, m=2, trials=1))
+    assert run.summary["failures"] == 0
+    assert len(calls) == 2

@@ -1,6 +1,6 @@
 """Mixed discriminants: frozen values, route equivalence against a
-permutation-enumeration reference, the cost-chosen route, the exact-value
-memos and the kernels' rest-layer memo, multilinearity, and the mixed
+permutation-enumeration reference, the route rule of the library's
+evaluator, the kernels' rest-layer memo, multilinearity, and the mixed
 adjugate."""
 
 import itertools
@@ -12,7 +12,7 @@ from math import factorial
 
 import pytest
 
-from afkit import _kernels, mixdisc
+from afkit import _kernels, matrixcore, mixdisc
 from afkit._kernels import mixed_adjugate_sum, mixed_perm_sum
 from afkit.errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from afkit.harness import RunConfig, run_suite
@@ -272,6 +272,9 @@ def test_auto_route_matches_both_routes_on_every_shape():
             got = _discriminant_auto(t)
             assert got == mixed_discriminant(t) == mixed_discriminant_polarized(t)
             assert (got.re, got.im) == mixed_disc_perm([as_pairs(m) for m in mats])
+            if len(shape) == 1:
+                # D(A, ..., A) = det A for a general complex A
+                assert got == mats[0].det()
 
 
 def count_calls(monkeypatch, module, name):
@@ -287,125 +290,64 @@ def count_calls(monkeypatch, module, name):
 
 
 def route_calls(monkeypatch, mats):
-    """(DP calls, sum determinants) that one uncached evaluation makes."""
-    mixdisc._auto_value.cache_clear()
+    """(DP calls, sum determinants) that one evaluation makes."""
     dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
     dets = count_calls(monkeypatch, mixdisc, "gauss_det")
     _discriminant_auto(MatTuple(mats))
+    monkeypatch.undo()
     return len(dp), len(dets)
 
 
-def test_cost_rule_pins_the_route(monkeypatch):
+def test_route_rule_pins_the_route(monkeypatch):
     rng = random.Random(67)
     for n in range(2, 7):
-        a = rand_herm(rng, n)
-        distinct = [rand_herm(rng, n) for _ in range(n)]
-        # all-distinct tuples stay on the DP
-        assert route_calls(monkeypatch, distinct) == (1, 0)
-        # A^[n] costs n sum determinants; that beats the DP from n = 4 on
-        assert route_calls(monkeypatch, [a] * n) == ((0, n) if n >= 4 else (1, 0))
-    # past the permutation cap the polarized route is the only one
-    assert route_calls(monkeypatch, [identity(7)] * 7) == (0, 7)
-
-
-def test_value_memo_stays_bounded():
-    rng = random.Random(71)
-    mixdisc._auto_value.cache_clear()
-    for _ in range(2 * mixdisc._VALUE_MEMO_SIZE):
-        _discriminant_auto(MatTuple([rand_herm(rng, 3) for _ in range(3)]))
-        assert mixdisc._auto_value.cache_info().currsize <= mixdisc._VALUE_MEMO_SIZE
-    assert mixdisc._auto_value.cache_info().currsize == mixdisc._VALUE_MEMO_SIZE
-    mixdisc._adjugate.cache_clear()
-    for _ in range(2 * mixdisc._ADJUGATE_MEMO_SIZE):
-        mixed_adjugate([rand_herm(rng, 3) for _ in range(2)])
-        assert mixdisc._adjugate.cache_info().currsize <= mixdisc._ADJUGATE_MEMO_SIZE
-    assert mixdisc._adjugate.cache_info().currsize == mixdisc._ADJUGATE_MEMO_SIZE
-
-
-def test_permuted_tuple_is_a_memo_hit():
-    rng = random.Random(73)
-    a, b, c, d = (rand_herm(rng, 4) for _ in range(4))
-    mixdisc._auto_value.cache_clear()
-    first = _discriminant_auto(MatTuple([a, b, a, c]))
-    assert _discriminant_auto(MatTuple([c, a, b, a])) == first
-    info = mixdisc._auto_value.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    mixdisc._adjugate.cache_clear()
-    w = mixed_adjugate([a, b, d])
-    assert mixed_adjugate([d, a, b]) == w
-    info = mixdisc._adjugate.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-
-
-def test_memo_never_caches_an_exception(monkeypatch):
-    mixdisc._auto_value.cache_clear()
-    big = MatTuple([identity(21)] * 21)
+        mats = [rand_herm(rng, n) for _ in range(n)]
+        # every tuple of two or more distinct matrices runs the DP once
+        for shape in partitions(n):
+            if len(shape) > 1:
+                tup = [m for m, r in zip(mats, shape) for _ in range(r)]
+                assert route_calls(monkeypatch, tup) == (1, 0)
+    # a tuple of one matrix is its determinant, on both sides of the cap
+    for n in range(1, 8):
+        assert route_calls(monkeypatch, [rand_herm(rng, n)] * n) == (0, 0)
+    # past the cap, A^[r] B^[7 - r] is polarized over (r + 1)(8 - r) - 1 sums
+    a, b = rand_herm(rng, 7, bound=2), rand_herm(rng, 7, bound=2)
+    for r in range(1, 7):
+        assert route_calls(monkeypatch, [a] * r + [b] * (7 - r)) == (0, (r + 1) * (8 - r) - 1)
+    # past the polarization cap only the determinant is left, on every call
+    assert _discriminant_auto(MatTuple([diag(*range(1, 22))] * 21)) == factorial(21)
     for _ in range(2):
         with pytest.raises(SizeLimitError):
-            _discriminant_auto(big)
-    assert mixdisc._auto_value.cache_info().currsize == 0
-    # a kernel fault raises again on every call instead of being served
-    mixdisc._adjugate.cache_clear()
-    calls = []
+            _discriminant_auto(MatTuple([identity(21)] * 20 + [diag(*range(1, 22))]))
 
+
+def test_hermitian_invariant_fires_on_every_call(monkeypatch):
+    rng = random.Random(79)
+    h = [rand_herm(rng, 3) for _ in range(3)]
+    g = [GenMat(m.entries) for m in h]
+    assert g == h  # equal grids compare equal across the two types
+    assert _discriminant_auto(MatTuple(g)) == _discriminant_auto(MatTuple(h))
+    # a non-real sum breaks the invariant of a Hermitian tuple on each call
+    monkeypatch.setattr(mixdisc, "mixed_perm_sum", lambda mats: (6, 6))
+    for _ in range(2):
+        with pytest.raises(InvariantViolationError):
+            _discriminant_auto(MatTuple(h))
+    assert _discriminant_auto(MatTuple(g)) == GaussRat(1, 1)
+    # and so does a non-real determinant of a tuple of one matrix
+    monkeypatch.setattr(matrixcore, "gauss_det", lambda rows: (1, 1))
+    for _ in range(2):
+        with pytest.raises(InvariantViolationError):
+            _discriminant_auto(MatTuple([h[0]] * 3))
+    assert _discriminant_auto(MatTuple([g[0]] * 3)) == GaussRat(1, 1)
+    # and a skew-symmetric kernel grid breaks the mixed adjugate's
     def skewed(mats):
-        calls.append(1)
         n = len(mats[0])
         return tuple(tuple((r - c, 0) for c in range(n)) for r in range(n))
 
     monkeypatch.setattr(mixdisc, "mixed_adjugate_sum", skewed)
     for _ in range(2):
         with pytest.raises(InvariantViolationError):
-            mixed_adjugate([identity(3), diag(1, 2, 3)])
-    assert len(calls) == 2
-    assert mixdisc._adjugate.cache_info().currsize == 0
-
-
-def test_general_and_hermitian_grids_get_separate_entries(monkeypatch):
-    rng = random.Random(79)
-    h = [rand_herm(rng, 3) for _ in range(3)]
-    g = [GenMat(m.entries) for m in h]
-    assert g == h  # equal grids compare equal across the two types
-    mixdisc._auto_value.cache_clear()
-    dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
-    assert _discriminant_auto(MatTuple(g)) == _discriminant_auto(MatTuple(h))
-    assert len(dp) == 2
-    assert mixdisc._auto_value.cache_info().currsize == 2
-
-
-def test_value_memo_shared_across_threads():
-    # slightly more multisets than the memo holds, drawn at random by more
-    # threads than cores: lookups keep racing evictions of the same keys
-    rng = random.Random(89)
-    tuples = [MatTuple([rand_herm(rng, 2) for _ in range(2)])
-              for _ in range(mixdisc._VALUE_MEMO_SIZE + 3)]
-    want = [mixed_discriminant(t) for t in tuples]
-    errors, done = [], []
-
-    def work(seed):
-        pick = random.Random(seed)
-        try:
-            for _ in range(1000):
-                i = pick.randrange(len(tuples))
-                assert _discriminant_auto(tuples[i]) == want[i]
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-        done.append(seed)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(done) == 8
-    assert mixdisc._auto_value.cache_info().currsize <= mixdisc._VALUE_MEMO_SIZE
+            mixed_adjugate(h[:2])
 
 
 def int_grid(rng, n):
@@ -490,13 +432,19 @@ def test_rest_layer_memo_shared_across_threads():
     assert _kernels._rest_layer.cache_info().currsize <= _kernels._REST_LAYER_MEMO_SIZE
 
 
-@pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls", [
-    ("shephard", 6, 10, 0),  # r = 3: the 10 Gram entries D(K_i, K_j, rest)
-    ("torus", 5, 3, 2),  # the pair's three values and W(g1, rest), W(g2, rest)
+@pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls, rest_layers", [
+    # r = 3: the 10 Gram entries D(K_i, K_j, rest)
+    pytest.param("shephard", 6, 10, 0, 1, id="shephard-6-10-0"),
+    # the pair's three values and W(g1, rest), W(g2, rest), whose rest the
+    # m = 2 fold shares, then the KT values D(g1^[m], g2^[5 - m]), m = 1..4,
+    # over three more rests; D(g1^[5]) and D(g2^[5]) are determinants
+    pytest.param("torus", 5, 7, 2, 4, id="torus-5-7-2"),
+    # the pair's three values, which the m = 2 fold shares
+    pytest.param("discriminant", 6, 3, 0, 1, id="discriminant-6-3-0"),
 ])
-def test_one_instance_builds_its_rest_layer_once(monkeypatch, mode, n, dp_calls, adjugate_calls):
-    mixdisc._auto_value.cache_clear()
-    mixdisc._adjugate.cache_clear()
+def test_one_instance_builds_its_rest_layer_once(
+    monkeypatch, mode, n, dp_calls, adjugate_calls, rest_layers
+):
     _kernels._rest_layer.cache_clear()
     dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
     adjugates = count_calls(monkeypatch, mixdisc, "mixed_adjugate_sum")
@@ -504,4 +452,4 @@ def test_one_instance_builds_its_rest_layer_once(monkeypatch, mode, n, dp_calls,
     assert run.summary["failures"] == 0
     assert "error" not in run.records[0]
     assert (len(dp), len(adjugates)) == (dp_calls, adjugate_calls)
-    assert _kernels._rest_layer.cache_info().misses == 1
+    assert _kernels._rest_layer.cache_info().misses == rest_layers

@@ -1,8 +1,8 @@
 """Property tests for mixed discriminants and the mixed adjugate.
 
 D is symmetric under every permutation of its matrices, which is what
-makes the multiset memo key of `_discriminant_auto` sound, and linear
-in each slot; both routes are checked directly, past the memo. The
+lets the kernels key their rest-layer memo on a multiset, and linear in
+each slot; both routes are checked directly. The
 one-sweep adjugate is checked against the minor-expansion oracle on
 indefinite, singular, sparse, repeated and scaled Hermitian inputs.
 Draws are derandomized and bounded, so the suite stays deterministic

@@ -39,6 +39,14 @@ PINS = [
      "fcb19321b9f00076dac8648f8ad6c5d1b047d9889df031c1ea2a445de4f358ec", 0),
     ("--mode torus --n 6 --m 3 --trials 3 --seed 0",
      "d12f6ff0ffd8562860916415914ed6926867c98ab821157c232ce8d4eb0510c0", 0),
+    # folds over repeated matrices at n = 4..6, whose values D(A^[m], tail)
+    # once went to polarization and now run the DP, or det A at m = n
+    ("--mode discriminant --n 6 --m 6 --trials 3 --seed 0",
+     "be637a90bcbff4e45d609fd46a111637280302319c507f3e385a51a68aa3ab1e", 0),
+    ("--mode bm --n 6 --m 6 --trials 3 --seed 0",
+     "f3f118cbbadfa08e1510363997b9c22930aa91f121cd3c088f4b0302f3c8eff0", 0),
+    ("--mode torus --n 4 --m 4 --trials 3 --seed 0",
+     "a269f3f601768036a99763a9990223008e690959c34f651aaf1e0291210bb42b", 0),
 ]
 
 

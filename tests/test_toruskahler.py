@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from afkit import mixdisc
 from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError
 from afkit.ineqcheck import af_gap_discriminant
 from afkit.matrixcore import proportional
@@ -264,25 +263,3 @@ def test_adjugate_linearity():
     combo = mixed_adjugate([x.scale(a) + y.scale(b)] + rest)
     split = mixed_adjugate([x] + rest).scale(a) + mixed_adjugate([y] + rest).scale(b)
     assert combo == split
-
-
-def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
-    # the pair theorem builds W(g1, rest) and W(g2, rest); at m = 2 the
-    # m-fold theorem asks for the same two and gets them from the memo
-    rng = random.Random(83)
-    g1, g2 = rand_kahler(rng, 4), rand_kahler(rng, 4)
-    rest = [rand_kahler(rng, 4) for _ in range(2)]
-    mixdisc._adjugate.cache_clear()
-    calls = []
-    sweep = mixdisc.mixed_adjugate_sum
-
-    def counted(mats):
-        calls.append(1)
-        return sweep(mats)
-
-    monkeypatch.setattr(mixdisc, "mixed_adjugate_sum", counted)
-    pair = equality_theorem_pair(g1, g2, rest)
-    fold = equality_theorem_m([g1, g2] + rest, 2)
-    assert len(calls) == 2
-    assert fold.adjugate_count == 2
-    assert pair.report.equality == fold.report.equality is False
