@@ -212,9 +212,7 @@ def int_det(rows):
 # Layers kept by `_rest_layer`. The discriminant, shephard and bm
 # (m = 2) modes and the torus pair theorem ask for one rest per
 # instance, back to back: the 3 values, the 10 Gram entries of r = 3,
-# the 3 coefficients, or the pair's 3 values and 2 adjugates. The
-# Khovanskii-Teissier values D(g1^[m], g2^[n - m]) that follow visit
-# their n - 2 rests back to back, each built once at any size. A torus
+# the 3 coefficients, or the pair's 3 values and 2 adjugates. A torus
 # fold at m = 3 interleaves three rests, g_i + tail for its leading
 # classes g_i: its values D(g_i^[3], tail) and adjugates
 # W(g_i, g_j, tail) revisit each. 4 layers keep those three with one to

@@ -12,8 +12,9 @@ tuple with multiplicities r_i needs prod_i (r_i + 1) - 1 Minkowski sums
 rather than 2^d - 1. Each sum is `minkowski_sum` of a smaller one and a
 single body, kept in a bounded LRU memo keyed by the (body, count)
 multiset and the vertex budget, which the pair, m-fold and concavity
-checks of one instance share. Hulls and sums are integer arithmetic;
-Fractions appear only in the volumes and vertices handed out.
+checks of one instance share. Every operation after construction works
+on the grid; Fractions appear only in the volumes handed out and in
+the `vertices` view that JSON reads.
 """
 
 from __future__ import annotations
@@ -391,11 +392,11 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def translate(p: Polytope, vec) -> Polytope:
-    """The body shifted by a fixed vector."""
-    t = tuple(as_rat(c) for c in vec)
+    """The body shifted by a fixed vector: its Minkowski sum with that point."""
+    t = tuple(vec)
     if len(t) != p.dim:
         raise DimensionMismatchError(f"translation vector of length {len(t)} in dimension {p.dim}")
-    return Polytope([tuple(a + b for a, b in zip(v, t)) for v in p.vertices])
+    return minkowski_sum(p, Polytope([t]))
 
 
 def dilate(p: Polytope, lam) -> Polytope:
@@ -403,21 +404,37 @@ def dilate(p: Polytope, lam) -> Polytope:
     lam = as_rat(lam)
     if lam < 0:
         raise ValueError("dilation requires a nonnegative factor")
-    if lam == 0:
-        return Polytope([(0,) * p.dim])
-    return Polytope([tuple(lam * c for c in v) for v in p.vertices])
+    grid = {tuple(lam.numerator * c for c in v) for v in p._pts}
+    return Polytope._of_grid(grid, p._den * lam.denominator, p.dim)
+
+
+def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
+    """`ineqcheck.homothety_ratio` on the grids, by cross-multiplied offsets
+    from the first point. Both grids are sorted, so the first nonzero
+    offset of each is positive, and so is any factor that passes."""
+    u, v = k._pts, l._pts
+    if len(v) == 1:
+        return Fraction(0)
+    if len(u) != len(v):
+        return None
+    du = [x - x0 for p in u for x, x0 in zip(p, u[0])]
+    dv = [y - y0 for q in v for y, y0 in zip(q, v[0])]
+    # K has two distinct points here, so some offset is nonzero
+    a, b = next((x, y) for x, y in zip(du, dv) if x)
+    if any(a * y != b * x for x, y in zip(du, dv)):
+        return None
+    return Fraction(b * k._den, a * l._den)
 
 
 # Bounded LRU memo of Minkowski sums, shared by every mixed_volume call,
 # so the pair, m-fold and concavity checks of one instance hull each sum
 # once. The key is the (body, count) pairs in canonical body order plus
 # the vertex budget, so a tighter budget never reuses a sum built under
-# a looser one; the value is the sum Polytope. One pair check at
-# d = MAX_DIMENSION touches 2^d - 1 sums for V(K, L, rest) and 2^(d-2)
-# more each for V(K, K, rest) and V(L, L, rest): 23 at d = 4. Holding
-# them all lets the m = 2 fold that follows run on lookups alone. The
-# lru_cache is thread-safe and caches no exception, and single bodies
-# stay out of it.
+# a looser one; the value is the sum Polytope. The size is what one pair
+# check at d = MAX_DIMENSION builds: 2^d - 1 = 15 sums for V(K, L, rest)
+# and 2^(d-2) = 4 more each for V(K, K, rest) and V(L, L, rest). A
+# `volume --n 3` instance builds 8 sums and finds 5 in the memo. The
+# lru_cache is thread-safe and caches no exception; single bodies stay out.
 _SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
 
 
@@ -453,7 +470,7 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     """
     d = t.dim
     counts = Counter(t.bodies)
-    bodies = sorted(counts, key=attrgetter("vertices"))
+    bodies = sorted(counts, key=attrgetter("_den", "_pts"))
     mults = [counts[b] for b in bodies]
     total = _polarize(mults, lambda k: _minkowski_entry(bodies, k, budget)._volume)
     result = total / factorial(d)

@@ -231,7 +231,8 @@ def _run_volume(cfg, rng, kind, record):
             l = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
     pair = af_gap_volume(k, l, rest)
     record["report"] = jsonio.gap_report_to_json(pair)
-    fold = af_m_fold_volume(BodyTuple([k, l] + rest), cfg.m)
+    # the m = 2 fold is the pair check on the same bodies
+    fold = pair if cfg.m == 2 else af_m_fold_volume(BodyTuple([k, l] + rest), cfg.m)
     record["mfold"] = jsonio.gap_report_to_json(fold)
     return pair.gap, pair.equality, True
 
@@ -287,19 +288,19 @@ def _run_torus(cfg, rng, kind, record):
         "report": jsonio.gap_report_to_json(fold.report),
         "adjugates_proportional": fold.adjugates_proportional,
     }
+    # last, so the KT rests cannot evict the pair's rest layer before the fold
+    record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
     return pair.report.gap, pair.report.equality, True
 
 
 def _torus_pair(g1, g2, rest, record):
-    """Record the pair equality verdict and the KT sequence of (g1, g2);
-    return the pair verdict."""
+    """Record the pair equality verdict of (g1, g2) and return it."""
     pair = equality_theorem_pair(g1, g2, rest)
     record["report"] = jsonio.gap_report_to_json(pair.report)
     record["pair"] = {
         "adjugates_proportional": pair.adjugates_proportional,
         "matrices_proportional": pair.matrices_proportional,
     }
-    record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
     return pair
 
 
@@ -333,6 +334,7 @@ def _run_fixture(cfg, mode, obj, record):
     if mode == "torus":
         classes = [TorusClass(m) for m in obj.mats]
         pair = _torus_pair(classes[0], classes[1], classes[2:], record)
+        record["kt"] = [format_rat(x) for x in kt_sequence(classes[0], classes[1])]
         return pair.report.gap, pair.report.equality, True
     if mode == "discriminant":
         rep = af_gap_discriminant(obj.mats[0], obj.mats[1], list(obj.mats[2:]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexvol import BodyTuple, Polytope, mixed_volume
+from .convexvol import BodyTuple, Polytope, _homothety_ratio, mixed_volume
 from .errors import (
     DimensionMismatchError,
     HypothesisError,
@@ -171,28 +171,11 @@ def homothety_ratio(k: Polytope, l: Polytope) -> Optional[Rat]:
     """Scale factor lam >= 0 with L = lam K + t, or None if no such map.
 
     Dilation by a positive factor plus translation preserves the
-    lexicographic order of vertices, so sorted vertex lists must match
-    position by position.
+    lexicographic order of vertices, so the sorted vertex grids must
+    match position by position.
     """
     _check_bodies([k, l])
-    u, v = k.vertices, l.vertices
-    if len(v) == 1:
-        return Fraction(0)
-    if len(u) != len(v):
-        return None
-    du = [tuple(a - b for a, b in zip(u[i], u[0])) for i in range(1, len(u))]
-    dv = [tuple(a - b for a, b in zip(v[i], v[0])) for i in range(1, len(v))]
-    lam = None
-    for c, val in enumerate(du[0]):
-        if val:
-            lam = dv[0][c] / val
-            break
-    if lam is None or lam <= 0:
-        return None
-    for row_u, row_v in zip(du, dv):
-        if any(y != lam * x for x, y in zip(row_u, row_v)):
-            return None
-    return lam
+    return _homothety_ratio(k, l)
 
 
 def af_gap_volume(k: Polytope, l: Polytope, rest: Sequence[Polytope] = ()) -> GapReport:

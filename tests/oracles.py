@@ -8,9 +8,10 @@ The exceptions are former library routes kept as references: the
 lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
 for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
-GaussRat-entry matrix generator, the Fraction-cloud polytope generator
-and the dict-keyed permutation-sum DP. Slow is fine; these exist to
-catch bugs in the fast code.
+GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
+the Fraction-vertex homothety test, translation and dilation, and the
+dict-keyed permutation-sum DP. Slow is fine; these exist to catch bugs
+in the fast code.
 """
 
 from fractions import Fraction
@@ -18,10 +19,18 @@ from itertools import combinations, permutations
 from math import factorial, gcd
 
 from afkit._kernels import int_det
-from afkit.convexvol import BodyTuple, convex_hull, dilate, minkowski_sum, mixed_volume
+from afkit.convexvol import (
+    BodyTuple,
+    Polytope,
+    convex_hull,
+    dilate,
+    minkowski_sum,
+    mixed_volume,
+)
+from afkit.errors import DimensionMismatchError
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
-from afkit.rationals import GaussRat
+from afkit.rationals import GaussRat, as_rat
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -235,6 +244,49 @@ def gen_polytope_fraction(seed, d, points=6, coord_bound=5):
         for _ in range(points)
     ]
     return convex_hull(cloud)
+
+
+def homothety_ratio_fraction(k, l):
+    """The former `ineqcheck.homothety_ratio`: the sorted Fraction vertex
+    lists, whose offsets from the first vertex must be proportional."""
+    u, v = k.vertices, l.vertices
+    if len(v) == 1:
+        return Fraction(0)
+    if len(u) != len(v):
+        return None
+    du = [tuple(a - b for a, b in zip(u[i], u[0])) for i in range(1, len(u))]
+    dv = [tuple(a - b for a, b in zip(v[i], v[0])) for i in range(1, len(v))]
+    lam = None
+    for c, val in enumerate(du[0]):
+        if val:
+            lam = dv[0][c] / val
+            break
+    if lam is None or lam <= 0:
+        return None
+    for row_u, row_v in zip(du, dv):
+        if any(y != lam * x for x, y in zip(row_u, row_v)):
+            return None
+    return lam
+
+
+def translate_fraction(p, vec):
+    """The former `convexvol.translate`: every Fraction vertex shifted,
+    then hulled again by the constructor."""
+    t = tuple(as_rat(c) for c in vec)
+    if len(t) != p.dim:
+        raise DimensionMismatchError(f"translation vector of length {len(t)} in dimension {p.dim}")
+    return Polytope([tuple(a + b for a, b in zip(v, t)) for v in p.vertices])
+
+
+def dilate_fraction(p, lam):
+    """The former `convexvol.dilate`: every Fraction vertex scaled, then
+    hulled again by the constructor; factor 0 gives the origin."""
+    lam = as_rat(lam)
+    if lam < 0:
+        raise ValueError("dilation requires a nonnegative factor")
+    if lam == 0:
+        return Polytope([(0,) * p.dim])
+    return Polytope([tuple(lam * c for c in v) for v in p.vertices])
 
 
 def bm_samples_matrices(a0, a1, rest, m, grid):

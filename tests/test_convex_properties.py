@@ -6,27 +6,40 @@ have equal grids and hashes, whatever interior points, duplicates or
 unreduced fractions the input carries), `minkowski_sum` against the
 hull of the Fraction pointwise sums, and the algebra of V: symmetry,
 translation invariance, and Minkowski additivity and homogeneity in
-each slot. Draws are derandomized and bounded, so the suite stays
-deterministic and keeps no example database.
+each slot. The grid forms of translation, dilation and the homothety
+test are checked against their former Fraction-vertex forms, on full,
+flat, segment and single-point bodies. Draws are derandomized and
+bounded, so the suite stays deterministic and keeps no example database.
 """
 
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit.convexvol import BodyTuple, Polytope, dilate, minkowski_sum, mixed_volume, translate
+from afkit.ineqcheck import homothety_ratio
 
-from oracles import extreme_points_bruteforce
+from oracles import (
+    dilate_fraction,
+    extreme_points_bruteforce,
+    homothety_ratio_fraction,
+    translate_fraction,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
 rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+positive_rats = st.fractions(min_value=0, max_value=4, max_denominator=5).filter(bool)
 dims = st.sampled_from([2, 3])
 
 
+def vectors(d):
+    return st.tuples(*[rats] * d)
+
+
 def clouds(d, max_size=5):
-    return st.lists(st.tuples(*[rats] * d), min_size=1, max_size=max_size)
+    return st.lists(vectors(d), min_size=1, max_size=max_size)
 
 
 @st.composite
@@ -35,6 +48,24 @@ def dim_and_bodies(draw, count):
     d = draw(dims)
     size = 5 if d == 2 else 4
     return d, [Polytope(draw(clouds(d, size))) for _ in range(d + count - 1)]
+
+
+@st.composite
+def shaped_body(draw, d):
+    """A body in dimension d: the hull of a random cloud, a flat one (the
+    cloud pressed into the hyperplane x_0 = c), a segment or a point."""
+    shape = draw(st.sampled_from(["full", "flat", "segment", "point"]))
+    size = {"full": 5, "flat": 5, "segment": 2, "point": 1}[shape]
+    cloud = draw(st.lists(vectors(d), min_size=size, max_size=size))
+    if shape == "flat":
+        c = draw(rats)
+        cloud = [(c,) + pt[1:] for pt in cloud]
+    return Polytope(cloud)
+
+
+def dim_and(*parts):
+    """A dimension d in {2, 3} and one draw of each part(d)."""
+    return dims.flatmap(lambda d: st.tuples(st.just(d), *(part(d) for part in parts)))
 
 
 def assert_canonical(p):
@@ -116,3 +147,43 @@ def test_mixed_volume_additive_and_homogeneous_in_each_slot(case, slot, lam):
 
     assert at(minkowski_sum(k, kp)) == at(k) + at(kp)
     assert at(dilate(k, lam)) == lam * at(k)
+
+
+@SETTINGS
+@given(dim_and(shaped_body, shaped_body, vectors), rats.map(abs))
+def test_grid_operations_match_their_fraction_references(case, lam):
+    _, k, l, t = case
+    assert translate(k, t) == translate_fraction(k, t)
+    assert dilate(k, lam) == dilate_fraction(k, lam)
+    assert homothety_ratio(k, l) == homothety_ratio_fraction(k, l)
+
+
+@SETTINGS
+@given(dim_and(shaped_body, vectors), positive_rats)
+def test_a_homothetic_copy_has_ratio_lambda(case, lam):
+    _, k, t = case
+    l = translate(dilate(k, lam), t)
+    assert l == translate_fraction(dilate_fraction(k, lam), t)
+    point = len(k.vertices) == 1
+    assert homothety_ratio(k, l) == homothety_ratio_fraction(k, l) == (0 if point else lam)
+    assert homothety_ratio(l, k) == homothety_ratio_fraction(l, k) == (0 if point else 1 / lam)
+
+
+@SETTINGS
+@given(dim_and(shaped_body))
+def test_dilation_by_zero_is_the_origin(case):
+    d, k = case
+    z = dilate(k, 0)
+    assert z == dilate_fraction(k, 0) == Polytope([(0,) * d])
+    assert z._volume == 0
+    assert homothety_ratio(k, z) == homothety_ratio_fraction(k, z) == 0
+    assert homothety_ratio(z, k) == homothety_ratio_fraction(z, k)
+
+
+@SETTINGS
+@given(dim_and(shaped_body, shaped_body))
+def test_mismatched_vertex_counts_have_no_ratio(case):
+    _, k, l = case
+    assume(len(k.vertices) != len(l.vertices))
+    want = 0 if len(l.vertices) == 1 else None
+    assert homothety_ratio(k, l) == homothety_ratio_fraction(k, l) == want

@@ -501,3 +501,17 @@ def test_only_the_constructor_clears_a_polytope():
     assert grid_readers == {"convexvol"}
     assert slots is not None and "vertices" not in slots
     assert set(slots) == {"dim", "_pts", "_den", "_volume", "_hash"}
+
+
+def test_only_jsonio_reads_the_vertices_view():
+    # every library operation works on the grid: the Fraction view is
+    # built for JSON alone, whether read as an attribute or named as a
+    # string to attrgetter or getattr
+    readers = set()
+    for path in sorted(Path(afkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "vertices":
+                readers.add(path.stem)
+            if isinstance(node, ast.Constant) and node.value == "vertices":
+                readers.add(path.stem)
+    assert readers == {"jsonio"}

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from afkit.convexvol import volume
-from afkit import harness, mixdisc
+from afkit.convexvol import BodyTuple, volume
+from afkit import _kernels, convexvol, harness, ineqcheck, mixdisc
 from afkit.errors import FormatError, SizeLimitError
 from afkit.harness import (
     RunConfig,
@@ -22,7 +22,7 @@ from afkit.harness import (
     run_suite,
     validate_config,
 )
-from afkit.ineqcheck import af_m_fold_discriminant
+from afkit.ineqcheck import af_m_fold_discriminant, af_m_fold_volume
 from afkit.jsonio import dumps_canonical, gap_report_to_json, gram_to_json, tuple_to_json
 from afkit.matrixcore import is_pd, is_psd
 from afkit.mixdisc import MatTuple
@@ -384,9 +384,16 @@ def test_config_json_lists_every_field():
     }
 
 
+PAIR_CHECKS = {
+    "discriminant": "af_gap_discriminant",
+    "volume": "af_gap_volume",
+    "torus": "equality_theorem_pair",
+}
+
+
 def spy_on_pairs(monkeypatch, mode):
     """Patch the runner's pair check for mode to record its items."""
-    name = "af_gap_discriminant" if mode == "discriminant" else "equality_theorem_pair"
+    name = PAIR_CHECKS[mode]
     seen = []
     real = getattr(harness, name)
 
@@ -401,6 +408,8 @@ def spy_on_pairs(monkeypatch, mode):
 def fresh_fold(mode, items, m):
     if mode == "discriminant":
         return gap_report_to_json(af_m_fold_discriminant(MatTuple(items), m))
+    if mode == "volume":
+        return gap_report_to_json(af_m_fold_volume(BodyTuple(items), m))
     fold = equality_theorem_m(items, m)
     return {
         "report": gap_report_to_json(fold.report),
@@ -408,20 +417,25 @@ def fresh_fold(mode, items, m):
     }
 
 
-# seeds whose proportional instance 2 draws lambda = 1, so two leading items are equal
-@pytest.mark.parametrize("mode, seed", [("discriminant", 7), ("torus", 4)])
+# matrix seeds whose proportional instance 2 draws lambda = 1, so two
+# leading items are equal; a drawn homothety L = lam K + t is another body
+@pytest.mark.parametrize("mode, n, seed, equal_lead", [
+    pytest.param("discriminant", 4, 7, True, id="discriminant-7"),
+    pytest.param("torus", 4, 4, True, id="torus-4"),
+    pytest.param("volume", 3, 0, False, id="volume-0"),
+])
 @pytest.mark.parametrize("m", [2, 3])
-def test_mfold_record_matches_a_fresh_fold(monkeypatch, mode, seed, m):
+def test_mfold_record_matches_a_fresh_fold(monkeypatch, mode, n, seed, equal_lead, m):
     # at m = 2 the runner reuses its pair verdict as the fold; at m = 3 it must not
     seen = spy_on_pairs(monkeypatch, mode)
-    run = run_suite(RunConfig(mode=mode, n=4, m=m, trials=6, seed=seed))
+    run = run_suite(RunConfig(mode=mode, n=n, m=m, trials=6, seed=seed))
     assert run.summary["failures"] == 0
     assert len(seen) == len(run.records) == 6
     for record, items in zip(run.records, seen):
         assert record["mfold"] == fresh_fold(mode, items, m)
     kinds = [r["kind"] for r in run.records]
     assert kinds.count("generic") == 4 and kinds.count("proportional") == 2
-    assert seen[2][0] == seen[2][1]
+    assert (seen[2][0] == seen[2][1]) is equal_lead
 
 
 def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
@@ -438,3 +452,31 @@ def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
     run = run_suite(RunConfig(mode="torus", n=4, m=2, trials=1))
     assert run.summary["failures"] == 0
     assert len(calls) == 2
+
+
+def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
+    # three mixed volumes per instance, those of the pair check; the fold
+    # asks for none, so the memo serves only the pair's shared sums
+    calls = []
+    real = ineqcheck.mixed_volume
+
+    def counted(t, *args):
+        calls.append(1)
+        return real(t, *args)
+
+    monkeypatch.setattr(ineqcheck, "mixed_volume", counted)
+    convexvol._sum_memo.cache_clear()
+    run = run_suite(RunConfig(mode="volume", n=3, trials=3, seed=0))
+    assert run.summary["failures"] == 0
+    info = convexvol._sum_memo.cache_info()
+    assert (len(calls), info.misses, info.hits) == (9, 24, 15)
+
+
+@pytest.mark.parametrize("n, misses", [(6, 21), (5, 18)])
+def test_torus_fold_reads_the_pair_layer_before_the_kt_rests(n, misses):
+    # the KT values come last, so at n = 6 their four rests cannot evict
+    # the pair's layer from the 4-entry memo before the m = 3 fold reads it
+    _kernels._rest_layer.cache_clear()
+    run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
+    assert run.summary["failures"] == 0
+    assert _kernels._rest_layer.cache_info().misses == misses

@@ -2,7 +2,7 @@
 
 Each case runs `afkit.cli.main` and compares the SHA-256 of the stream
 and the exit code with pinned values, so a rewrite that means to keep
-the bytes is held to it.
+the bytes is held to it. One case runs a torus fixture file.
 The `bm --n 4 --m 1` run exits 1: a proportional instance's affine root
 function misses the default tolerance by float rounding.
 """
@@ -10,10 +10,14 @@ function misses the default tolerance by float rounding.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from afkit.cli import main
+from afkit.harness import derive_seed, gen_pd_hermitian
+from afkit.jsonio import tuple_to_json
+from afkit.mixdisc import MatTuple
 
 PINS = [
     ("--mode all --n 2 --trials 4 --seed 5",
@@ -30,6 +34,11 @@ PINS = [
      "281c6c2e34b2943bb0455b4f69cb86def690e255d56f2536cf481b629cb4c285", 0),
     ("--mode volume --n 3 --m 3 --trials 3 --seed 5",
      "bf57f4f42a5c7f32bfeb79eb94cab086dbc01e5808edf7df72b264bfc9552af1", 0),
+    # m = 2 volume runs, whose fold record is the pair verdict
+    ("--mode volume --n 3 --trials 3 --seed 0",
+     "9e69ba27ac601aa6a9b5dc9892f8802dda0401004b9dc1da0fccbf65382a479c", 0),
+    ("--mode volume --n 4 --trials 2 --seed 0",
+     "0cc03271f3dedc7ab6b03a44b9485338bdb1ae789c17b340e6d566cd701f3b6c", 0),
     # n = 5 and 6, where the distinct-matrix values and the adjugates run the subset DP
     ("--mode discriminant --n 6 --trials 3 --seed 0",
      "b7b022f6f0d488d443f62f1d505c043ea494c80cf6cf20459e8f62d509fcf4d3", 0),
@@ -50,9 +59,24 @@ PINS = [
 ]
 
 
-@pytest.mark.parametrize("args, digest, code", PINS, ids=[a for a, _, _ in PINS])
-def test_stream_digest(args, digest, code):
+def stream_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        got = main(args.split())
-    assert (hashlib.sha256(out.getvalue().encode()).hexdigest(), got) == (digest, code)
+        got = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), got
+
+
+@pytest.mark.parametrize("args, digest, code", PINS, ids=[a for a, _, _ in PINS])
+def test_stream_digest(args, digest, code):
+    assert stream_digest(args.split()) == (digest, code)
+
+
+def test_torus_fixture_stream_digest(tmp_path):
+    # a fixture run records the KT sequence right after the pair verdict
+    mats = [gen_pd_hermitian(derive_seed(0, i), 5) for i in range(5)]
+    lead = [mats[0], mats[0].scale(3)]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps([tuple_to_json(MatTuple(m)) for m in (mats, lead + mats[2:])]))
+    assert stream_digest(["--mode", "torus", "--n", "5", "--in", str(path)]) == (
+        "e718ed99d83584eaa044d7e4352b38ff679aa622ceaea7c59fc5b41b46641f8f", 0
+    )
