@@ -3,18 +3,18 @@
 A body is stored by its extreme points only (V-representation): one
 integer grid over one denominator, cleared once at construction, on
 which hulls are built from outside sets, each step adding the farthest
-point above one facet. One hull pass per point cloud yields both the
-extreme points and the exact volume, a simplex fan over the same facets
-from a fixed base vertex; a Polytope keeps the volume it was built with.
+point above one facet. One hull pass per point cloud yields the extreme
+points, the exact volume (a simplex fan over the same facets) and the
+outer facet normals, which a Polytope keeps; a dilation or a shift
+carries all three over without a hull.
 
-Mixed volumes use multiset polarization: equal bodies are grouped, so a
-tuple with multiplicities r_i needs prod_i (r_i + 1) - 1 Minkowski sums
-rather than 2^d - 1. Each sum is `minkowski_sum` of a smaller one and a
-single body, kept in a bounded LRU memo keyed by the (body, count)
-multiset and the vertex budget, which the pair, m-fold and concavity
-checks of one instance share. Every operation after construction works
-on the grid; Fractions appear only in the volumes handed out and in
-the `vertices` view that JSON reads.
+Mixed volumes use the facet recursion (Schneider, Convex Bodies, 5.1):
+V(K_1, ..., K_d) sums h_{K_1}(u) times the (d-1)-dimensional mixed
+volume of the faces F(K_j, u), j >= 2, over the facet normals u of
+K_2 + ... + K_d, so a value needs one Minkowski sum, kept in a bounded
+LRU memo keyed by the (body, count) multiset and the vertex budget.
+Every operation after construction works on the grid; Fractions appear
+only in the volumes handed out and in the `vertices` view JSON reads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._kernels import _multinomial_expansion, _polarize, int_det
+from ._kernels import _multinomial_expansion, int_det
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from .rationals import Rat, as_rat
 
@@ -252,27 +252,33 @@ def _extreme_indices(d, facets):
 
 
 def _hull(ints, d):
-    """Extreme indices and d! times the volume of an integer cloud, in one pass.
+    """Extreme indices and d! times the volume of an integer cloud, in one pass."""
+    return _hull_shape(ints, d)[:2]
+
+
+def _hull_shape(ints, d):
+    """`_hull` and the hull's outer normals, in one pass.
 
     A full-dimensional cloud is hulled once by `_hull_full_dim`; the
-    ascending extreme indices are read off its facets, and the volume is
-    a simplex fan from the apex over the same facets. A flat cloud has
-    volume 0. Its difference vectors span the rows of the affine basis
-    echelon, which are triangular on their pivot coordinates, so
-    keeping only those coordinates is injective on the affine span and
-    keeps the extreme points; the projected cloud is recursed.
+    ascending extreme indices and the distinct primitive normals are
+    read off its facets, and the volume is a simplex fan from the apex
+    over the same facets. A flat cloud has volume 0 and no extreme point
+    off its affine span; dropping all but the pivot coordinates of its
+    affine basis echelon is injective there, so the projected cloud is
+    recursed. At rank d - 1 the normals are ±u for its plane's normal u.
     """
     if len(ints) == 1:
-        return [0], 0
+        return [0], 0, frozenset()
     if d == 1:
         lo = min(range(len(ints)), key=ints.__getitem__)
         hi = max(range(len(ints)), key=ints.__getitem__)
-        return sorted({lo, hi}), ints[hi][0] - ints[lo][0]
+        return sorted({lo, hi}), ints[hi][0] - ints[lo][0], frozenset({(1,), (-1,)})
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
         flat = [tuple(p[piv] for piv, _ in ech.rows) for p in ints]
-        return _hull(flat, rank)[0], 0
+        u = _facet_plane(ints, basis_idx)[0] if rank == d - 1 else None
+        return _hull(flat, rank)[0], 0, frozenset({u, tuple(-x for x in u)} if u else ())
     facets, apex = _hull_full_dim(ints, d, basis_idx)
     ap = ints[apex]
     total = 0
@@ -281,7 +287,7 @@ def _hull(ints, d):
             continue
         rows = [[ints[v][j] - ap[j] for j in range(d)] for v in vidx]
         total += abs(int_det(rows))
-    return _extreme_indices(d, facets), total
+    return _extreme_indices(d, facets), total, frozenset(a for a, _, _ in facets)
 
 
 class Polytope:
@@ -290,12 +296,12 @@ class Polytope:
 
     Construction canonicalizes: whatever point set comes in, `_pts` holds
     the sorted extreme points of its hull, so equal bodies have equal
-    grids. Flat bodies are allowed. The exact volume comes out of the
-    same hull pass and is kept with the grid, as is the hash, since
-    bodies key the Minkowski-sum memo.
+    grids. Flat bodies are allowed. The exact volume and outer normals
+    come out of the same hull pass and are kept with the grid, as is
+    the hash, since bodies key the Minkowski-sum memo.
     """
 
-    __slots__ = ("dim", "_pts", "_den", "_volume", "_hash")
+    __slots__ = ("dim", "_pts", "_den", "_volume", "_normals", "_hash")
 
     def __init__(self, points):
         pts = [tuple(as_rat(c) for c in p) for p in points]
@@ -313,22 +319,26 @@ class Polytope:
         self._set_grid(*_clear_points(set(pts)), d)
 
     @classmethod
-    def _of_grid(cls, ints, den: int, d: int) -> "Polytope":
-        """The hull of the points ints / den, for distinct integer points and den > 0."""
+    def _of_grid(cls, ints, den: int, d: int, like=None, scale=1) -> "Polytope":
+        """The hull of ints / den, for distinct integer points and den > 0; no
+        hull runs when they are the body `like` scaled by scale > 0 or shifted."""
         p = object.__new__(cls)
-        p._set_grid(ints, den, d)
+        p._set_grid(ints, den, d, like, scale)
         return p
 
-    def _set_grid(self, ints, den, d):
-        # reduce after the hull: a dropped point may hold a factor of den
+    def _set_grid(self, ints, den, d, like=None, scale=1):
         uniq = sorted(ints)
-        idx, vol = _hull(uniq, d)
-        pts = tuple(uniq[i] for i in idx)
+        if like is None:
+            idx, vol, normals = _hull_shape(uniq, d)
+            pts, vol = tuple(uniq[i] for i in idx), Fraction(vol, factorial(d) * den ** d)
+        else:  # both maps keep the sorted order and the normals
+            pts, vol, normals = tuple(uniq), like._volume * scale ** d, like._normals
+        # reduce after the hull: a dropped point may hold a factor of den
         g = gcd(den, *(c for p in pts for c in p))
         if g > 1:
             pts = tuple(tuple(c // g for c in p) for p in pts)
         self.dim, self._pts, self._den = d, pts, den // g
-        self._volume = Fraction(vol, factorial(d) * den ** d)
+        self._volume, self._normals = vol, normals
         self._hash = hash((d, self._den, pts))
 
     @property
@@ -385,10 +395,12 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """Hull of all pairwise vertex sums, added on the grids over lcm(den)."""
     if p.dim != q.dim:
         raise DimensionMismatchError(f"body dimensions differ: {p.dim} vs {q.dim}")
+    if len(p._pts) == 1:
+        p, q = q, p
     den = lcm(p._den, q._den)
     s, t = den // p._den, den // q._den
     sums = {tuple(s * a + t * b for a, b in zip(u, v)) for u in p._pts for v in q._pts}
-    return Polytope._of_grid(sums, den, p.dim)
+    return Polytope._of_grid(sums, den, p.dim, p if len(q._pts) == 1 else None)
 
 
 def translate(p: Polytope, vec) -> Polytope:
@@ -405,7 +417,7 @@ def dilate(p: Polytope, lam) -> Polytope:
     if lam < 0:
         raise ValueError("dilation requires a nonnegative factor")
     grid = {tuple(lam.numerator * c for c in v) for v in p._pts}
-    return Polytope._of_grid(grid, p._den * lam.denominator, p.dim)
+    return Polytope._of_grid(grid, p._den * lam.denominator, p.dim, p if lam else None, lam)
 
 
 def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
@@ -426,16 +438,22 @@ def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
     return Fraction(b * k._den, a * l._den)
 
 
-# Bounded LRU memo of Minkowski sums, shared by every mixed_volume call,
-# so the pair, m-fold and concavity checks of one instance hull each sum
-# once. The key is the (body, count) pairs in canonical body order plus
-# the vertex budget, so a tighter budget never reuses a sum built under
-# a looser one; the value is the sum Polytope. The size is what one pair
-# check at d = MAX_DIMENSION builds: 2^d - 1 = 15 sums for V(K, L, rest)
-# and 2^(d-2) = 4 more each for V(K, K, rest) and V(L, L, rest). A
-# `volume --n 3` instance builds 8 sums and finds 5 in the memo. The
-# lru_cache is thread-safe and caches no exception; single bodies stay out.
+# Bounded LRU memo of Minkowski sums shared by every mixed_volume call,
+# keyed by the (body, count) pairs in canonical body order plus the
+# vertex budget, so a tighter budget never reuses a sum built under a
+# looser one. A value needs the sum of its bodies after the first: the
+# pair check V(K, L, M), V(K, K, M), V(L, L, M) of a `volume --n 3`
+# instance builds 2 sums and finds 1 here; one at d = 4 builds 4 at most.
+# The lru_cache is thread-safe and caches no exception; single bodies
+# stay out, and a multiple c K is a dilate.
 _SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
+
+
+def _check_budget(size, budget) -> None:
+    if size > budget:
+        raise SizeLimitError(
+            f"intermediate Minkowski sum of {size} points exceeds the budget of {budget}"
+        )
 
 
 def _minkowski_entry(bodies, k, budget) -> Polytope:
@@ -447,33 +465,64 @@ def _minkowski_entry(bodies, k, budget) -> Polytope:
 
 @lru_cache(maxsize=_SUM_MEMO_SIZE)
 def _sum_memo(terms, budget) -> Polytope:
-    """A sum of two or more (body, count) terms: the same sum with one
-    copy of its last body removed, plus that body."""
+    """c K is a dilate; any other sum is one with a copy of its last body removed, plus it."""
+    if len(terms) == 1:
+        return dilate(*terms[0])
     *head, (body, c) = terms
     a = _minkowski_entry(*zip(*head, (body, c - 1)), budget)
-    if len(a._pts) * len(body._pts) > budget:
-        raise SizeLimitError(
-            f"intermediate Minkowski sum of {len(a._pts) * len(body._pts)} points "
-            f"exceeds the budget of {budget}"
-        )
+    _check_budget(len(a._pts) * len(body._pts), budget)
     return minkowski_sum(a, body)
 
 
-def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
-    """V(K_1, ..., K_d) via multiset polarization.
+def _facet_sum(grids, d, budget, normals=None) -> int:
+    """d! V(P_1, ..., P_d) of integer point sets, by a term per outer
+    normal u of P_2 + ... + P_d (hulled here unless given), down to
+    lengths at d = 1; u's first nonzero coordinate u_i is dropped."""
+    if d == 1:
+        return max(grids[0])[0] - min(grids[0])[0]
+    if normals is None:  # hull the Minkowski sum of the point sets
+        acc = [(0,) * d]
+        for pts in grids[1:]:
+            _check_budget(len(acc) * len(pts), budget)
+            acc = {tuple(a + b for a, b in zip(v, w)) for v in acc for w in pts}
+        normals = _hull_shape(sorted(acc), d)[2]
+    total = 0
+    for u in normals:
+        i = next(j for j, x in enumerate(u) if x)
+        faces = []
+        for pts in grids[1:]:
+            dots = [_dot(u, p) for p in pts]
+            top = max(dots)
+            face = [p[:i] + p[i + 1:] for p, x in zip(pts, dots) if x == top]
+            if len(face) == 1:
+                break  # a point face: the term is 0
+            faces.append(face)
+        else:
+            q, r = divmod(_facet_sum(faces, d - 1, budget), abs(u[i]))
+            if r:
+                raise InvariantViolationError("inexact projected mixed volume")
+            total += max(_dot(u, p) for p in grids[0]) * q
+    return total
 
-    Equal bodies are grouped, and d! V is the polarization sum of
-    vol(sum_i k_i K_i) over 0 <= k <= r, k != 0 (`_polarize`). Each sum
-    is hulled once and kept in a bounded module memo shared by all
-    calls; the budget bounds every pairwise vertex product before it is
-    materialized, and sums built under another budget are never reused.
+
+def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
+    """V(K_1, ..., K_d) by the facet recursion, on one integer grid.
+
+    d V sums h_{K_1}(u) v(F(K_2, u), ..., F(K_d, u)) over the facet
+    normals u of S = K_2 + ... + K_d. Dropping the first nonzero
+    coordinate u_i of a primitive u scales (d-1)-volumes normal to u by
+    |u_i| / |u| and maps the lattice normal to u onto one of index |u_i|,
+    so on integer grids a term of d! V is h(u) times an integer: (d-1)!
+    times the projected faces' mixed volume, over |u_i|. S comes from
+    the module memo; the budget bounds every pairwise vertex product, in
+    S and in the face sums below it, before it is materialized.
     """
-    d = t.dim
-    counts = Counter(t.bodies)
-    bodies = sorted(counts, key=attrgetter("_den", "_pts"))
-    mults = [counts[b] for b in bodies]
-    total = _polarize(mults, lambda k: _minkowski_entry(bodies, k, budget)._volume)
-    result = total / factorial(d)
+    den = lcm(*(b._den for b in t.bodies))
+    grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in t.bodies]
+    counts = Counter(t.bodies[1:])
+    rest = sorted(counts, key=attrgetter("_den", "_pts"))
+    normals = _minkowski_entry(rest, [counts[b] for b in rest], budget)._normals if rest else ()
+    result = Fraction(_facet_sum(grids, t.dim, budget, normals), factorial(t.dim) * den ** t.dim)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")
     return result

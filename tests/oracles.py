@@ -9,16 +9,18 @@ lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
 for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
 GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
-the Fraction-vertex homothety test, translation and dilation, and the
-dict-keyed permutation-sum DP. Slow is fine; these exist to catch bugs
-in the fast code.
+the Fraction-vertex homothety test, translation and dilation, the
+polarized mixed volume, which keeps `_polarize` for its signed sum, and
+the dict-keyed permutation-sum DP. Slow is fine; these exist to catch
+bugs in the fast code.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
-from afkit._kernels import int_det
+from afkit._kernels import _polarize, int_det
 from afkit.convexvol import (
     BodyTuple,
     Polytope,
@@ -311,6 +313,33 @@ def bm_samples_bodies(k0, k1, rest, m, grid):
         mixed_volume(BodyTuple([minkowski_sum(dilate(k0, 1 - lam), dilate(k1, lam))] * m + list(rest)))
         for lam in grid
     ]
+
+
+def mixed_volume_polarized(bodies):
+    """The former `convexvol.mixed_volume`, by multiset polarization:
+    d! V is the sum over 0 <= k <= r, k != 0, of signed binomial
+    multiples of vol(sum_i k_i K_i) (`_kernels._polarize`), each sum the
+    constructor's hull of the pointwise Fraction vertex sums, no memo."""
+    counts = Counter(bodies)
+    distinct = list(counts)
+
+    def volume_of(k):
+        acc = None
+        for body, c in zip(distinct, k):
+            for _ in range(c):
+                acc = body if acc is None else Polytope(
+                    {tuple(a + b for a, b in zip(u, v)) for u in acc.vertices for v in body.vertices}
+                )
+        return acc._volume
+
+    return _polarize([counts[b] for b in distinct], volume_of) / factorial(len(bodies))
+
+
+def truncated_simplex_mixed_volume(pairs):
+    """V(T(A_1, B_1), ..., T(A_d, B_d)) = (prod A_i - prod B_i) / d! for
+    the truncated simplices T(A, B) = {x >= 0, B <= sum x <= A}, the
+    classes A H - B E on the blow-up of P^d at a point."""
+    return Fraction(prod(a for a, _ in pairs) - prod(b for _, b in pairs), factorial(len(pairs)))
 
 
 def permanent(rows):

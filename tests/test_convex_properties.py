@@ -8,15 +8,23 @@ hull of the Fraction pointwise sums, and the algebra of V: symmetry,
 translation invariance, and Minkowski additivity and homogeneity in
 each slot. The grid forms of translation, dilation and the homothety
 test are checked against their former Fraction-vertex forms, on full,
-flat, segment and single-point bodies. Draws are derandomized and
-bounded, so the suite stays deterministic and keeps no example database.
+flat, segment and single-point bodies, and the images that skip the
+hull against the hull-built body, normals included. The facet recursion
+behind `mixed_volume` is checked against the former polarization route
+in every order of each tuple, including tuples whose rest sum is flat
+or lower-dimensional. Draws are derandomized and bounded, so the suite
+stays deterministic and keeps no example database.
 """
 
+from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from afkit import convexvol
 from afkit.convexvol import BodyTuple, Polytope, dilate, minkowski_sum, mixed_volume, translate
 from afkit.ineqcheck import homothety_ratio
 
@@ -24,6 +32,7 @@ from oracles import (
     dilate_fraction,
     extreme_points_bruteforce,
     homothety_ratio_fraction,
+    mixed_volume_polarized,
     translate_fraction,
 )
 
@@ -187,3 +196,67 @@ def test_mismatched_vertex_counts_have_no_ratio(case):
     assume(len(k.vertices) != len(l.vertices))
     want = 0 if len(l.vertices) == 1 else None
     assert homothety_ratio(k, l) == homothety_ratio_fraction(k, l) == want
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(shaped_body(d), vectors(d))),
+    st.just(Fraction(0)) | positive_rats,
+    st.integers(2, 3),
+)
+def test_images_without_a_hull_equal_the_hull_built_body(case, lam, c):
+    # a positive dilation, a shift and the memo's multiple c K keep the
+    # sorted extreme grid, so they skip the hull; lam = 0 is one point
+    k, t = case
+    images = [
+        (dilate(k, lam), [tuple(lam * x for x in v) for v in k.vertices]),
+        (translate(k, t), [tuple(x + y for x, y in zip(v, t)) for v in k.vertices]),
+        (convexvol._sum_memo(((k, c),), 10**6), [tuple(c * x for x in v) for v in k.vertices]),
+    ]
+    for got, points in images:
+        want = Polytope(points)
+        assert got == want and hash(got) == hash(want)
+        assert (got._volume, got._normals) == (want._volume, want._normals)
+        assert_canonical(got)
+
+
+@st.composite
+def mixed_tuples(draw, d, layout):
+    """d bodies of dimension d, repeats allowed, drawn from a pool of a
+    free body and d - 1 more laid out freely, in parallel hyperplanes
+    n . x = c (a flat rest sum) or as parallel segments and points (a
+    lower-dimensional one)."""
+    normal = draw(st.tuples(st.integers(1, 3), *[st.integers(-2, 2)] * (d - 1)))
+    direction = draw(vectors(d).filter(any))
+    size = {1: 3, 2: 5, 3: 4, 4: 3}[d]
+
+    def body(kind):
+        if kind == "collinear":
+            a, lam = draw(vectors(d)), draw(rats)
+            return Polytope([a, tuple(x + lam * y for x, y in zip(a, direction))])
+        count = size if kind == "flat" else draw(st.sampled_from([size, size, 1]))
+        cloud = draw(st.lists(vectors(d), min_size=count, max_size=count))
+        if kind == "flat":
+            c = draw(rats)
+            cloud = [
+                ((c - sum(n * x for n, x in zip(normal[1:], pt[1:]))) / normal[0],) + pt[1:]
+                for pt in cloud
+            ]
+        return Polytope(cloud)
+
+    pool = [body("free")] + [body(layout) for _ in range(d - 1)]
+    if draw(st.booleans()):
+        return pool
+    return [pool[i] for i in draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))]
+
+
+@pytest.mark.parametrize("layout", ["free", "flat", "collinear"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(data=st.data())
+def test_mixed_volume_matches_the_polarized_oracle_in_every_order(d, layout, data):
+    bodies = data.draw(mixed_tuples(d, layout))
+    want = mixed_volume_polarized(bodies)
+    assert want >= 0
+    for order in set(permutations(bodies)):
+        assert V(list(order)) == want

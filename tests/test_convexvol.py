@@ -34,6 +34,7 @@ from oracles import (
     permanent,
     real_det,
     shoelace_area,
+    truncated_simplex_mixed_volume,
 )
 
 F = Fraction
@@ -263,6 +264,22 @@ def test_mixed_volume_segments_match_det():
     assert mixed_volume(degenerate) == 0
 
 
+def truncated_simplex(d, a, b):
+    """T(A, B) = {x >= 0, B <= sum x <= A}: the corners A e_i and B e_i."""
+    corners = [tuple(c if j == i else 0 for j in range(d)) for c in (a, b) for i in range(d)]
+    return convex_hull(corners)
+
+
+def test_mixed_volume_of_truncated_simplices_is_the_closed_form():
+    # (prod A_i - prod B_i) / d!, including B = 0 (a simplex) and B = A,
+    # a flat body whose facet normals are u and -u
+    shapes = [(6, 2), (6, 3), (5, 1), (5, 0), (2, 2), (F(7, 2), F(1, 3))]
+    for d in (2, 3):
+        for pairs in itertools.product(shapes, repeat=d):
+            t = BodyTuple([truncated_simplex(d, a, b) for a, b in pairs])
+            assert mixed_volume(t) == truncated_simplex_mixed_volume(pairs)
+
+
 def test_mixed_volume_symmetric_d3():
     rng = random.Random(107)
     bodies = [convex_hull(rand_cloud(rng, 3, 5, bound=3, denom=1)) for _ in range(3)]
@@ -299,10 +316,22 @@ def test_mixed_volume_nonnegative():
 
 
 def test_mixed_volume_budget():
+    # V(K, L, M) builds L + M, and the budget bounds it before it is built
     rng = random.Random(131)
-    bodies = [convex_hull(rand_cloud(rng, 2, 8, bound=9, denom=1)) for _ in range(2)]
+    bodies = [convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)]
     with pytest.raises(SizeLimitError):
         mixed_volume(BodyTuple(bodies), budget=3)
+
+
+def test_a_pair_builds_no_sum_under_any_budget():
+    # V(K, L) reads the facet normals of L alone, so no Minkowski sum is
+    # materialized and the budget has nothing to bound
+    rng = random.Random(131)
+    for _ in range(5):
+        kp, lp = (rand_cloud(rng, 2, 8, bound=9, denom=1) for _ in range(2))
+        want = (polygon_area(pointwise_sums(kp, lp)) - polygon_area(kp) - polygon_area(lp)) / 2
+        t = BodyTuple([convex_hull(kp), convex_hull(lp)])
+        assert mixed_volume(t, budget=3) == want == mixed_volume(t)
 
 
 def polygon_area(pts):
@@ -343,7 +372,7 @@ def test_mixed_volume_repeated_body_order_free_d3():
 
 def test_memo_keys_on_the_budget():
     rng = random.Random(167)
-    t = BodyTuple([convex_hull(rand_cloud(rng, 2, 8, bound=9, denom=1)) for _ in range(2)])
+    t = BodyTuple([convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)])
     value = mixed_volume(t)
     with pytest.raises(SizeLimitError):
         mixed_volume(t, budget=3)
@@ -370,21 +399,22 @@ def test_memo_separates_translated_and_dilated_copies():
 
 
 def test_memo_stays_bounded():
-    assert convexvol._SUM_MEMO_SIZE >= 23  # one d = 4 pair check
+    assert convexvol._SUM_MEMO_SIZE >= 23
     rng = random.Random(179)
     for _ in range(2 * convexvol._SUM_MEMO_SIZE):
-        k, l = (convex_hull(rand_cloud(rng, 2, 5)) for _ in range(2))
-        af_gap_volume(k, l)
+        k, l, m = (convex_hull(rand_cloud(rng, 3, 5)) for _ in range(3))
+        af_gap_volume(k, l, [m])  # builds L + M and K + M
         assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
     assert convexvol._sum_memo.cache_info().currsize == convexvol._SUM_MEMO_SIZE
 
 
 def test_memo_shared_across_threads():
     # slightly more sums than the memo holds, drawn at random by more
-    # threads than cores: lookups keep racing evictions of the same keys
+    # threads than cores: lookups keep racing evictions of the same keys.
+    # Each tuple's last two bodies are segments, whose sum is built once
     rng = random.Random(181)
     tuples = [
-        BodyTuple([convex_hull(rand_cloud(rng, 2, 3)) for _ in range(2)])
+        BodyTuple([convex_hull(rand_cloud(rng, 3, n)) for n in (3, 2, 2)])
         for _ in range(convexvol._SUM_MEMO_SIZE + 3)
     ]
     want = [mixed_volume(t) for t in tuples]
@@ -500,7 +530,7 @@ def test_only_the_constructor_clears_a_polytope():
     assert clears == {("convexvol", "Polytope.__init__")}
     assert grid_readers == {"convexvol"}
     assert slots is not None and "vertices" not in slots
-    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_hash"}
+    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_normals", "_hash"}
 
 
 def test_only_jsonio_reads_the_vertices_view():
