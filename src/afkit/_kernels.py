@@ -16,6 +16,13 @@ trailing matrices first, and the layer after them comes from a small
 memo keyed by their multiset, so the values and adjugates that share
 fixed matrices build that layer once. It is the only cache of the
 matrix engine: finished values and adjugates are not kept.
+
+A layer whose grids are all Hermitian is mirrored: F_t(C, R) is the
+conjugate of F_t(R, C), so each such layer pulls only the states with
+the column mask at or after the row mask and writes the conjugate into
+the swapped state. Whether to mirror is read off the grids themselves,
+one check per added grid; a non-Hermitian grid turns it off for every
+layer after it, a cached rest layer included.
 """
 
 from functools import lru_cache
@@ -250,30 +257,44 @@ def _signed_rows(grid):
     return re, im
 
 
+def _is_hermitian(grid):
+    """Whether the grid equals its conjugate transpose."""
+    return all(
+        grid[r][c] == (grid[c][r][0], -grid[c][r][1])
+        for r in range(len(grid)) for c in range(r, len(grid))
+    )
+
+
 def _add_matrix(layer, grid, n):
     """The DP layer after one more n x n grid A.
 
-    A layer maps each row mask R of its count t to (re, im) lists
-    indexed by column mask C: F_t(R, C), the signed sum over the ways to
-    give each of its t matrices its own row in R and column in C. Each
-    state of the next layer is pulled from its predecessors,
+    A layer is a pair (states, hermitian). states maps each row mask R
+    of its count t to (re, im) lists indexed by column mask C: F_t(R, C),
+    the signed sum over the ways to give each of its t matrices its own
+    row in R and column in C; hermitian says that all t are Hermitian.
+    Each state of the next layer is pulled from its predecessors,
 
         F_(t+1)(R, C) = sum_(r in R, c in C) (-1)^(#(R above r) + #(C above c))
                         A[r][c] F_t(R - r, C - c),
 
     the signs accumulating sign(rho) sign(gamma); both parities are
-    read off `_signed_rows`. A new layer never shares a list with the old.
+    read off `_signed_rows`. If A and the grids behind the layer are
+    all Hermitian, F_(t+1)(C, R) = conj F_(t+1)(R, C): then only the
+    states with C at or after R in `by_count` order are pulled, and each
+    is written to (C, R) conjugated in the same step. A new layer never
+    shares a list with the old.
     """
+    states, hermitian = layer
+    mirror = hermitian and _is_hermitian(grid)
     by_count, members = _mask_tables(n)
-    masks = by_count[next(iter(layer)).bit_count() + 1]
+    masks = by_count[next(iter(states)).bit_count() + 1]
     sre, sim = _signed_rows(grid)
     size = 1 << n
-    nxt = {}
-    for rmask in masks:
-        srcs = [(*layer[pr], sre[k], sim[k]) for pr, k in members[rmask]]
-        re = [0] * size
-        im = [0] * size
-        for cmask in masks:
+    nxt = {rmask: ([0] * size, [0] * size) for rmask in masks}
+    for i, rmask in enumerate(masks):
+        srcs = [(*states[pr], sre[k], sim[k]) for pr, k in members[rmask]]
+        re, im = nxt[rmask]
+        for cmask in masks[i:] if mirror else masks:
             cols = members[cmask]
             tr = ti = 0
             for pre, pim, gre, gim in srcs:
@@ -284,8 +305,11 @@ def _add_matrix(layer, grid, n):
                     ti += fr * ei + fi * er
             re[cmask] = tr
             im[cmask] = ti
-        nxt[rmask] = (re, im)
-    return nxt
+            if mirror:
+                mre, mim = nxt[cmask]
+                mre[rmask] = tr
+                mim[rmask] = -ti
+    return nxt, mirror
 
 
 @lru_cache(maxsize=_REST_LAYER_MEMO_SIZE)
@@ -293,18 +317,18 @@ def _rest_layer(n, grids):
     """The layer after the grids, from the empty one. F_t is symmetric
     in its matrices, so the caller passes the multiset sorted; cached
     layers are shared and never mutated."""
-    layer = {0: ([1] + [0] * ((1 << n) - 1), [0] * (1 << n))}
+    layer = ({0: ([1] + [0] * ((1 << n) - 1), [0] * (1 << n))}, True)
     for g in grids:
         layer = _add_matrix(layer, g, n)
     return layer
 
 
 def _layer_after(n, rest, lead):
-    """The layer after the rest grids, from the memo, then the lead ones."""
+    """The states after the rest grids, from the memo, then the lead ones."""
     layer = _rest_layer(n, tuple(sorted(rest)))
     for g in lead:
         layer = _add_matrix(layer, g, n)
-    return layer
+    return layer[0]
 
 
 def mixed_perm_sum(mats):

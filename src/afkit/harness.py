@@ -288,7 +288,7 @@ def _run_torus(cfg, rng, kind, record):
         "report": jsonio.gap_report_to_json(fold.report),
         "adjugates_proportional": fold.adjugates_proportional,
     }
-    # last, so the KT rests cannot evict the pair's rest layer before the fold
+    # the KT values come from determinants alone and read no rest layer
     record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
     return pair.report.gap, pair.report.equality, True
 

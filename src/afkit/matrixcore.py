@@ -175,9 +175,22 @@ class HermMat(GenMat):
 
     @classmethod
     def from_gram(cls, g: GenMat) -> "HermMat":
-        """The Gram matrix G G*, Hermitian and positive semi-definite."""
-        p = g @ g.conj_transpose()
-        return cls._of_grid(p._rows, p._den)
+        """The Gram matrix G G*, Hermitian and positive semi-definite.
+
+        Entry (i, j) is sum_k G[i][k] conj(G[j][k]); the upper triangle
+        is taken on the grid and mirrored.
+        """
+        rows, n = g._rows, g.n
+        grid = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                re = im = 0
+                for (ar, ai), (br, bi) in zip(rows[i], rows[j]):
+                    re += ar * br + ai * bi
+                    im += ai * br - ar * bi
+                grid[i][j] = (re, im)
+                grid[j][i] = (re, -im)
+        return cls._of_grid(tuple(map(tuple, grid)), g._den * g._den)
 
     def scale(self, c) -> "HermMat":
         z = _as_gauss(c)

@@ -11,14 +11,15 @@ adjugate, the matrix of discriminants against single-entry basis
 matrices, read off one layer of the same DP. Neither keeps finished
 values: the DP takes the fixed matrices last, and the kernels' rest-layer
 memo holds the layer after them, so the values and adjugates that share
-them build it once.
+them build it once. The values D(A^[m], B^[n-m]) of a pair, m = 0..n,
+come together from the n + 1 determinants of the pencil x A + B.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from ._kernels import (
@@ -123,6 +124,46 @@ def _discriminant_auto(t: MatTuple) -> GaussRat:
     if t.n > PERMUTATION_ROUTE_MAX_N:
         return mixed_discriminant_polarized(t)
     return mixed_discriminant(t)
+
+
+def _pencil_discriminants(a: HermMat, b: HermMat) -> list:
+    """D(a^[m], b^[n-m]) for m = 0..n, from n + 1 determinants.
+
+    p(x) = det(x a + b) = sum_m C(n, m) D(a^[m], b^[n-m]) x^m. Over the
+    common denominator, p(0), ..., p(n) are integer determinants
+    (`gauss_det`); their forward differences give p in the falling
+    factorial basis, p(x) = sum_k Delta^k p(0) / k! x(x-1)...(x-k+1),
+    which nested multiplication turns into monomial coefficients, all
+    exact. x a + b is Hermitian for real x, so a non-real p(x) raises
+    `InvariantViolationError`.
+    """
+    if a.n != b.n:
+        raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
+    n = a.n
+    den = lcm(a._den, b._den)
+    s, t = den // a._den, den // b._den
+    diffs = []
+    for x in range(n + 1):
+        u = x * s
+        re, im = gauss_det([
+            [(u * ar + t * br, u * ai + t * bi) for (ar, ai), (br, bi) in zip(ra, rb)]
+            for ra, rb in zip(a._rows, b._rows)
+        ])
+        if im:
+            raise InvariantViolationError("det(x a + b) of Hermitian matrices must be real")
+        diffs.append(re)
+    for k in range(1, n + 1):
+        for x in range(n, k - 1, -1):
+            diffs[x] -= diffs[x - 1]
+    # p = a_0 + x (a_1 + (x - 1) (a_2 + ...)), a_k = Delta^k p(0) / k!,
+    # coefficients lowest first
+    coeffs = []
+    for k in range(n, -1, -1):
+        shifted = [0] + coeffs
+        coeffs = [c - k * d for c, d in zip(shifted, coeffs + [0])]
+        coeffs[0] += Fraction(diffs[k], factorial(k))
+    scale = den ** n
+    return [c / (comb(n, m) * scale) for m, c in enumerate(coeffs)]
 
 
 def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:

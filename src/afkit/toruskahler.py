@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ineqcheck import GapReport, _check_hermitian, _fold_gap
 from .matrixcore import HermMat, principal_minor_sums, proportional
-from .mixdisc import MatTuple, _discriminant_auto, mixed_adjugate
+from .mixdisc import MatTuple, _discriminant_auto, _pencil_discriminants, mixed_adjugate
 from .rationals import Rat
 
 
@@ -103,14 +103,19 @@ def af_gap_torus(
 def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
     """Khovanskii-Teissier numbers s_m = g1^m g2^(n-m) for m = 0..n.
 
-    Both classes must be nef. Log-concavity of the sequence,
+    Both classes must be nef. The whole sequence comes from one
+    determinant pencil: det(x A_1 + A_2) = sum_m C(n, m) D(A_1^[m],
+    A_2^[n-m]) x^m, so the n + 1 determinants at x = 0..n fix every
+    s_m = n! 2^n D(A_1^[m], A_2^[n-m]) exactly, at any n
+    (`mixdisc._pencil_discriminants`). Log-concavity of the sequence,
     s_m^2 >= s_(m-1) s_(m+1), is asserted before returning.
     """
     _check_classes([g1, g2])
     if not (g1.nef and g2.nef):
         raise HypothesisError("Khovanskii-Teissier needs nef classes")
     n = g1.mat.n
-    seq = [_inum([g1.mat] * m + [g2.mat] * (n - m)) for m in range(n + 1)]
+    scale = math.factorial(n) * 2 ** n
+    seq = [scale * d for d in _pencil_discriminants(g1.mat, g2.mat)]
     for m in range(1, n):
         if seq[m] ** 2 < seq[m - 1] * seq[m + 1]:
             raise InvariantViolationError(

@@ -10,9 +10,10 @@ for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
 GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
 the Fraction-vertex homothety test, translation and dilation, the
-polarized mixed volume, which keeps `_polarize` for its signed sum, and
-the dict-keyed permutation-sum DP. Slow is fine; these exist to catch
-bugs in the fast code.
+polarized mixed volume, which keeps `_polarize` for its signed sum, the
+dict-keyed permutation-sum DP, and the Khovanskii-Teissier sequence one
+intersection number at a time. Slow is fine; these exist to catch bugs
+in the fast code.
 """
 
 from collections import Counter
@@ -33,6 +34,7 @@ from afkit.errors import DimensionMismatchError
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
 from afkit.rationals import GaussRat, as_rat
+from afkit.toruskahler import intersection_number
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -196,6 +198,13 @@ def adjugate_sum_dict(mats):
             row.append((-re, -im) if (j + k) & 1 else (re, im))
         out.append(tuple(row))
     return tuple(out)
+
+
+def kt_sequence_reference(g1, g2):
+    """s_m = g1^m g2^(n-m), m = 0..n, each its own intersection number
+    (the DP up to n = 6, polarization above, det A for A^[n])."""
+    n = g1.mat.n
+    return [intersection_number([g1] * m + [g2] * (n - m)) for m in range(n + 1)]
 
 
 def principal_minor_sums_subsets(rows):

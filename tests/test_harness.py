@@ -473,10 +473,11 @@ def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
     assert (len(calls), info.misses, info.hits) == (9, 6, 3)
 
 
-@pytest.mark.parametrize("n, misses", [(6, 21), (5, 18)])
-def test_torus_fold_reads_the_pair_layer_before_the_kt_rests(n, misses):
-    # the KT values come last, so at n = 6 their four rests cannot evict
-    # the pair's layer from the 4-entry memo before the m = 3 fold reads it
+@pytest.mark.parametrize("n, misses", [(6, 9), (5, 9)])
+def test_torus_instance_builds_only_its_fold_rests(n, misses):
+    # the m = 3 fold reads three rests, g_i + tail for i < 3, the pair's
+    # among them; the KT values come from determinants and build no
+    # layer, so each of the three instances builds three
     _kernels._rest_layer.cache_clear()
     run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
     assert run.summary["failures"] == 0

@@ -5,7 +5,10 @@ literal permutation-sum and minor-expansion oracles for n = 1..5, and
 against the former dict-keyed DP at n = 6, on grids with entries in
 {-1, 0, 1} for both parts, zero columns, singular and repeated matrices,
 alone and in call sequences that share their trailing grids, through a
-cold and a warm rest-layer memo. Draws are derandomized and bounded.
+cold and a warm rest-layer memo. Hermitian tuples, which the kernels
+mirror, are checked against the same unmirrored oracles, as are tuples
+that mix Hermitian and non-Hermitian grids, in the rest or in the lead.
+Draws are derandomized and bounded.
 """
 
 from math import factorial
@@ -124,3 +127,79 @@ def test_calls_sharing_a_rest_match_the_oracles(n, data):
             assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
     # one build per distinct rest multiset: the rest again is a hit
     assert _kernels._rest_layer.cache_info().misses == (1 if sorted(rest) == sorted(other) else 2)
+
+
+@st.composite
+def hermitian_grids(draw, n, count):
+    """count n x n Hermitian grids with parts in {-1, 0, 1}: a real
+    diagonal, the upper triangle drawn and the lower its conjugate."""
+    mats = []
+    for _ in range(count):
+        grid = [[None] * n for _ in range(n)]
+        for r in range(n):
+            grid[r][r] = (draw(unit), 0)
+            for c in range(r + 1, n):
+                re, im = draw(entry)
+                grid[r][c], grid[c][r] = (re, im), (re, -im)
+        mats.append(tuple(map(tuple, grid)))
+    return mats
+
+
+def with_entry(grid, r, c, z):
+    """The grid with entry (r, c) replaced by z."""
+    return tuple(
+        tuple(z if (i, j) == (r, c) else x for j, x in enumerate(row))
+        for i, row in enumerate(grid)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_hermitian_tuples_match_the_unmirrored_oracles(n, data):
+    mats = data.draw(hermitian_grids(n, n))
+    _kernels._rest_layer.cache_clear()
+    assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+    assert mixed_adjugate_sum(mats[1:]) == reference_adjugate_sum(mats[1:])
+    # both rests were built mirrored
+    assert all(_kernels._rest_layer(n, tuple(sorted(rest)))[1] for rest in (mats[2:], mats[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_non_hermitian_lead_after_a_cached_hermitian_rest(n, data):
+    """A Hermitian rest is built mirrored and cached under Hermitian
+    leads, then read again, by both kernels, under leads holding a grid
+    with a non-real diagonal entry, first or second: no layer after that
+    grid may mirror."""
+    herm = data.draw(hermitian_grids(n, n))
+    lead, tail = herm[:2], herm[2:]
+    odd = with_entry(lead[0], 0, 0, (1, 1))
+    _kernels._rest_layer.cache_clear()
+    for pair in (lead, [odd, lead[1]], [lead[1], odd]):
+        mats = pair + data.draw(st.permutations(tail))
+        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+    for first in (lead[0], odd):
+        part = [first] + data.draw(st.permutations(tail))
+        assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+    info = _kernels._rest_layer.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_grid_hermitian_but_for_one_entry(n, data):
+    """One grid of a Hermitian tuple gets one off-diagonal entry that
+    the entry across the diagonal no longer matches. It sits in any
+    slot, so in the lead or in the rest, after some mirrored layers."""
+    mats = data.draw(hermitian_grids(n, n))
+    slot = data.draw(st.integers(0, n - 1))
+    r, c = data.draw(st.permutations(range(n)))[:2]
+    re, im = mats[slot][r][c]
+    mats[slot] = with_entry(mats[slot], r, c, (re, im + data.draw(st.sampled_from((-1, 1)))))
+    _kernels._rest_layer.cache_clear()
+    assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+    part = [m for i, m in enumerate(mats) if i != (slot + 1) % n]
+    assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)

@@ -109,6 +109,14 @@ def test_hermitian_results_stay_hermitian(pair, q):
 
 
 @SETTINGS
+@given(gen_mats())
+def test_gram_is_the_matrix_times_its_conjugate_transpose(g):
+    a = HermMat.from_gram(g)
+    assert isinstance(a, HermMat)
+    assert_entries(a, [list(row) for row in (g @ g.conj_transpose()).entries])
+
+
+@SETTINGS
 @given(gen_mats(), nonzero_rats)
 def test_the_grid_is_canonical(a, q):
     assert_canonical(a)

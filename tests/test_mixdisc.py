@@ -436,9 +436,9 @@ def test_rest_layer_memo_shared_across_threads():
     # r = 3: the 10 Gram entries D(K_i, K_j, rest)
     pytest.param("shephard", 6, 10, 0, 1, id="shephard-6-10-0"),
     # the pair's three values and W(g1, rest), W(g2, rest), whose rest the
-    # m = 2 fold shares, then the KT values D(g1^[m], g2^[5 - m]), m = 1..4,
-    # over three more rests; D(g1^[5]) and D(g2^[5]) are determinants
-    pytest.param("torus", 5, 7, 2, 4, id="torus-5-7-2"),
+    # m = 2 fold shares; the KT values come from the determinant pencil
+    # det(x g1 + g2) and run no DP
+    pytest.param("torus", 5, 3, 2, 1, id="torus-5-3-2"),
     # the pair's three values, which the m = 2 fold shares
     pytest.param("discriminant", 6, 3, 0, 1, id="discriminant-6-3-0"),
 ])

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from afkit.errors import DimensionMismatchError, HypothesisError, NotBigError
+from afkit import mixdisc
+from afkit.errors import (
+    DimensionMismatchError,
+    HypothesisError,
+    InvariantViolationError,
+    NotBigError,
+)
 from afkit.ineqcheck import af_gap_discriminant
 from afkit.matrixcore import proportional
 from afkit.mixdisc import MatTuple, mixed_adjugate, mixed_discriminant
@@ -25,7 +31,8 @@ from afkit.toruskahler import (
     kt_sequence,
 )
 
-from support import diag, gen, identity, rand_pd, rand_psd
+from oracles import kt_sequence_reference
+from support import diag, gen, gen_psd_singular, identity, rand_pd, rand_psd
 
 F = Fraction
 
@@ -132,6 +139,38 @@ def test_kt_log_concavity_sweep():
 def test_kt_requires_nef():
     with pytest.raises(HypothesisError):
         kt_sequence(tc(diag(1, -1)), tc(identity(2)))
+
+
+def test_kt_needs_one_dimension():
+    with pytest.raises(DimensionMismatchError):
+        kt_sequence(tc(identity(2)), tc(identity(3)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kt_pencil_matches_the_per_m_reference(n):
+    """Generic pairs over different denominators, proportional pairs,
+    equal classes and singular nef classes, past the DP cap at n = 7, 8."""
+    rng = random.Random(337 + n)
+    g1 = tc(rand_psd(rng, n, bound=2))
+    g2 = tc(rand_pd(rng, n, bound=2).scale(F(2, 5)))
+    s1, s2 = tc(gen_psd_singular(n, n, 2)), tc(gen_psd_singular(50 + n, n, 2))
+    pairs = [
+        (g1, g2),
+        (g2, tc(g2.mat.scale(F(7, 3)))),
+        (g1, g1),
+        (s1, g2),
+        (s1, s2),
+    ]
+    for a, b in pairs:
+        assert kt_sequence(a, b) == kt_sequence_reference(a, b)
+    assert kt_sequence(s1, s2)[-1] == 0
+
+
+def test_kt_non_real_pencil_determinant_raises(monkeypatch):
+    det = mixdisc.gauss_det
+    monkeypatch.setattr(mixdisc, "gauss_det", lambda rows: (det(rows)[0], 1))
+    with pytest.raises(InvariantViolationError):
+        kt_sequence(tc(diag(1, 2)), tc(identity(2)))
 
 
 def test_equality_pair_proportional_classes():
