@@ -29,6 +29,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
 
+from .errors import DimensionMismatchError, _expect
+from .rationals import as_rat
+
 _GZERO = (0, 0)
 
 
@@ -56,6 +59,19 @@ def _polarize(mults, value):
             term = prod(map(comb, mults, k)) * value(k)
             total += -term if (d - sum(k)) & 1 else term
     return total
+
+
+def _expansion_args(items, lambdas, cls, nouns):
+    """Both expansion checks' arguments: nonempty cls items, named by `nouns`,
+    one per coefficient, made rational; mixed dimensions fail in the sum."""
+    items = list(items)
+    one, many = nouns
+    if not items:
+        raise ValueError(f"need at least one {one}")
+    _expect(items, cls, f"a {one}")
+    if len(lambdas) != len(items):
+        raise DimensionMismatchError(f"{len(items)} {many} but {len(lambdas)} coefficients")
+    return items, [as_rat(l) for l in lambdas]
 
 
 def _multinomial_expansion(items, lams, d, mixed):

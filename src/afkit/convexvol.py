@@ -27,8 +27,8 @@ from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
 
-from ._kernels import _multinomial_expansion, int_det
-from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
+from ._kernels import _expansion_args, _multinomial_expansion, int_det
+from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError, _expect
 from .rationals import Rat, as_rat
 
 MAX_DIMENSION = 4
@@ -368,9 +368,7 @@ class BodyTuple:
         bodies = tuple(bodies)
         if not bodies:
             raise ValueError("body tuple must not be empty")
-        for b in bodies:
-            if not isinstance(b, Polytope):
-                raise TypeError(f"expected a Polytope, got {type(b).__name__}")
+        _expect(bodies, Polytope, "a Polytope")
         d = bodies[0].dim
         if len(bodies) != d or any(b.dim != d for b in bodies):
             raise DimensionMismatchError(
@@ -517,6 +515,7 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     the module memo; the budget bounds every pairwise vertex product, in
     S and in the face sums below it, before it is materialized.
     """
+    _expect([t], BodyTuple, "a body tuple")
     den = lcm(*(b._den for b in t.bodies))
     grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in t.bodies]
     counts = Counter(t.bodies[1:])
@@ -535,17 +534,7 @@ def minkowski_expansion_check(bodies: Sequence[Polytope], lambdas) -> bool:
     weighting V(K_1 repeated r_1, ..., K_m repeated r_m) by the
     multinomial coefficient and the monomial in the lambdas.
     """
-    bodies = list(bodies)
-    if not bodies:
-        raise ValueError("need at least one body")
-    if len(lambdas) != len(bodies):
-        raise DimensionMismatchError(
-            f"{len(bodies)} bodies but {len(lambdas)} coefficients"
-        )
-    d = bodies[0].dim
-    if any(b.dim != d for b in bodies):
-        raise DimensionMismatchError("bodies must share one dimension")
-    lams = [as_rat(l) for l in lambdas]
+    bodies, lams = _expansion_args(bodies, lambdas, Polytope, ("body", "bodies"))
     if any(l < 0 for l in lams):
         raise ValueError("expansion requires nonnegative coefficients")
 
@@ -553,5 +542,5 @@ def minkowski_expansion_check(bodies: Sequence[Polytope], lambdas) -> bool:
     for b, lam in zip(bodies[1:], lams[1:]):
         combo = minkowski_sum(combo, dilate(b, lam))
     return volume(combo) == _multinomial_expansion(
-        bodies, lams, d, lambda rep: mixed_volume(BodyTuple(rep))
+        bodies, lams, bodies[0].dim, lambda rep: mixed_volume(BodyTuple(rep))
     )

@@ -33,3 +33,10 @@ class NotBigError(HypothesisError):
 
 class InvariantViolationError(AfkitError):
     """A mathematically guaranteed conclusion failed; internal bug."""
+
+
+def _expect(items, cls, what) -> None:
+    """Raise TypeError unless every item is a cls; `what` names one, article included."""
+    for x in items:
+        if not isinstance(x, cls):
+            raise TypeError(f"expected {what}, got {type(x).__name__}")

@@ -5,7 +5,9 @@ and equality verdicts are exact comparisons. Floating point enters in
 exactly one place: the m-th roots of the concavity samples, which both
 engines form exactly from a pair's m+1 mixed values. There is one gap
 check, the m-fold one, shared with the torus verdicts; the pair check is
-its case m = 2.
+its case m = 2. The shared cores hold the argument checks as well: the
+fold checks m, `_bm_shape` the samplers' m and rest length, and a wrong
+type raises TypeError (`errors._expect`) at every front door.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     InvariantViolationError,
     NotBigError,
     SizeLimitError,
+    _expect,
 )
 from .matrixcore import HermMat, is_psd, principal_minor_sums, proportional
 from .mixdisc import MatTuple, _discriminant_auto
@@ -78,29 +81,16 @@ def gap_report(lhs, rhs, certificate, characterized, context) -> GapReport:
     return GapReport(lhs, rhs, gap, gap == 0, certificate, characterized)
 
 
-def _check_hermitian(mats) -> None:
-    for m in mats:
-        if not isinstance(m, HermMat):
-            raise TypeError(f"expected a Hermitian matrix, got {type(m).__name__}")
-
-
-def _check_bodies(bodies) -> None:
-    for b in bodies:
-        if not isinstance(b, Polytope):
-            raise TypeError(f"expected a Polytope, got {type(b).__name__}")
-    if len({b.dim for b in bodies}) > 1:
-        raise DimensionMismatchError(
-            f"bodies must share one dimension, got {[b.dim for b in bodies]}"
-        )
-
-
 def _fold_gap(value, ratio, items, m, characterized, context) -> GapReport:
     """V(items)^m against prod_{i<m} V(items_i repeated m, items[m:]).
 
     The certificate is ratio(items[0], items[1]) when every items[i],
-    i < m, has a ratio to items[0]. The pair check is m = 2.
+    i < m, has a ratio to items[0]. The pair check is m = 2. Every fold
+    checks its m here; the value checks the shape of the tuple.
     """
     items = list(items)
+    if not 2 <= m <= len(items):
+        raise ValueError(f"m must lie in [2, {len(items)}], got {m}")
     tail = items[m:]
     lhs = value(items) ** m
     rhs = 1
@@ -135,7 +125,7 @@ def af_gap_discriminant(a: HermMat, b: HermMat, rest: Sequence[HermMat] = ()) ->
     B is a real multiple of A, and that multiple is the certificate.
     """
     rest = list(rest)
-    _check_hermitian([a, b] + rest)
+    _expect([a, b] + rest, HermMat, "a Hermitian matrix")
     psd, characterized = _definiteness([a] + rest)
     if not psd:
         raise HypothesisError(
@@ -155,10 +145,8 @@ def af_m_fold_discriminant(t: MatTuple, m: int) -> GapReport:
     when A_1..A_m are pairwise proportional, and the certificate is the
     ratio of the second to the first.
     """
-    n = t.n
-    if not 2 <= m <= n:
-        raise ValueError(f"m must lie in [2, {n}], got {m}")
-    _check_hermitian(t.mats)
+    _expect([t], MatTuple, "a matrix tuple")
+    _expect(t.mats, HermMat, "a Hermitian matrix")
     psd, characterized = _definiteness(t.mats)
     if not psd:
         raise HypothesisError("m-fold AF requires positive semi-definite matrices")
@@ -174,7 +162,9 @@ def homothety_ratio(k: Polytope, l: Polytope) -> Optional[Rat]:
     lexicographic order of vertices, so the sorted vertex grids must
     match position by position.
     """
-    _check_bodies([k, l])
+    _expect([k, l], Polytope, "a Polytope")
+    if k.dim != l.dim:
+        raise DimensionMismatchError(f"body dimensions differ: {k.dim} vs {l.dim}")
     return _homothety_ratio(k, l)
 
 
@@ -191,9 +181,7 @@ def af_gap_volume(k: Polytope, l: Polytope, rest: Sequence[Polytope] = ()) -> Ga
 
 def af_m_fold_volume(t: BodyTuple, m: int) -> GapReport:
     """m-fold AF inequality for mixed volumes; see af_m_fold_discriminant."""
-    d = t.dim
-    if not 2 <= m <= d:
-        raise ValueError(f"m must lie in [2, {d}], got {m}")
+    _expect([t], BodyTuple, "a body tuple")
     return _fold_gap(_volume_value, homothety_ratio, t.bodies, m, False, "m-fold AF volume")
 
 
@@ -201,6 +189,14 @@ def _grid(grid_size: int):
     if grid_size < 3:
         raise ValueError(f"grid_size must be at least 3, got {grid_size}")
     return [Fraction(k, grid_size - 1) for k in range(grid_size)]
+
+
+def _bm_shape(n, rest, m, what) -> None:
+    """Both samplers' shape check: 1 <= m <= n and n - m fixed `what`."""
+    if not 1 <= m <= n:
+        raise ValueError(f"m must lie in [1, {n}], got {m}")
+    if len(rest) != n - m:
+        raise DimensionMismatchError(f"need {n - m} fixed {what} for m = {m}, got {len(rest)}")
 
 
 def _concavity_report(value, x0, x1, rest, m, grid_size) -> ConcavityReport:
@@ -256,14 +252,8 @@ def bm_concavity_discriminant(
     shortfall below the chord through the endpoints.
     """
     rest = list(rest)
-    _check_hermitian([a0, a1] + rest)
-    n = a0.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, {n}], got {m}")
-    if len(rest) != n - m:
-        raise DimensionMismatchError(
-            f"need {n - m} fixed matrices for m = {m}, got {len(rest)}"
-        )
+    _expect([a0, a1] + rest, HermMat, "a Hermitian matrix")
+    _bm_shape(a0.n, rest, m, "matrices")
     if not all(is_psd(x) for x in [a0, a1] + rest):
         raise HypothesisError("concavity needs positive semi-definite matrices")
     return _concavity_report(_discriminant_value, a0, a1, rest, m, grid_size)
@@ -278,14 +268,8 @@ def bm_concavity_volume(
 ) -> ConcavityReport:
     """Sample lam -> V(((1-lam)K0 + lam K1)^[m], rest)^(1/m) on [0, 1]."""
     rest = list(rest)
-    _check_bodies([k0, k1] + rest)
-    d = k0.dim
-    if not 1 <= m <= d:
-        raise ValueError(f"m must lie in [1, {d}], got {m}")
-    if len(rest) != d - m:
-        raise DimensionMismatchError(
-            f"need {d - m} fixed bodies for m = {m}, got {len(rest)}"
-        )
+    _expect([k0, k1] + rest, Polytope, "a Polytope")
+    _bm_shape(k0.dim, rest, m, "bodies")
     return _concavity_report(_volume_value, k0, k1, rest, m, grid_size)
 
 

@@ -48,6 +48,11 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _positive_int(value, field, context) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise FormatError(f"{context} field {field!r} must be a positive integer")
+
+
 def gauss_to_json(z: GaussRat) -> dict:
     return {"re": format_rat(z.re), "im": format_rat(z.im)}
 
@@ -68,8 +73,7 @@ def matrix_to_json(m: GenMat) -> dict:
 def matrix_from_json(obj, hermitian: bool = True) -> GenMat:
     n = _require(obj, "n", "matrix")
     entries = _require(obj, "entries", "matrix")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError("matrix field 'n' must be a positive integer")
+    _positive_int(n, "n", "matrix")
     if not isinstance(entries, list) or len(entries) != n:
         raise FormatError(f"matrix needs exactly {n} rows")
     rows = []
@@ -110,8 +114,7 @@ def polytope_to_json(p: Polytope) -> dict:
 def polytope_from_json(obj) -> Polytope:
     dim = _require(obj, "dim", "polytope")
     vertices = _require(obj, "vertices", "polytope")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FormatError("polytope field 'dim' must be a positive integer")
+    _positive_int(dim, "dim", "polytope")
     if not isinstance(vertices, list) or not vertices:
         raise FormatError("polytope needs a nonempty vertex list")
     points = []
@@ -144,8 +147,7 @@ def gram_to_json(g: GramTable) -> dict:
 def gram_from_json(obj) -> GramTable:
     r = _require(obj, "r", "Gram table")
     d = _require(obj, "d", "Gram table")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise FormatError("Gram table field 'r' must be a positive integer")
+    _positive_int(r, "r", "Gram table")
     if not isinstance(d, list) or len(d) != r + 1:
         raise FormatError(f"Gram table needs exactly {r + 1} rows")
     rows = []

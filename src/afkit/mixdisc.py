@@ -23,15 +23,16 @@ from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from ._kernels import (
+    _expansion_args,
     _multinomial_expansion,
     _polarize,
     gauss_det,
     mixed_adjugate_sum,
     mixed_perm_sum,
 )
-from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
+from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError, _expect
 from .matrixcore import GenMat, HermMat
-from .rationals import GaussRat, as_rat
+from .rationals import GaussRat
 
 PERMUTATION_ROUTE_MAX_N = 6
 POLARIZED_ROUTE_MAX_N = 20
@@ -46,9 +47,7 @@ class MatTuple:
         mats = tuple(mats)
         if not mats:
             raise ValueError("matrix tuple must not be empty")
-        for m in mats:
-            if not isinstance(m, GenMat):
-                raise TypeError(f"expected a matrix, got {type(m).__name__}")
+        _expect(mats, GenMat, "a matrix")
         n = mats[0].n
         if len(mats) != n or any(m.n != n for m in mats):
             raise DimensionMismatchError(
@@ -75,6 +74,7 @@ def mixed_discriminant(t: MatTuple) -> GaussRat:
     Column j of the working matrix is column j of A_sigma(j); the result
     is the determinant sum over all sigma divided by n factorial.
     """
+    _expect([t], MatTuple, "a matrix tuple")
     n = t.n
     if n > PERMUTATION_ROUTE_MAX_N:
         raise SizeLimitError(
@@ -93,6 +93,7 @@ def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
     det(sum_i k_i B_i) over 0 <= k <= r, k != 0 (`_polarize`); over the
     lcm of the B_i denominators, each sum is an integer grid.
     """
+    _expect([t], MatTuple, "a matrix tuple")
     n = t.n
     if n > POLARIZED_ROUTE_MAX_N:
         raise SizeLimitError(
@@ -173,18 +174,8 @@ def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:
     weighting D(A_1 repeated r_1, ..., A_m repeated r_m) by the
     multinomial coefficient and the monomial in the lambdas.
     """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    if len(lambdas) != len(mats):
-        raise DimensionMismatchError(
-            f"{len(mats)} matrices but {len(lambdas)} coefficients"
-        )
+    mats, lams = _expansion_args(mats, lambdas, GenMat, ("matrix", "matrices"))
     n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise DimensionMismatchError("matrices must share one dimension")
-    lams = [as_rat(l) for l in lambdas]
-
     combo = GenMat.zero(n)
     for m, lam in zip(mats, lams):
         combo = combo + m.scale(lam)
@@ -204,9 +195,7 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
     part = list(partial)
     if not part:
         raise ValueError("need at least one matrix")
-    for m in part:
-        if not isinstance(m, HermMat):
-            raise TypeError("mixed adjugate requires Hermitian inputs")
+    _expect(part, HermMat, "a Hermitian matrix")
     n = part[0].n
     if len(part) != n - 1 or any(m.n != n for m in part):
         raise DimensionMismatchError(

@@ -4,20 +4,21 @@ A Gram table collects the pairings d_ij of r+1 classes against a fixed
 background; its Shephard matrix S[i][j] = d_0i d_0j - d_00 d_ij is
 positive semi-definite whenever the table comes from an AF system. The
 determinant identity det S = (-1)^r d_00^(r-1) det(table) holds for
-every symmetric table, AF-sourced or not.
+every symmetric table, AF-sourced or not. Both Gram builders run one
+core, `_gram`, which checks their arguments and takes the engine's
+pairing: the mixed discriminant, or the torus intersection number.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Sequence
 
-from .errors import DimensionMismatchError, HypothesisError, InvariantViolationError
-from .ineqcheck import GapReport, _check_hermitian, gap_report
+from .errors import DimensionMismatchError, HypothesisError, InvariantViolationError, _expect
+from .ineqcheck import GapReport, _discriminant_value, gap_report
 from .matrixcore import GenMat, HermMat, is_psd, principal_minor_sums
-from .mixdisc import MatTuple, _discriminant_auto
 from .rationals import Rat, as_rat
+from .toruskahler import _inum
 
 
 def _symmetric_rows(entries, name, detail=""):
@@ -133,20 +134,15 @@ def r2_inequality(g: GramTable) -> GapReport:
     return gap_report(lhs, rhs, None, False, "r = 2 determinantal")
 
 
-def gram_from_discriminants(
-    classes: Sequence[HermMat], rest: Sequence[HermMat] = ()
-) -> GramTable:
-    """Gram table d_ij = D(A_i, A_j, rest) over r+1 Hermitian classes.
-
-    Positive semi-definite inputs guarantee nonnegative entries and the
-    AF conclusions; anything indefinite still yields a table but emits
-    a warning, since no conclusion is claimed for it.
-    """
+def _gram(value, classes, rest) -> GramTable:
+    """Gram table d_ij = value([A_i, A_j] + rest) over r+1 Hermitian classes,
+    for a pairing of the sign of D; both public builders run it, so its
+    indefinite-input warning names their caller (stacklevel 3)."""
     classes = list(classes)
     rest = list(rest)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    _check_hermitian(classes + rest)
+    _expect(classes + rest, HermMat, "a Hermitian matrix")
     n = classes[0].n
     if len(rest) != n - 2:
         raise DimensionMismatchError(
@@ -156,19 +152,29 @@ def gram_from_discriminants(
     if not qualified:
         warnings.warn(
             "Gram table from indefinite matrices: AF conclusions are not guaranteed",
-            stacklevel=2,
+            stacklevel=3,
         )
     size = len(classes)
     table = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            val = _discriminant_auto(MatTuple([classes[i], classes[j]] + rest)).re
+            val = value([classes[i], classes[j]] + rest)
             if qualified and val < 0:
-                raise InvariantViolationError(
-                    "negative pairing from semi-definite matrices"
-                )
+                raise InvariantViolationError("negative pairing from semi-definite matrices")
             table[i][j] = table[j][i] = val
     return GramTable(table)
+
+
+def gram_from_discriminants(
+    classes: Sequence[HermMat], rest: Sequence[HermMat] = ()
+) -> GramTable:
+    """Gram table d_ij = D(A_i, A_j, rest) over r+1 Hermitian classes.
+
+    Positive semi-definite inputs guarantee nonnegative entries and the
+    AF conclusions; anything indefinite still yields a table but emits
+    a warning, since no conclusion is claimed for it.
+    """
+    return _gram(_discriminant_value, classes, rest)
 
 
 def gram_from_torus(
@@ -179,7 +185,4 @@ def gram_from_torus(
     Proportional to gram_from_discriminants entry by entry with the
     constant n! 2^n, the normalization of the flat unit torus.
     """
-    base = gram_from_discriminants(classes, rest)
-    n = classes[0].n
-    factor = math.factorial(n) * 2 ** n
-    return GramTable([[factor * x for x in row] for row in base.d])
+    return _gram(_inum, classes, rest)

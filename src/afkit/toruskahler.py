@@ -21,8 +21,9 @@ from .errors import (
     HypothesisError,
     InvariantViolationError,
     NotBigError,
+    _expect,
 )
-from .ineqcheck import GapReport, _check_hermitian, _fold_gap
+from .ineqcheck import GapReport, _fold_gap
 from .matrixcore import HermMat, principal_minor_sums, proportional
 from .mixdisc import MatTuple, _discriminant_auto, _pencil_discriminants, mixed_adjugate
 from .rationals import Rat
@@ -34,7 +35,7 @@ class TorusClass:
     __slots__ = ("mat", "nef", "big", "kahler")
 
     def __init__(self, mat: HermMat):
-        _check_hermitian([mat])
+        _expect([mat], HermMat, "a Hermitian matrix")
         self.mat = mat
         # one pass of principal minor sums c_1..c_n, with c_n = det
         sums = principal_minor_sums(mat)
@@ -57,16 +58,13 @@ class TorusClass:
         return f"TorusClass(n={self.mat.n}, {'+'.join(flags) or 'none'})"
 
 
-def _check_classes(classes) -> None:
-    for c in classes:
-        if not isinstance(c, TorusClass):
-            raise TypeError(f"expected a TorusClass, got {type(c).__name__}")
-
-
-def _require_big(classes) -> None:
-    for c in classes:
-        if not (c.nef and c.big):
-            raise NotBigError("equality theorems need nef and big classes")
+def _big_mats(classes) -> list:
+    """The matrices of the classes, which must be nef and big."""
+    classes = list(classes)
+    _expect(classes, TorusClass, "a TorusClass")
+    if not all(c.nef and c.big for c in classes):
+        raise NotBigError("equality theorems need nef and big classes")
+    return [c.mat for c in classes]
 
 
 def _inum(mats: Sequence[HermMat]) -> Rat:
@@ -77,7 +75,7 @@ def _inum(mats: Sequence[HermMat]) -> Rat:
 def intersection_number(classes: Sequence[TorusClass]) -> Rat:
     """Integral of the wedge of n classes: n! 2^n D(A_1, ..., A_n)."""
     classes = list(classes)
-    _check_classes(classes)
+    _expect(classes, TorusClass, "a TorusClass")
     return _inum([c.mat for c in classes])
 
 
@@ -92,7 +90,7 @@ def af_gap_torus(
     the certificate.
     """
     rest = list(rest)
-    _check_classes([alpha, c] + rest)
+    _expect([alpha, c] + rest, TorusClass, "a TorusClass")
     if not (c.kahler and all(x.kahler for x in rest)):
         raise HypothesisError("the reference and fixed classes must be Kahler")
     mats = [alpha.mat, c.mat] + [x.mat for x in rest]
@@ -110,7 +108,7 @@ def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
     (`mixdisc._pencil_discriminants`). Log-concavity of the sequence,
     s_m^2 >= s_(m-1) s_(m+1), is asserted before returning.
     """
-    _check_classes([g1, g2])
+    _expect([g1, g2], TorusClass, "a TorusClass")
     if not (g1.nef and g2.nef):
         raise HypothesisError("Khovanskii-Teissier needs nef classes")
     n = g1.mat.n
@@ -156,13 +154,7 @@ def _equality_core(classes, m, context):
     """The m-fold gap report of nef and big classes, and the ratio of each
     later mixed adjugate W(g_{i_1}, ..., g_{i_(m-1)}, tail), all i_k < m,
     to the first; gap = 0 exactly when every ratio exists (asserted)."""
-    classes = list(classes)
-    _check_classes(classes)
-    _require_big(classes)
-    mats = [c.mat for c in classes]
-    n = MatTuple(mats).n
-    if not 2 <= m <= n:
-        raise ValueError(f"m must lie in [2, {n}], got {m}")
+    mats = _big_mats(classes)
     report = _fold_gap(_inum, proportional, mats, m, True, context)
     tail = mats[m:]
     adjugates = [
@@ -206,10 +198,7 @@ def equality_theorem_m(classes: Sequence[TorusClass], m: int) -> MFoldEqualityVe
 
 def equality_corollary_full(classes: Sequence[TorusClass]) -> FullEqualityVerdict:
     """Certify (g1 ... gn)^n = prod_i g_i^n iff all classes proportional."""
-    classes = list(classes)
-    _check_classes(classes)
-    _require_big(classes)
-    mats = [c.mat for c in classes]
+    mats = _big_mats(classes)
     n = MatTuple(mats).n
     if n < 2:
         raise DimensionMismatchError("the full corollary needs at least two classes")

@@ -2,7 +2,10 @@
 
 Each case runs `afkit.cli.main` and compares the SHA-256 of the stream
 and the exit code with pinned values, so a rewrite that means to keep
-the bytes is held to it. One case runs a torus fixture file.
+the bytes is held to it. Four cases run fixture files: a torus file, and
+a discriminant, a shephard and a volume file that each hold one instance
+whose record is an error or a failing witness, so the hypothesis
+messages that reach the stream are pinned too.
 The `bm --n 4 --m 1` run exits 1: a proportional instance's affine root
 function misses the default tolerance by float rounding.
 """
@@ -15,9 +18,13 @@ import json
 import pytest
 
 from afkit.cli import main
-from afkit.harness import derive_seed, gen_pd_hermitian
-from afkit.jsonio import tuple_to_json
+from afkit.convexvol import BodyTuple
+from afkit.harness import derive_seed, gen_pd_hermitian, gen_polytope
+from afkit.jsonio import body_tuple_to_json, gram_to_json, tuple_to_json
 from afkit.mixdisc import MatTuple
+from afkit.shephard import GramTable, gram_from_discriminants
+
+from support import box, diag
 
 PINS = [
     ("--mode all --n 2 --trials 4 --seed 5",
@@ -79,4 +86,40 @@ def test_torus_fixture_stream_digest(tmp_path):
     path.write_text(json.dumps([tuple_to_json(MatTuple(m)) for m in (mats, lead + mats[2:])]))
     assert stream_digest(["--mode", "torus", "--n", "5", "--in", str(path)]) == (
         "e718ed99d83584eaa044d7e4352b38ff679aa622ceaea7c59fc5b41b46641f8f", 0
+    )
+
+
+def fixture_digest(tmp_path, mode, n, items):
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(items))
+    return stream_digest(["--mode", mode, "--n", str(n), "--in", str(path)])
+
+
+def test_discriminant_fixture_with_an_indefinite_instance(tmp_path):
+    # the middle instance's first matrix is indefinite: a HypothesisError record
+    mats = [gen_pd_hermitian(derive_seed(1, i), 3) for i in range(3)]
+    tuples = [mats, [diag(1, -1, 2)] + mats[1:], mats[::-1]]
+    items = [tuple_to_json(MatTuple(t)) for t in tuples]
+    assert fixture_digest(tmp_path, "discriminant", 3, items) == (
+        "ee29b6edcc24f6f51e2ceb3370a562b2cbb2038487215ec73d356d12c3ae0e69", 1
+    )
+
+
+def test_shephard_fixture_with_a_non_psd_table(tmp_path):
+    # the identity table's Shephard matrix is -I: a psd false witness
+    mats = [gen_pd_hermitian(derive_seed(2, i), 3) for i in range(4)]
+    identity = GramTable([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    items = [gram_to_json(g) for g in (gram_from_discriminants(mats[:3], mats[3:]), identity)]
+    assert fixture_digest(tmp_path, "shephard", 3, items) == (
+        "ab0053211b9b47b6c41b764060443795526017d4b95ff1125bddb3afc2a9bf62", 1
+    )
+
+
+def test_volume_fixture_with_a_flat_body(tmp_path):
+    # the second tuple holds a square in the plane z = 0
+    bodies = [gen_polytope(derive_seed(3, i), 3, 6) for i in range(3)]
+    flat = box([2, 1, 0])
+    items = [body_tuple_to_json(BodyTuple(t)) for t in (bodies, [bodies[0], flat, bodies[2]])]
+    assert fixture_digest(tmp_path, "volume", 3, items) == (
+        "07d72baf3d98555733f6ab0b441964c64149c966de2f604579b9a82b5013bb9e", 0
     )
