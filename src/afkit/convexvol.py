@@ -3,10 +3,12 @@
 A body is stored by its extreme points only (V-representation): one
 integer grid over one denominator, cleared once at construction, on
 which hulls are built from outside sets, each step adding the farthest
-point above one facet. One hull pass per point cloud yields the extreme
-points, the exact volume (a simplex fan over the same facets) and the
-outer facet normals, which a Polytope keeps; a dilation or a shift
-carries all three over without a hull.
+point above one facet. A new facet's plane combines the two planes at
+its horizon ridge; only the first simplex takes cofactors, for every d.
+One hull pass per point cloud yields the extreme points, the exact
+volume (a simplex fan over the same facets) and the outer facet
+normals, which a Polytope keeps; a dilation or a shift carries all
+three over without a hull.
 
 Mixed volumes use the facet recursion (Schneider, Convex Bodies, 5.1):
 V(K_1, ..., K_d) sums h_{K_1}(u) times the (d-1)-dimensional mixed
@@ -88,45 +90,28 @@ def _affine_basis(ints, d):
     return idx, ech
 
 
+def _primitive(a, b):
+    """The plane a . x = b divided by the gcd of its coefficients."""
+    g = gcd(*a, b)
+    if g > 1:
+        return tuple(x // g for x in a), b // g
+    return tuple(a), b
+
+
 def _facet_plane(ints, vidx):
     """Primitive (normal, offset) of the hyperplane through d points.
 
     The normal is the cofactor vector of the d - 1 edge vectors from the
-    first point, in closed form: (e1, -e0) in the plane, the cross
-    product in space, and four 3 x 3 minors over six shared 2 x 2 ones
-    at d = 4. It is orthogonal to every edge; a zero normal would mean
-    an affinely degenerate facet, which the hull logic rules out.
+    first point: entry j is (-1)^j times the Bareiss determinant of the
+    edges without coordinate j. It is orthogonal to every edge, and zero
+    exactly when the points are affinely dependent.
     """
     base = ints[vidx[0]]
     edges = [[x - y for x, y in zip(ints[v], base)] for v in vidx[1:]]
-    if len(edges) == 1:
-        ((e0, e1),) = edges
-        normal = (e1, -e0)
-    elif len(edges) == 2:
-        (u0, u1, u2), (v0, v1, v2) = edges
-        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    else:
-        (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = edges
-        m01 = v0 * w1 - v1 * w0
-        m02 = v0 * w2 - v2 * w0
-        m03 = v0 * w3 - v3 * w0
-        m12 = v1 * w2 - v2 * w1
-        m13 = v1 * w3 - v3 * w1
-        m23 = v2 * w3 - v3 * w2
-        normal = (
-            u1 * m23 - u2 * m13 + u3 * m12,
-            u2 * m03 - u0 * m23 - u3 * m02,
-            u0 * m13 - u1 * m03 + u3 * m01,
-            u1 * m02 - u0 * m12 - u2 * m01,
-        )
+    normal = [(-1) ** j * int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(len(base))]
     if not any(normal):
         raise InvariantViolationError("degenerate facet in hull construction")
-    b = _dot(normal, base)
-    g = gcd(*normal, b)
-    if g > 1:
-        normal = tuple(x // g for x in normal)
-        b //= g
-    return normal, b
+    return _primitive(normal, _dot(normal, base))
 
 
 def _oriented(plane, cref, dplus1):
@@ -159,6 +144,14 @@ def _hull_full_dim(ints, d, basis_idx):
     is inside the new hull, since the new facets bound its tangent cone
     at the apex. The apex itself lies on every new facet, so it is
     handed to none.
+
+    Only the d + 1 facets of the initial simplex take their plane from
+    `_facet_plane`. The walk keeps the height h = a . p - b of p over
+    each facet it meets, and the facet on the horizon ridge between a
+    visible f (h_f > 0) and a hidden g (h_g <= 0) gets the plane
+    h_f (a_g, b_g) - h_g (a_f, b_f) over its gcd: it vanishes on the
+    ridge and at p, and a point beneath both facets is beneath it, so
+    it is the outward primitive plane through the new facet's points.
     """
     cref = tuple(sum(ints[i][j] for i in basis_idx) for j in range(d))
     dplus1 = d + 1
@@ -168,9 +161,9 @@ def _hull_full_dim(ints, d, basis_idx):
     pending = []  # ids whose outside set was nonempty when assigned
     ids = count()
 
-    def add(vidx):
+    def add(vidx, plane):
         fid = next(ids)
-        a, b = _oriented(_facet_plane(ints, vidx), cref, dplus1)
+        a, b = _oriented(plane, cref, dplus1)
         keys = [tuple(sorted(vidx[:i] + vidx[i + 1:])) for i in range(d)]
         facets[fid] = (a, b, vidx, keys)
         for key in keys:
@@ -189,32 +182,36 @@ def _hull_full_dim(ints, d, basis_idx):
         pending.extend(f for f in fids if outside[f])
 
     seeded = set(basis_idx)
-    simplex = [
-        add(tuple(basis_idx[i] for i in range(dplus1) if i != drop)) for drop in range(dplus1)
-    ]
+    simplex = []
+    for drop in range(dplus1):
+        vidx = tuple(basis_idx[i] for i in range(dplus1) if i != drop)
+        simplex.append(add(vidx, _facet_plane(ints, vidx)))
     assign([i for i in range(len(ints)) if i not in seeded], simplex)
     while pending:
         fid = pending.pop()
         if fid not in facets:
             continue
-        a = facets[fid][0]
+        a, b = facets[fid][:2]
         pi = max(outside[fid], key=lambda q: (_dot(a, ints[q]), -q))
         p = ints[pi]
         visible = [fid]
-        seen = {fid: True}  # facet id -> whether p lies strictly above it
-        horizon = []
+        seen = {fid: _dot(a, p) - b}  # facet id -> height of p above it
+        horizon = []  # (new facet's vertex indices, its plane)
         for f in visible:  # grows while walked
-            for key in facets[f][3]:
+            fa, fb, _, keys = facets[f]
+            hf = seen[f]
+            for key in keys:
                 g0, g1 = ridges[key]
                 g = g1 if g0 == f else g0
-                above = seen.get(g)
-                if above is None:
-                    ga, gb = facets[g][:2]
-                    above = seen[g] = _dot(ga, p) > gb
-                    if above:
+                ga, gb = facets[g][:2]
+                hg = seen.get(g)
+                if hg is None:
+                    hg = seen[g] = _dot(ga, p) - gb
+                    if hg > 0:
                         visible.append(g)
-                if not above:
-                    horizon.append(key)
+                if hg <= 0:
+                    normal = [hf * y - hg * x for x, y in zip(fa, ga)]
+                    horizon.append((key + (pi,), _primitive(normal, hf * gb - hg * fb)))
         handed = []
         for f in visible:
             handed += outside.pop(f)
@@ -223,7 +220,7 @@ def _hull_full_dim(ints, d, basis_idx):
                 through.remove(f)
                 if not through:
                     del ridges[key]
-        assign(handed, [add(key + (pi,)) for key in horizon])
+        assign(handed, [add(*new) for new in horizon])
     return [f[:3] for f in facets.values()], basis_idx[0]
 
 
@@ -251,13 +248,8 @@ def _extreme_indices(d, facets):
     return out
 
 
-def _hull(ints, d):
-    """Extreme indices and d! times the volume of an integer cloud, in one pass."""
-    return _hull_shape(ints, d)[:2]
-
-
 def _hull_shape(ints, d):
-    """`_hull` and the hull's outer normals, in one pass.
+    """Extreme indices, d! volume and outer normals of a cloud, in one pass.
 
     A full-dimensional cloud is hulled once by `_hull_full_dim`; the
     ascending extreme indices and the distinct primitive normals are
@@ -278,7 +270,7 @@ def _hull_shape(ints, d):
     if rank < d:
         flat = [tuple(p[piv] for piv, _ in ech.rows) for p in ints]
         u = _facet_plane(ints, basis_idx)[0] if rank == d - 1 else None
-        return _hull(flat, rank)[0], 0, frozenset({u, tuple(-x for x in u)} if u else ())
+        return _hull_shape(flat, rank)[0], 0, frozenset({u, tuple(-x for x in u)} if u else ())
     facets, apex = _hull_full_dim(ints, d, basis_idx)
     ap = ints[apex]
     total = 0

@@ -96,6 +96,7 @@ def tuple_to_json(t: MatTuple) -> dict:
 def tuple_from_json(obj, hermitian: bool = True) -> MatTuple:
     n = _require(obj, "n", "matrix tuple")
     mats = _require(obj, "mats", "matrix tuple")
+    _positive_int(n, "n", "matrix tuple")
     if not isinstance(mats, list):
         raise FormatError("matrix tuple field 'mats' must be a list")
     parsed = [matrix_from_json(m, hermitian) for m in mats]
@@ -132,6 +133,7 @@ def body_tuple_to_json(t: BodyTuple) -> dict:
 def body_tuple_from_json(obj) -> BodyTuple:
     dim = _require(obj, "dim", "body tuple")
     bodies = _require(obj, "bodies", "body tuple")
+    _positive_int(dim, "dim", "body tuple")
     if not isinstance(bodies, list):
         raise FormatError("body tuple field 'bodies' must be a list")
     parsed = [polytope_from_json(b) for b in bodies]

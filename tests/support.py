@@ -4,8 +4,10 @@ Unlike oracles.py, these are allowed to use the public package API; they
 only construct inputs, never compute expected answers.
 """
 
+import importlib.util
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -22,6 +24,18 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
     not DIGIT_LIMIT, reason="this interpreter has no int/str digit limit"
 )
+
+
+# the benchmark's directory; tests read its files and change nothing there
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_module(name):
+    """A module of the benchmark, loaded from its file in BENCH."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def shephard_table_past_the_digit_limit() -> dict:

@@ -1,14 +1,15 @@
 """The outside-set hull against the lexicographic insertion oracle.
 
-`_hull` must give the same extreme indices and the same d! * volume as
-`oracles.hull_insertion`, the former insertion hull, for d = 2..4 on
-random clouds, on subsets of {0,1,2}^d (heavy coplanarity), on points
-placed on the edges and facets of a few corners, and in any input order;
-points that lie on several facets without being vertices stay out.
-The facets of `_hull_full_dim` must form a closed simplicial surface
-with primitive planes that every input point satisfies, and the closed
-form normal of `_facet_plane` must equal the Bareiss cofactor vector,
-sign included. Draws are derandomized and bounded, so the suite stays
+`_hull_shape` must give the same extreme indices and the same d! *
+volume as `oracles.hull_insertion`, the former insertion hull, for
+d = 2..5 on random clouds, on subsets of {0,1,2}^d (heavy coplanarity),
+on points placed on the edges and facets of a few corners, and in any
+input order; points that lie on several facets without being vertices
+stay out. The facets of `_hull_full_dim` must form a closed simplicial
+surface with primitive planes that every input point satisfies, and
+only the initial simplex may take its planes from `_facet_plane`,
+whose plane must equal the Bareiss cofactor plane of the oracle, sign
+included. Draws are derandomized and bounded, so the suite stays
 deterministic and keeps no example database.
 """
 
@@ -22,17 +23,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit.convexvol import _affine_basis, _facet_plane, _hull, _hull_full_dim, convex_hull, volume
+from afkit import convexvol
+from afkit.convexvol import _affine_basis, _facet_plane, _hull_full_dim, _hull_shape, convex_hull, volume
 from afkit.errors import InvariantViolationError
 
 from oracles import facet_plane_minors, hull_insertion
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
-dims = st.sampled_from([2, 3, 4])
-# corners are multiples of 12, so every edge point k/12 of the way and
-# every barycenter of d corners (d <= 4) is an integer point
-SCALE = 12
+dims = st.sampled_from([2, 3, 4, 5])
+# corners are multiples of 60, so every edge point k/60 of the way and
+# every barycenter of d corners (d <= 5) is an integer point
+SCALE = 60
 
 
 def points(d, lo, hi):
@@ -79,7 +81,7 @@ def clouds(draw):
 @given(clouds())
 def test_hull_matches_the_insertion_oracle(case):
     d, pts = case
-    assert _hull(pts, d) == hull_insertion(pts, d)
+    assert _hull_shape(pts, d)[:2] == hull_insertion(pts, d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -89,7 +91,7 @@ def test_full_lattice_cube_in_shuffled_orders(d):
     for seed in range(3):
         pts = cube[:]
         Random(seed).shuffle(pts)
-        idx, vol = _hull(pts, d)
+        idx, vol = _hull_shape(pts, d)[:2]
         assert sorted(pts[i] for i in idx) == list(product((0, 2), repeat=d))
         assert (idx, vol) == hull_insertion(pts, d)
 
@@ -106,7 +108,7 @@ def test_points_on_several_facets_are_not_vertices():
     pts = corners + mids + centres
     for seed in range(3):
         Random(seed).shuffle(pts)
-        idx, vol = _hull(pts, 4)
+        idx, vol = _hull_shape(pts, 4)[:2]
         assert sorted(pts[i] for i in idx) == corners
         assert vol == 16 * 24
         assert (idx, vol) == hull_insertion(pts, 4)
@@ -139,14 +141,33 @@ def test_facets_form_a_closed_surface_of_primitive_supporting_planes(case):
 
 @SETTINGS
 @given(dims.flatmap(lambda d: st.lists(points(d, -40, 40), min_size=d, max_size=d)))
-def test_closed_form_normal_is_the_bareiss_cofactor_vector(pts):
+def test_facet_plane_is_the_signed_cofactor_plane_and_refuses_degenerate_points(pts):
     vidx = tuple(range(len(pts)))
     try:
         want = facet_plane_minors(pts, vidx)
     except ValueError:
-        # affinely dependent points: the closed form must refuse them too
+        # affinely dependent points: `_facet_plane` must refuse them too
         with pytest.raises(InvariantViolationError, match="degenerate facet"):
             _facet_plane(pts, vidx)
         return
     assert _facet_plane(pts, vidx) == want
 
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_only_the_initial_simplex_calls_facet_plane(d, monkeypatch):
+    # every later facet takes its plane from the two at its horizon ridge
+    calls = []
+
+    def counting(ints, vidx):
+        calls.append(vidx)
+        return _facet_plane(ints, vidx)
+
+    monkeypatch.setattr(convexvol, "_facet_plane", counting)
+    rng = Random(d)
+    pts = sorted({tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(40)})
+    basis_idx, ech = _affine_basis(pts, d)
+    assert ech.rank == d
+    facets, _ = _hull_full_dim(pts, d, basis_idx)
+    assert len(calls) == d + 1
+    assert len(facets) > 2 * (d + 1)

@@ -30,7 +30,7 @@ from afkit.mixdisc import MatTuple
 from afkit.rationals import GaussRat
 from afkit.shephard import GramTable
 
-from support import diag, herm, rand_herm, rand_pd
+from support import diag, herm, identity, rand_herm, rand_pd, simplex
 
 F = Fraction
 
@@ -113,6 +113,18 @@ def test_body_tuple_roundtrip():
     assert back.bodies == t.bodies
     with pytest.raises(FormatError):
         body_tuple_from_json({"dim": 2, "bodies": [polytope_to_json(k)]})
+
+
+@pytest.mark.parametrize("bad, k", [("2", 2), (True, 1), (0, 0)])
+def test_tuple_size_fields_must_be_positive_integers(bad, k):
+    # each fixture holds k items of dimension k, so only the field's type
+    # is wrong; at the 1 x 1 size `True == 1` would let a bare length check pass
+    mats = {"n": bad, "mats": [matrix_to_json(identity(k)) for _ in range(k)]}
+    bodies = {"dim": bad, "bodies": [polytope_to_json(simplex(k)) for _ in range(k)]}
+    with pytest.raises(FormatError, match="matrix tuple field 'n' must be a positive integer"):
+        tuple_from_json(mats)
+    with pytest.raises(FormatError, match="body tuple field 'dim' must be a positive integer"):
+        body_tuple_from_json(bodies)
 
 
 def test_gram_roundtrip():
