@@ -5,18 +5,23 @@ integer grid over one denominator, cleared once at construction, on
 which hulls are built from outside sets, each step adding the farthest
 point above one facet. A new facet's plane combines the two planes at
 its horizon ridge; only the first simplex takes cofactors, for every d.
-One hull pass per point cloud yields the extreme points, the exact
-volume (a simplex fan over the same facets) and the outer facet
-normals, which a Polytope keeps; a dilation or a shift carries all
-three over without a hull.
+One hull pass per point cloud yields the extreme points and the facet
+measures m_K(u) = (d-1)! vol_{d-1}(F(K, u)) / |u|, one per primitive
+outer normal u, which a Polytope keeps; the volume is d! vol(K) =
+sum_u h_K(u) m_K(u), and a dilation or a shift carries all three over
+without a hull.
 
 Mixed volumes use the facet recursion (Schneider, Convex Bodies, 5.1):
 V(K_1, ..., K_d) sums h_{K_1}(u) times the (d-1)-dimensional mixed
 volume of the faces F(K_j, u), j >= 2, over the facet normals u of
-K_2 + ... + K_d, so a value needs one Minkowski sum, kept in a bounded
-LRU memo keyed by the (body, count) multiset and the vertex budget.
-Every operation after construction works on the grid; Fractions appear
-only in the volumes handed out and in the `vertices` view JSON reads.
+K_2 + ... + K_d. Its closed-form base case is Minkowski's formula
+d! V(L, K, ..., K) = sum_u h_L(u) m_K(u): a body of least multiplicity
+leads, so a rest that repeats one body needs no sum and no recursion.
+Any other rest needs one Minkowski sum, kept in a bounded LRU memo
+keyed by the (body, count) multiset and the vertex budget. Every
+operation after construction works on the grid; Fractions appear only
+in the volumes and measures a Polytope keeps and hands out, and in the
+`vertices` view JSON reads.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import factorial, gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import Sequence
 
 from ._kernels import _expansion_args, _multinomial_expansion, int_det
@@ -129,9 +134,9 @@ def _oriented(plane, cref, dplus1):
 def _hull_full_dim(ints, d, basis_idx):
     """Hull of a full-dimensional integer point cloud by outside sets.
 
-    Returns (facets, apex index). Facets are (normal, offset, vertex
-    index tuple) triples forming a simplicial triangulation of the
-    boundary, oriented so that normal . x <= offset holds on the hull.
+    Returns the facets: (normal, offset, vertex index tuple) triples
+    forming a simplicial triangulation of the boundary, oriented so
+    that normal . x <= offset holds on the hull.
 
     Each live facet keeps the unprocessed points strictly above it, each
     point in at most one such outside set; a point above no facet is
@@ -221,7 +226,7 @@ def _hull_full_dim(ints, d, basis_idx):
                 if not through:
                     del ridges[key]
         assign(handed, [add(*new) for new in horizon])
-    return [f[:3] for f in facets.values()], basis_idx[0]
+    return [f[:3] for f in facets.values()]
 
 
 def _extreme_indices(d, facets):
@@ -248,38 +253,64 @@ def _extreme_indices(d, facets):
     return out
 
 
-def _hull_shape(ints, d):
-    """Extreme indices, d! volume and outer normals of a cloud, in one pass.
+def _exact_measure(total, ui) -> int:
+    m, r = divmod(total, abs(ui))
+    if r:
+        raise InvariantViolationError("inexact facet measure")
+    return m
 
-    A full-dimensional cloud is hulled once by `_hull_full_dim`; the
-    ascending extreme indices and the distinct primitive normals are
-    read off its facets, and the volume is a simplex fan from the apex
-    over the same facets. A flat cloud has volume 0 and no extreme point
-    off its affine span; dropping all but the pivot coordinates of its
-    affine basis echelon is injective there, so the projected cloud is
-    recursed. At rank d - 1 the normals are ±u for its plane's normal u.
+
+def _hull_shape(ints, d):
+    """Extreme indices, d! volume and facet measures of a cloud, in one pass.
+
+    The measures map each distinct primitive outer normal u to
+    m(u) = (d-1)! vol_{d-1}(F(u)) / |u|, an integer on the grid, and the
+    volume is sum_u b_u m(u) over the facet offsets b_u. A
+    full-dimensional cloud is hulled once by `_hull_full_dim`; the
+    ascending extreme indices are read off its facets, and a facet
+    simplex with plane u adds |det| / |u_i| of its d - 1 edge vectors
+    without coordinate i, u's first nonzero one, since dropping u_i
+    scales (d-1)-volumes normal to u by |u_i| / |u|. A flat cloud has
+    volume 0 and no extreme point off its affine span; dropping all but
+    the pivot coordinates of its affine basis echelon is injective
+    there, so the projected cloud is recursed. At rank d - 1 its plane's
+    normals ±u each take the projected volume over |u_j|, j the dropped
+    coordinate; a lower rank has no facets. On a line both directions
+    have measure 1.
     """
-    if len(ints) == 1:
-        return [0], 0, frozenset()
     if d == 1:
         lo = min(range(len(ints)), key=ints.__getitem__)
         hi = max(range(len(ints)), key=ints.__getitem__)
-        return sorted({lo, hi}), ints[hi][0] - ints[lo][0], frozenset({(1,), (-1,)})
+        return sorted({lo, hi}), ints[hi][0] - ints[lo][0], {(1,): 1, (-1,): 1}
+    if len(ints) == 1:
+        return [0], 0, {}
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
-        flat = [tuple(p[piv] for piv, _ in ech.rows) for p in ints]
-        u = _facet_plane(ints, basis_idx)[0] if rank == d - 1 else None
-        return _hull_shape(flat, rank)[0], 0, frozenset({u, tuple(-x for x in u)} if u else ())
-    facets, apex = _hull_full_dim(ints, d, basis_idx)
-    ap = ints[apex]
-    total = 0
-    for _, _, vidx in facets:
-        if apex in vidx:
-            continue
-        rows = [[ints[v][j] - ap[j] for j in range(d)] for v in vidx]
-        total += abs(int_det(rows))
-    return _extreme_indices(d, facets), total, frozenset(a for a, _, _ in facets)
+        pivots = [piv for piv, _ in ech.rows]
+        idx, projected, _ = _hull_shape([tuple(p[i] for i in pivots) for p in ints], rank)
+        if rank < d - 1:
+            return idx, 0, {}
+        u = _facet_plane(ints, basis_idx)[0]
+        m = _exact_measure(projected, u[next(j for j in range(d) if j not in pivots)])
+        return idx, 0, {u: m, tuple(-x for x in u): m}
+    facets = _hull_full_dim(ints, d, basis_idx)
+    planes = {}  # normal -> [offset, sum of |minor| over its facet simplices]
+    for a, b, vidx in facets:
+        i = next(j for j, x in enumerate(a) if x)
+        base = ints[vidx[0]]
+        edges = [[x - y for j, (x, y) in enumerate(zip(ints[v], base)) if j != i] for v in vidx[1:]]
+        planes.setdefault(a, [b, 0])[1] += abs(int_det(edges))
+    measures, total = {}, 0
+    for a, (b, minors) in planes.items():
+        m = measures[a] = _exact_measure(minors, next(x for x in a if x))
+        total += b * m
+    return _extreme_indices(d, facets), total, measures
+
+
+def _support_sum(pts, measures):
+    """sum_u h(u) m(u), h the support function of the points."""
+    return sum(max(_dot(u, p) for p in pts) * m for u, m in measures.items())
 
 
 class Polytope:
@@ -288,12 +319,14 @@ class Polytope:
 
     Construction canonicalizes: whatever point set comes in, `_pts` holds
     the sorted extreme points of its hull, so equal bodies have equal
-    grids. Flat bodies are allowed. The exact volume and outer normals
-    come out of the same hull pass and are kept with the grid, as is
-    the hash, since bodies key the Minkowski-sum memo.
+    grids. Flat bodies are allowed. The exact volume and the facet
+    measures come out of the same hull pass and are kept with the grid,
+    the measures as Fractions in true coordinates, which the reduction
+    of the grid leaves alone; so is the hash, since bodies key the
+    Minkowski-sum memo.
     """
 
-    __slots__ = ("dim", "_pts", "_den", "_volume", "_normals", "_hash")
+    __slots__ = ("dim", "_pts", "_den", "_volume", "_measures", "_hash")
 
     def __init__(self, points):
         pts = [tuple(as_rat(c) for c in p) for p in points]
@@ -321,16 +354,20 @@ class Polytope:
     def _set_grid(self, ints, den, d, like=None, scale=1):
         uniq = sorted(ints)
         if like is None:
-            idx, vol, normals = _hull_shape(uniq, d)
+            idx, vol, measures = _hull_shape(uniq, d)
             pts, vol = tuple(uniq[i] for i in idx), Fraction(vol, factorial(d) * den ** d)
-        else:  # both maps keep the sorted order and the normals
-            pts, vol, normals = tuple(uniq), like._volume * scale ** d, like._normals
+            unit = den ** (d - 1)
+            measures = {u: Fraction(m, unit) for u, m in measures.items()}
+        else:  # both maps keep the sorted order; a dilation scales the measures
+            pts, vol, measures = tuple(uniq), like._volume * scale ** d, like._measures
+            if scale != 1:
+                measures = {u: m * scale ** (d - 1) for u, m in measures.items()}
         # reduce after the hull: a dropped point may hold a factor of den
         g = gcd(den, *(c for p in pts for c in p))
         if g > 1:
             pts = tuple(tuple(c // g for c in p) for p in pts)
         self.dim, self._pts, self._den = d, pts, den // g
-        self._volume, self._normals = vol, normals
+        self._volume, self._measures = vol, measures
         self._hash = hash((d, self._den, pts))
 
     @property
@@ -429,13 +466,15 @@ def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
 
 
 # Bounded LRU memo of Minkowski sums shared by every mixed_volume call,
-# keyed by the (body, count) pairs in canonical body order plus the
-# vertex budget, so a tighter budget never reuses a sum built under a
-# looser one. A value needs the sum of its bodies after the first: the
-# pair check V(K, L, M), V(K, K, M), V(L, L, M) of a `volume --n 3`
-# instance builds 2 sums and finds 1 here; one at d = 4 builds 4 at most.
-# The lru_cache is thread-safe and caches no exception; single bodies
-# stay out, and a multiple c K is a dilate.
+# keyed by the (body, count) pairs by rising count, ties in canonical
+# body order, plus the vertex budget, so a tighter budget never reuses a sum built under a
+# looser one. A value needs the sum of its bodies after the lead only
+# when that rest holds two distinct bodies: the pair check V(K, L, M),
+# V(K, K, M), V(L, L, M) of a `volume --n 3` instance builds one sum
+# here, for V(K, L, M), as the other two lead with M and read the facet
+# measures of K and L. One at d = 4 adds 6 entries, two per value, of
+# which 4 are hulls. The lru_cache is thread-safe and caches no
+# exception; single bodies stay out, and a multiple c K is a dilate.
 _SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
 
 
@@ -447,7 +486,7 @@ def _check_budget(size, budget) -> None:
 
 
 def _minkowski_entry(bodies, k, budget) -> Polytope:
-    """sum_i k_i K_i, bodies in canonical order."""
+    """sum_i k_i K_i, bodies in the memo's key order."""
     if sum(k) == 1:
         return bodies[k.index(1)]
     return _sum_memo(tuple((b, c) for b, c in zip(bodies, k) if c), budget)
@@ -455,22 +494,29 @@ def _minkowski_entry(bodies, k, budget) -> Polytope:
 
 @lru_cache(maxsize=_SUM_MEMO_SIZE)
 def _sum_memo(terms, budget) -> Polytope:
-    """c K is a dilate; any other sum is one with a copy of its last body removed, plus it."""
+    """c K is a dilate; any other sum is that of its head terms plus its
+    last term c K, so it takes one hull per body after the first."""
     if len(terms) == 1:
         return dilate(*terms[0])
     *head, (body, c) = terms
-    a = _minkowski_entry(*zip(*head, (body, c - 1)), budget)
-    _check_budget(len(a._pts) * len(body._pts), budget)
-    return minkowski_sum(a, body)
+    a = _minkowski_entry(*zip(*head), budget)
+    b = _minkowski_entry((body,), (c,), budget)
+    _check_budget(len(a._pts) * len(b._pts), budget)
+    return minkowski_sum(a, b)
 
 
 def _facet_sum(grids, d, budget, normals=None) -> int:
     """d! V(P_1, ..., P_d) of integer point sets, by a term per outer
     normal u of P_2 + ... + P_d (hulled here unless given), down to
-    lengths at d = 1; u's first nonzero coordinate u_i is dropped."""
+    lengths at d = 1; u's first nonzero coordinate u_i is dropped. A
+    rest that is one set P repeated, as always at d = 2, reads the facet
+    measures of P's hull instead."""
     if d == 1:
         return max(grids[0])[0] - min(grids[0])[0]
-    if normals is None:  # hull the Minkowski sum of the point sets
+    if normals is None:
+        first = grids[1]
+        if all(pts == first for pts in grids[2:]):
+            return _support_sum(grids[0], _hull_shape(first, d)[2])
         acc = [(0,) * d]
         for pts in grids[1:]:
             _check_budget(len(acc) * len(pts), budget)
@@ -503,17 +549,29 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     coordinate u_i of a primitive u scales (d-1)-volumes normal to u by
     |u_i| / |u| and maps the lattice normal to u onto one of index |u_i|,
     so on integer grids a term of d! V is h(u) times an integer: (d-1)!
-    times the projected faces' mixed volume, over |u_i|. S comes from
-    the module memo; the budget bounds every pairwise vertex product, in
-    S and in the face sums below it, before it is materialized.
+    times the projected faces' mixed volume, over |u_i|. V is symmetric,
+    so the bodies are taken by rising multiplicity, ties in `(_den,
+    _pts)` order, and the first leads. A rest of one body K repeated
+    gives d! V = sum_u h_{K_1}(u) m_K(u) from K's facet measures; any
+    other S comes from the module memo. The budget bounds every pairwise
+    vertex product, in S and in the face sums below it, before it is
+    materialized.
     """
     _expect([t], BodyTuple, "a body tuple")
-    den = lcm(*(b._den for b in t.bodies))
-    grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in t.bodies]
-    counts = Counter(t.bodies[1:])
-    rest = sorted(counts, key=attrgetter("_den", "_pts"))
-    normals = _minkowski_entry(rest, [counts[b] for b in rest], budget)._normals if rest else ()
-    result = Fraction(_facet_sum(grids, t.dim, budget, normals), factorial(t.dim) * den ** t.dim)
+    d = t.dim
+    counts = Counter(t.bodies)
+    order = sorted(counts, key=lambda b: (counts[b], b._den, b._pts))
+    lead = order[0]
+    counts[lead] -= 1
+    rest = [b for b in order if counts[b]]  # still by rising multiplicity
+    if len(rest) == 1:
+        result = Fraction(_support_sum(lead._pts, rest[0]._measures)) / (factorial(d) * lead._den)
+    else:
+        bodies = [lead] + [b for b in rest for _ in range(counts[b])]
+        den = lcm(*(b._den for b in bodies))
+        grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in bodies]
+        normals = _minkowski_entry(rest, [counts[b] for b in rest], budget)._measures if rest else None
+        result = Fraction(_facet_sum(grids, d, budget, normals), factorial(d) * den ** d)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")
     return result

@@ -127,15 +127,15 @@ def _discriminant_auto(t: MatTuple) -> GaussRat:
     return mixed_discriminant(t)
 
 
-def _pencil_discriminants(a: HermMat, b: HermMat) -> list:
-    """D(a^[m], b^[n-m]) for m = 0..n, from n + 1 determinants.
+def _pencil_discriminants(a: HermMat, b: HermMat, det_b: Fraction) -> list:
+    """D(a^[m], b^[n-m]) for m = 0..n, from det b and n determinants.
 
     p(x) = det(x a + b) = sum_m C(n, m) D(a^[m], b^[n-m]) x^m. Over the
-    common denominator, p(0), ..., p(n) are integer determinants
-    (`gauss_det`); their forward differences give p in the falling
-    factorial basis, p(x) = sum_k Delta^k p(0) / k! x(x-1)...(x-k+1),
-    which nested multiplication turns into monomial coefficients, all
-    exact. x a + b is Hermitian for real x, so a non-real p(x) raises
+    common denominator, p(0) is the given det b and p(1), ..., p(n) are
+    integer determinants (`gauss_det`); their forward differences give
+    p in the falling factorial basis, p(x) = sum_k Delta^k p(0) / k!
+    x(x-1)...(x-k+1), which nested multiplication turns into monomial
+    coefficients, all exact. x a + b is Hermitian for real x, so a non-real p(x) raises
     `InvariantViolationError`.
     """
     if a.n != b.n:
@@ -143,8 +143,9 @@ def _pencil_discriminants(a: HermMat, b: HermMat) -> list:
     n = a.n
     den = lcm(a._den, b._den)
     s, t = den // a._den, den // b._den
-    diffs = []
-    for x in range(n + 1):
+    # det b has a denominator dividing b's den^n, hence den^n
+    diffs = [det_b.numerator * (den ** n // det_b.denominator)]
+    for x in range(1, n + 1):
         u = x * s
         re, im = gauss_det([
             [(u * ar + t * br, u * ai + t * bi) for (ar, ai), (br, bi) in zip(ra, rb)]

@@ -32,15 +32,16 @@ from .rationals import Rat
 class TorusClass:
     """A constant class on the torus, carried by a Hermitian matrix."""
 
-    __slots__ = ("mat", "nef", "big", "kahler")
+    __slots__ = ("mat", "det", "nef", "big", "kahler")
 
     def __init__(self, mat: HermMat):
         _expect([mat], HermMat, "a Hermitian matrix")
         self.mat = mat
         # one pass of principal minor sums c_1..c_n, with c_n = det
         sums = principal_minor_sums(mat)
+        self.det = sums[-1]
         self.nef = all(c >= 0 for c in sums)
-        self.big = sums[-1] > 0
+        self.big = self.det > 0
         self.kahler = all(c > 0 for c in sums)
         if (self.nef and self.big) != self.kahler:
             raise InvariantViolationError(
@@ -113,7 +114,7 @@ def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
         raise HypothesisError("Khovanskii-Teissier needs nef classes")
     n = g1.mat.n
     scale = math.factorial(n) * 2 ** n
-    seq = [scale * d for d in _pencil_discriminants(g1.mat, g2.mat)]
+    seq = [scale * d for d in _pencil_discriminants(g1.mat, g2.mat, g2.det)]
     for m in range(1, n):
         if seq[m] ** 2 < seq[m - 1] * seq[m + 1]:
             raise InvariantViolationError(

@@ -19,7 +19,7 @@ in the fast code.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from afkit._kernels import _polarize, int_det
 from afkit.convexvol import (
@@ -328,7 +328,8 @@ def mixed_volume_polarized(bodies):
     """The former `convexvol.mixed_volume`, by multiset polarization:
     d! V is the sum over 0 <= k <= r, k != 0, of signed binomial
     multiples of vol(sum_i k_i K_i) (`_kernels._polarize`), each sum the
-    constructor's hull of the pointwise Fraction vertex sums, no memo."""
+    constructor's hull of the pointwise Fraction vertex sums, no memo,
+    and each volume `volume_insertion`'s, not the facet measures'."""
     counts = Counter(bodies)
     distinct = list(counts)
 
@@ -339,9 +340,17 @@ def mixed_volume_polarized(bodies):
                 acc = body if acc is None else Polytope(
                     {tuple(a + b for a, b in zip(u, v)) for u in acc.vertices for v in body.vertices}
                 )
-        return acc._volume
+        return volume_insertion(acc)
 
     return _polarize([counts[b] for b in distinct], volume_of) / factorial(len(bodies))
+
+
+def volume_insertion(body):
+    """The volume of a body by `hull_insertion` of its cleared vertices."""
+    verts, d = body.vertices, body.dim
+    den = lcm(*(c.denominator for v in verts for c in v))
+    ints = [tuple(int(c * den) for c in v) for v in verts]
+    return Fraction(hull_insertion(ints, d)[1], factorial(d) * den ** d)
 
 
 def truncated_simplex_mixed_volume(pairs):

@@ -9,16 +9,18 @@ translation invariance, and Minkowski additivity and homogeneity in
 each slot. The grid forms of translation, dilation and the homothety
 test are checked against their former Fraction-vertex forms, on full,
 flat, segment and single-point bodies, and the images that skip the
-hull against the hull-built body, normals included. The facet recursion
-behind `mixed_volume` is checked against the former polarization route
-in every order of each tuple, including tuples whose rest sum is flat
-or lower-dimensional. Draws are derandomized and bounded, so the suite
-stays deterministic and keeps no example database.
+hull against the hull-built body, facet measures included. The facet
+recursion behind `mixed_volume` is checked against the former
+polarization route in every order of each tuple, including tuples whose
+rest sum is flat or lower-dimensional, and the facet measures against
+Minkowski's relation, the volume and the polarization route, for
+d = 1..4 and flat bodies. Draws are derandomized and bounded, so the
+suite stays deterministic and keeps no example database.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +36,7 @@ from oracles import (
     homothety_ratio_fraction,
     mixed_volume_polarized,
     translate_fraction,
+    volume_insertion,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -216,8 +219,21 @@ def test_images_without_a_hull_equal_the_hull_built_body(case, lam, c):
     for got, points in images:
         want = Polytope(points)
         assert got == want and hash(got) == hash(want)
-        assert (got._volume, got._normals) == (want._volume, want._normals)
+        assert (got._volume, got._measures) == (want._volume, want._measures)
         assert_canonical(got)
+
+
+def normals(d):
+    """Integer normals with a positive first coordinate."""
+    return st.tuples(st.integers(1, 3), *[st.integers(-2, 2)] * (d - 1))
+
+
+def pressed(cloud, normal, c):
+    """The cloud moved along x_0 into the hyperplane normal . x = c."""
+    return [
+        ((c - sum(n * x for n, x in zip(normal[1:], pt[1:]))) / normal[0],) + pt[1:]
+        for pt in cloud
+    ]
 
 
 @st.composite
@@ -226,7 +242,7 @@ def mixed_tuples(draw, d, layout):
     free body and d - 1 more laid out freely, in parallel hyperplanes
     n . x = c (a flat rest sum) or as parallel segments and points (a
     lower-dimensional one)."""
-    normal = draw(st.tuples(st.integers(1, 3), *[st.integers(-2, 2)] * (d - 1)))
+    normal = draw(normals(d))
     direction = draw(vectors(d).filter(any))
     size = {1: 3, 2: 5, 3: 4, 4: 3}[d]
 
@@ -237,11 +253,7 @@ def mixed_tuples(draw, d, layout):
         count = size if kind == "flat" else draw(st.sampled_from([size, size, 1]))
         cloud = draw(st.lists(vectors(d), min_size=count, max_size=count))
         if kind == "flat":
-            c = draw(rats)
-            cloud = [
-                ((c - sum(n * x for n, x in zip(normal[1:], pt[1:]))) / normal[0],) + pt[1:]
-                for pt in cloud
-            ]
+            cloud = pressed(cloud, normal, draw(rats))
         return Polytope(cloud)
 
     pool = [body("free")] + [body(layout) for _ in range(d - 1)]
@@ -260,3 +272,55 @@ def test_mixed_volume_matches_the_polarized_oracle_in_every_order(d, layout, dat
     assert want >= 0
     for order in set(permutations(bodies)):
         assert V(list(order)) == want
+
+
+@st.composite
+def measured_body(draw, d):
+    """A body in dimension d: the hull of a random cloud (drawn twice as
+    often), a flat one in a random hyperplane (at d = 1 a point), a
+    segment or a point."""
+    shape = draw(st.sampled_from(["full", "full", "flat", "segment", "point"]))
+    size = {"full": 6 if d < 4 else 5, "flat": 5, "segment": 2, "point": 1}[shape]
+    cloud = draw(st.lists(vectors(d), min_size=size, max_size=size))
+    if shape == "flat":
+        cloud = pressed(cloud, draw(normals(d)), draw(rats))
+    return Polytope(cloud)
+
+
+def support(body, u):
+    return max(sum(a * x for a, x in zip(u, v)) for v in body.vertices)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_facet_measures_satisfy_minkowskis_relation(d, data):
+    # sum_u m(u) u = 0: the facets of a closed body balance, and a flat
+    # body's two sides cancel
+    k = data.draw(measured_body(d))
+    assert all(m > 0 for m in k._measures.values())
+    assert [sum(m * u[j] for u, m in k._measures.items()) for j in range(d)] == [0] * d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_volume_is_the_support_sum_of_the_facet_measures(d, data):
+    # d! vol(K) = sum_u h_K(u) m(u), against the insertion hull's volume;
+    # a shifted copy keeps the measures, so no facet hides at offset 0
+    k = data.draw(measured_body(d))
+    want = factorial(d) * volume_insertion(k)
+    for body in (k, translate(k, data.draw(vectors(d)))):
+        assert sum(support(body, u) * m for u, m in body._measures.items()) == want
+        assert factorial(d) * body._volume == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_measure_shortcut_matches_the_polarized_oracle(d, data):
+    # V(L, K, ..., K) leads with L and reads K's measures in every order
+    l, k = data.draw(measured_body(d)), data.draw(measured_body(d))
+    want = mixed_volume_polarized([l] + [k] * (d - 1))
+    for i in range(d):
+        assert V([k] * i + [l] + [k] * (d - 1 - i)) == want

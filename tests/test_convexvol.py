@@ -31,6 +31,7 @@ from afkit.ineqcheck import af_gap_volume
 from oracles import (
     extreme_points_bruteforce,
     hull_cycle_2d,
+    mixed_volume_polarized,
     permanent,
     real_det,
     shoelace_area,
@@ -316,7 +317,8 @@ def test_mixed_volume_nonnegative():
 
 
 def test_mixed_volume_budget():
-    # V(K, L, M) builds L + M, and the budget bounds it before it is built
+    # V(K, L, M) builds the sum of the two bodies after the lead, and the
+    # budget bounds it before it is built
     rng = random.Random(131)
     bodies = [convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)]
     with pytest.raises(SizeLimitError):
@@ -324,8 +326,8 @@ def test_mixed_volume_budget():
 
 
 def test_a_pair_builds_no_sum_under_any_budget():
-    # V(K, L) reads the facet normals of L alone, so no Minkowski sum is
-    # materialized and the budget has nothing to bound
+    # V(K, L) reads the facet measures of one body alone, so no Minkowski
+    # sum is materialized and the budget has nothing to bound
     rng = random.Random(131)
     for _ in range(5):
         kp, lp = (rand_cloud(rng, 2, 8, bound=9, denom=1) for _ in range(2))
@@ -370,6 +372,26 @@ def test_mixed_volume_repeated_body_order_free_d3():
     assert mixed_volume(BodyTuple([k, k, dilate(m, 3)])) == 3 * values.pop()
 
 
+def test_a_repeated_rest_builds_no_sum(monkeypatch):
+    # V(K, K, M) leads with M and reads K's facet measures in every order,
+    # so neither the memo nor minkowski_sum runs
+    rng = random.Random(165)
+    cases = []
+    for d in (3, 4):
+        k, m = (convex_hull(rand_cloud(rng, d, 7, bound=4, denom=3)) for _ in range(2))
+        cases.append(([k] * (d - 1) + [m], mixed_volume_polarized([k] * (d - 1) + [m])))
+
+    def no_sum(*args):
+        raise AssertionError("a Minkowski sum was built")
+
+    monkeypatch.setattr(convexvol, "_sum_memo", no_sum)
+    monkeypatch.setattr(convexvol, "minkowski_sum", no_sum)
+    for bodies, want in cases:
+        assert want > 0
+        for order in set(itertools.permutations(bodies)):
+            assert mixed_volume(BodyTuple(order)) == want
+
+
 def test_memo_keys_on_the_budget():
     rng = random.Random(167)
     t = BodyTuple([convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)])
@@ -403,7 +425,7 @@ def test_memo_stays_bounded():
     rng = random.Random(179)
     for _ in range(2 * convexvol._SUM_MEMO_SIZE):
         k, l, m = (convex_hull(rand_cloud(rng, 3, 5)) for _ in range(3))
-        af_gap_volume(k, l, [m])  # builds L + M and K + M
+        af_gap_volume(k, l, [m])  # builds one sum, for V(K, L, M)
         assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
     assert convexvol._sum_memo.cache_info().currsize == convexvol._SUM_MEMO_SIZE
 
@@ -530,7 +552,7 @@ def test_only_the_constructor_clears_a_polytope():
     assert clears == {("convexvol", "Polytope.__init__")}
     assert grid_readers == {"convexvol"}
     assert slots is not None and "vertices" not in slots
-    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_normals", "_hash"}
+    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_measures", "_hash"}
 
 
 def test_only_jsonio_reads_the_vertices_view():

@@ -456,8 +456,8 @@ def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
 
 def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
     # three mixed volumes per instance, those of the pair check; the fold
-    # asks for none. Each value needs the sum of its bodies after the
-    # first: L + M and K + M are built, and L + M is found again
+    # asks for none. V(K, K, M) and V(L, L, M) lead with M and read the
+    # facet measures of K and L, so only V(K, L, M) builds a sum
     calls = []
     real = ineqcheck.mixed_volume
 
@@ -470,7 +470,7 @@ def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
     run = run_suite(RunConfig(mode="volume", n=3, trials=3, seed=0))
     assert run.summary["failures"] == 0
     info = convexvol._sum_memo.cache_info()
-    assert (len(calls), info.misses, info.hits) == (9, 6, 3)
+    assert (len(calls), info.misses, info.hits) == (9, 3, 0)
 
 
 @pytest.mark.parametrize("n, misses", [(6, 9), (5, 9)])

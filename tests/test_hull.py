@@ -127,8 +127,7 @@ def test_facets_form_a_closed_surface_of_primitive_supporting_planes(case):
     d, pts = case
     basis_idx, ech = _affine_basis(pts, d)
     assume(ech.rank == d)
-    facets, apex = _hull_full_dim(pts, d, basis_idx)
-    assert apex == basis_idx[0]
+    facets = _hull_full_dim(pts, d, basis_idx)
     ridges = Counter()
     for a, b, vidx in facets:
         assert len(set(vidx)) == d
@@ -168,6 +167,6 @@ def test_only_the_initial_simplex_calls_facet_plane(d, monkeypatch):
     pts = sorted({tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(40)})
     basis_idx, ech = _affine_basis(pts, d)
     assert ech.rank == d
-    facets, _ = _hull_full_dim(pts, d, basis_idx)
+    facets = _hull_full_dim(pts, d, basis_idx)
     assert len(calls) == d + 1
     assert len(facets) > 2 * (d + 1)
