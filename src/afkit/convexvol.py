@@ -17,11 +17,12 @@ volume of the faces F(K_j, u), j >= 2, over the facet normals u of
 K_2 + ... + K_d. Its closed-form base case is Minkowski's formula
 d! V(L, K, ..., K) = sum_u h_L(u) m_K(u): a body of least multiplicity
 leads, so a rest that repeats one body needs no sum and no recursion.
-Any other rest needs one Minkowski sum, kept in a bounded LRU memo
-keyed by the (body, count) multiset and the vertex budget. Every
-operation after construction works on the grid; Fractions appear only
-in the volumes and measures a Polytope keeps and hands out, and in the
-`vertices` view JSON reads.
+Any other rest needs its Minkowski sum, folded one body at a time and
+kept in a 4-entry LRU cache, the engine's only one, keyed by the
+(body, count) multiset and the vertex budget. Every operation after
+construction works on the grid; Fractions appear only in the volumes
+and measures a Polytope keeps and hands out, and in the `vertices` view
+JSON reads.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ class Polytope:
     measures come out of the same hull pass and are kept with the grid,
     the measures as Fractions in true coordinates, which the reduction
     of the grid leaves alone; so is the hash, since bodies key the
-    Minkowski-sum memo.
+    rest-sum cache.
     """
 
     __slots__ = ("dim", "_pts", "_den", "_volume", "_measures", "_hash")
@@ -465,19 +466,6 @@ def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
     return Fraction(b * k._den, a * l._den)
 
 
-# Bounded LRU memo of Minkowski sums shared by every mixed_volume call,
-# keyed by the (body, count) pairs by rising count, ties in canonical
-# body order, plus the vertex budget, so a tighter budget never reuses a sum built under a
-# looser one. A value needs the sum of its bodies after the lead only
-# when that rest holds two distinct bodies: the pair check V(K, L, M),
-# V(K, K, M), V(L, L, M) of a `volume --n 3` instance builds one sum
-# here, for V(K, L, M), as the other two lead with M and read the facet
-# measures of K and L. One at d = 4 adds 6 entries, two per value, of
-# which 4 are hulls. The lru_cache is thread-safe and caches no
-# exception; single bodies stay out, and a multiple c K is a dilate.
-_SUM_MEMO_SIZE = 3 * 2 ** (MAX_DIMENSION - 1) - 1
-
-
 def _check_budget(size, budget) -> None:
     if size > budget:
         raise SizeLimitError(
@@ -485,34 +473,36 @@ def _check_budget(size, budget) -> None:
         )
 
 
-def _minkowski_entry(bodies, k, budget) -> Polytope:
-    """sum_i k_i K_i, bodies in the memo's key order."""
-    if sum(k) == 1:
-        return bodies[k.index(1)]
-    return _sum_memo(tuple((b, c) for b, c in zip(bodies, k) if c), budget)
-
-
-@lru_cache(maxsize=_SUM_MEMO_SIZE)
-def _sum_memo(terms, budget) -> Polytope:
-    """c K is a dilate; any other sum is that of its head terms plus its
-    last term c K, so it takes one hull per body after the first."""
-    if len(terms) == 1:
-        return dilate(*terms[0])
-    *head, (body, c) = terms
-    a = _minkowski_entry(*zip(*head), budget)
-    b = _minkowski_entry((body,), (c,), budget)
-    _check_budget(len(a._pts) * len(b._pts), budget)
-    return minkowski_sum(a, b)
+# The rest sums S = K_2 + ... + K_d that `mixed_volume` reads its normals
+# from, keyed by the (body, count) terms by rising count, ties in
+# canonical body order, plus the vertex budget, so a tighter budget never
+# reuses a sum built under a looser one. A value needs S only when its
+# rest holds two distinct bodies: of the pair check V(K, L, rest),
+# V(K, K, rest), V(L, L, rest) that is V(K, L, M) at d = 3 and all three
+# at d = 4, back to back; the others lead with the lone body and read
+# the measures of the repeated one. The m-fold at m >= 3 asks for
+# V(items) again right after them, its one hit; its other values repeat
+# one body. 4 entries keep an instance's three with one to spare. The
+# lru_cache is thread-safe and caches no exception.
+@lru_cache(maxsize=4)
+def _rest_sum(terms, budget) -> Polytope:
+    """sum c K over the terms, a left fold: each c K is a dilate, and each
+    term after the first adds one Minkowski sum, so one hull per body."""
+    (body, c), *tail = terms
+    acc = dilate(body, c)
+    for body, c in tail:
+        term = dilate(body, c)
+        _check_budget(len(acc._pts) * len(term._pts), budget)
+        acc = minkowski_sum(acc, term)
+    return acc
 
 
 def _facet_sum(grids, d, budget, normals=None) -> int:
-    """d! V(P_1, ..., P_d) of integer point sets, by a term per outer
-    normal u of P_2 + ... + P_d (hulled here unless given), down to
-    lengths at d = 1; u's first nonzero coordinate u_i is dropped. A
-    rest that is one set P repeated, as always at d = 2, reads the facet
-    measures of P's hull instead."""
-    if d == 1:
-        return max(grids[0])[0] - min(grids[0])[0]
+    """d! V(P_1, ..., P_d) of integer point sets, d >= 2, by a term per
+    outer normal u of P_2 + ... + P_d (hulled here unless given); u's
+    first nonzero coordinate u_i is dropped. A rest that is one set P
+    repeated, as always at d = 2, reads the facet measures of P's hull
+    instead."""
     if normals is None:
         first = grids[1]
         if all(pts == first for pts in grids[2:]):
@@ -552,10 +542,10 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     times the projected faces' mixed volume, over |u_i|. V is symmetric,
     so the bodies are taken by rising multiplicity, ties in `(_den,
     _pts)` order, and the first leads. A rest of one body K repeated
-    gives d! V = sum_u h_{K_1}(u) m_K(u) from K's facet measures; any
-    other S comes from the module memo. The budget bounds every pairwise
-    vertex product, in S and in the face sums below it, before it is
-    materialized.
+    gives d! V = sum_u h_{K_1}(u) m_K(u) from K's facet measures, and
+    at d = 1 V(K) is K's length; any other S comes from `_rest_sum`. The
+    budget bounds every pairwise vertex product, in S and in the face
+    sums below it, before it is materialized.
     """
     _expect([t], BodyTuple, "a body tuple")
     d = t.dim
@@ -564,13 +554,15 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     lead = order[0]
     counts[lead] -= 1
     rest = [b for b in order if counts[b]]  # still by rising multiplicity
-    if len(rest) == 1:
+    if not rest:  # d = 1: V(K) is the length of K
+        result = lead._volume
+    elif len(rest) == 1:
         result = Fraction(_support_sum(lead._pts, rest[0]._measures)) / (factorial(d) * lead._den)
     else:
         bodies = [lead] + [b for b in rest for _ in range(counts[b])]
         den = lcm(*(b._den for b in bodies))
         grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in bodies]
-        normals = _minkowski_entry(rest, [counts[b] for b in rest], budget)._measures if rest else None
+        normals = _rest_sum(tuple((b, counts[b]) for b in rest), budget)._measures
         result = Fraction(_facet_sum(grids, d, budget, normals), factorial(d) * den ** d)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")

@@ -207,7 +207,7 @@ def _concavity_report(value, x0, x1, rest, m, grid_size) -> ConcavityReport:
     coeffs = [math.comb(m, k) * value([x0] * (m - k) + [x1] * k + rest) for k in range(m + 1)]
     exact = [sum(c * (1 - lam) ** (m - k) * lam ** k for k, c in enumerate(coeffs)) for lam in grid]
     if any(v < 0 for v in exact):
-        raise InvariantViolationError("discriminant of a semi-definite tuple must be nonnegative")
+        raise InvariantViolationError("a sampled mixed discriminant or mixed volume must be nonnegative")
     return _root_report(grid, exact, m)
 
 

@@ -127,25 +127,28 @@ def _discriminant_auto(t: MatTuple) -> GaussRat:
     return mixed_discriminant(t)
 
 
-def _pencil_discriminants(a: HermMat, b: HermMat, det_b: Fraction) -> list:
-    """D(a^[m], b^[n-m]) for m = 0..n, from det b and n determinants.
+def _pencil_discriminants(a: HermMat, b: HermMat, det_a: Fraction, det_b: Fraction) -> list:
+    """D(a^[m], b^[n-m]) for m = 0..n, from det a, det b and n - 1
+    determinants.
 
     p(x) = det(x a + b) = sum_m C(n, m) D(a^[m], b^[n-m]) x^m. Over the
-    common denominator, p(0) is the given det b and p(1), ..., p(n) are
-    integer determinants (`gauss_det`); their forward differences give
-    p in the falling factorial basis, p(x) = sum_k Delta^k p(0) / k!
+    common denominator, p(0) is the given det b, p(1), ..., p(n-1) are
+    integer determinants (`gauss_det`) and the leading coefficient is
+    det a, so Delta^n p(0) = n! det a; the forward differences give p in
+    the falling factorial basis, p(x) = sum_k Delta^k p(0) / k!
     x(x-1)...(x-k+1), which nested multiplication turns into monomial
-    coefficients, all exact. x a + b is Hermitian for real x, so a non-real p(x) raises
-    `InvariantViolationError`.
+    coefficients, all exact. x a + b is Hermitian for real x, so a
+    non-real p(x) raises `InvariantViolationError`.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
     n = a.n
     den = lcm(a._den, b._den)
     s, t = den // a._den, den // b._den
-    # det b has a denominator dividing b's den^n, hence den^n
-    diffs = [det_b.numerator * (den ** n // det_b.denominator)]
-    for x in range(1, n + 1):
+    scale = den ** n
+    # det a and det b have denominators dividing den^n
+    diffs = [det_b.numerator * (scale // det_b.denominator)]
+    for x in range(1, n):
         u = x * s
         re, im = gauss_det([
             [(u * ar + t * br, u * ai + t * bi) for (ar, ai), (br, bi) in zip(ra, rb)]
@@ -154,9 +157,10 @@ def _pencil_discriminants(a: HermMat, b: HermMat, det_b: Fraction) -> list:
         if im:
             raise InvariantViolationError("det(x a + b) of Hermitian matrices must be real")
         diffs.append(re)
-    for k in range(1, n + 1):
-        for x in range(n, k - 1, -1):
+    for k in range(1, n):
+        for x in range(n - 1, k - 1, -1):
             diffs[x] -= diffs[x - 1]
+    diffs.append(factorial(n) * det_a.numerator * (scale // det_a.denominator))
     # p = a_0 + x (a_1 + (x - 1) (a_2 + ...)), a_k = Delta^k p(0) / k!,
     # coefficients lowest first
     coeffs = []
@@ -164,7 +168,6 @@ def _pencil_discriminants(a: HermMat, b: HermMat, det_b: Fraction) -> list:
         shifted = [0] + coeffs
         coeffs = [c - k * d for c, d in zip(shifted, coeffs + [0])]
         coeffs[0] += Fraction(diffs[k], factorial(k))
-    scale = den ** n
     return [c / (comb(n, m) * scale) for m, c in enumerate(coeffs)]
 
 

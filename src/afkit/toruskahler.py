@@ -104,7 +104,8 @@ def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
 
     Both classes must be nef. The whole sequence comes from one
     determinant pencil: det(x A_1 + A_2) = sum_m C(n, m) D(A_1^[m],
-    A_2^[n-m]) x^m, so the n + 1 determinants at x = 0..n fix every
+    A_2^[n-m]) x^m, so det A_2 = p(0), the determinants at x = 1..n-1
+    and the leading coefficient det A_1 fix every
     s_m = n! 2^n D(A_1^[m], A_2^[n-m]) exactly, at any n
     (`mixdisc._pencil_discriminants`). Log-concavity of the sequence,
     s_m^2 >= s_(m-1) s_(m+1), is asserted before returning.
@@ -114,7 +115,7 @@ def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
         raise HypothesisError("Khovanskii-Teissier needs nef classes")
     n = g1.mat.n
     scale = math.factorial(n) * 2 ** n
-    seq = [scale * d for d in _pencil_discriminants(g1.mat, g2.mat, g2.det)]
+    seq = [scale * d for d in _pencil_discriminants(g1.mat, g2.mat, g1.det, g2.det)]
     for m in range(1, n):
         if seq[m] ** 2 < seq[m - 1] * seq[m + 1]:
             raise InvariantViolationError(

@@ -4,8 +4,6 @@ mixed volumes, cross-checked against brute-force geometry oracles."""
 import ast
 import itertools
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -26,7 +24,6 @@ from afkit.convexvol import (
     volume,
 )
 from afkit.errors import DimensionMismatchError, SizeLimitError
-from afkit.ineqcheck import af_gap_volume
 
 from oracles import (
     extreme_points_bruteforce,
@@ -374,7 +371,7 @@ def test_mixed_volume_repeated_body_order_free_d3():
 
 def test_a_repeated_rest_builds_no_sum(monkeypatch):
     # V(K, K, M) leads with M and reads K's facet measures in every order,
-    # so neither the memo nor minkowski_sum runs
+    # so neither the rest-sum cache nor minkowski_sum runs
     rng = random.Random(165)
     cases = []
     for d in (3, 4):
@@ -384,7 +381,7 @@ def test_a_repeated_rest_builds_no_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("a Minkowski sum was built")
 
-    monkeypatch.setattr(convexvol, "_sum_memo", no_sum)
+    monkeypatch.setattr(convexvol, "_rest_sum", no_sum)
     monkeypatch.setattr(convexvol, "minkowski_sum", no_sum)
     for bodies, want in cases:
         assert want > 0
@@ -393,12 +390,17 @@ def test_a_repeated_rest_builds_no_sum(monkeypatch):
 
 
 def test_memo_keys_on_the_budget():
+    # the tighter budget misses the cached sum and raises, caching
+    # nothing; the default budget then hits its own entry again
     rng = random.Random(167)
     t = BodyTuple([convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)])
+    convexvol._rest_sum.cache_clear()
     value = mixed_volume(t)
     with pytest.raises(SizeLimitError):
         mixed_volume(t, budget=3)
     assert mixed_volume(t) == value
+    info = convexvol._rest_sum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
 
 
 def test_memo_separates_translated_and_dilated_copies():
@@ -418,54 +420,6 @@ def test_memo_separates_translated_and_dilated_copies():
     assert big != k
     assert mixed_volume(BodyTuple([big, big])) == 9 * polygon_area(kp)
     assert mixed_volume(BodyTuple([big, l])) == 3 * base
-
-
-def test_memo_stays_bounded():
-    assert convexvol._SUM_MEMO_SIZE >= 23
-    rng = random.Random(179)
-    for _ in range(2 * convexvol._SUM_MEMO_SIZE):
-        k, l, m = (convex_hull(rand_cloud(rng, 3, 5)) for _ in range(3))
-        af_gap_volume(k, l, [m])  # builds one sum, for V(K, L, M)
-        assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
-    assert convexvol._sum_memo.cache_info().currsize == convexvol._SUM_MEMO_SIZE
-
-
-def test_memo_shared_across_threads():
-    # slightly more sums than the memo holds, drawn at random by more
-    # threads than cores: lookups keep racing evictions of the same keys.
-    # Each tuple's last two bodies are segments, whose sum is built once
-    rng = random.Random(181)
-    tuples = [
-        BodyTuple([convex_hull(rand_cloud(rng, 3, n)) for n in (3, 2, 2)])
-        for _ in range(convexvol._SUM_MEMO_SIZE + 3)
-    ]
-    want = [mixed_volume(t) for t in tuples]
-    errors, done = [], []
-
-    def work(seed):
-        pick = random.Random(seed)
-        try:
-            for _ in range(3000):
-                i = pick.randrange(len(tuples))
-                assert mixed_volume(tuples[i]) == want[i]
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-        done.append(seed)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(done) == 8
-    assert convexvol._sum_memo.cache_info().currsize <= convexvol._SUM_MEMO_SIZE
 
 
 def test_expansion_single_body():

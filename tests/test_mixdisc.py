@@ -1,19 +1,16 @@
 """Mixed discriminants: frozen values, route equivalence against a
 permutation-enumeration reference, the route rule of the library's
-evaluator, the kernels' rest-layer memo, multilinearity, and the mixed
-adjugate."""
+evaluator, the rest-layer builds of an instance, multilinearity, and
+the mixed adjugate."""
 
 import itertools
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from afkit import _kernels, matrixcore, mixdisc
-from afkit._kernels import mixed_adjugate_sum, mixed_perm_sum
 from afkit.errors import DimensionMismatchError, InvariantViolationError, SizeLimitError
 from afkit.harness import RunConfig, run_suite
 from afkit.matrixcore import GenMat, HermMat
@@ -27,7 +24,7 @@ from afkit.mixdisc import (
 )
 from afkit.rationals import GaussRat
 
-from oracles import mixed_adjugate_minors, mixed_disc_perm, mixed_disc_polarized
+from oracles import mixed_disc_perm, mixed_disc_polarized
 from support import as_pairs, diag, gen, herm, identity, rand_gen, rand_herm, rand_psd
 
 
@@ -348,88 +345,6 @@ def test_hermitian_invariant_fires_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantViolationError):
             mixed_adjugate(h[:2])
-
-
-def int_grid(rng, n):
-    return tuple(tuple((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
-
-
-def perm_sum_reference(mats):
-    re, im = mixed_disc_perm(mats)
-    return (re * factorial(len(mats)), im * factorial(len(mats)))
-
-
-def test_rest_layer_memo_stays_bounded():
-    rng = random.Random(97)
-    size = _kernels._REST_LAYER_MEMO_SIZE
-    _kernels._rest_layer.cache_clear()
-    for _ in range(2 * size):
-        mats = [int_grid(rng, 4) for _ in range(4)]
-        assert mixed_perm_sum(mats) == perm_sum_reference(mats)
-        assert _kernels._rest_layer.cache_info().currsize <= size
-    assert _kernels._rest_layer.cache_info().currsize == size
-
-
-def test_rest_layer_memo_never_caches_an_exception(monkeypatch):
-    rng = random.Random(101)
-    mats = [int_grid(rng, 4) for _ in range(4)]
-    _kernels._rest_layer.cache_clear()
-    calls = []
-
-    def faulty(layer, grid, n):
-        calls.append(1)
-        raise ArithmeticError("injected fault")
-
-    monkeypatch.setattr(_kernels, "_add_matrix", faulty)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError):
-            mixed_perm_sum(mats)
-    assert len(calls) == 2
-    assert _kernels._rest_layer.cache_info().currsize == 0
-    monkeypatch.undo()
-    assert mixed_perm_sum(mats) == perm_sum_reference(mats)
-
-
-def test_rest_layer_memo_shared_across_threads():
-    # slightly more rests than the memo holds, each under two leading
-    # grids, for both kernels, drawn at random by more threads than cores
-    rng = random.Random(103)
-    calls = []
-    for _ in range(_kernels._REST_LAYER_MEMO_SIZE + 3):
-        rest = [int_grid(rng, 3)]
-        for _ in range(2):
-            lead = [int_grid(rng, 3), int_grid(rng, 3)]
-            calls.append((mixed_perm_sum, lead + rest, perm_sum_reference(lead + rest)))
-            part = lead[:1] + rest
-            want = tuple(tuple((re * factorial(3), im * factorial(3)) for re, im in row)
-                         for row in mixed_adjugate_minors(part))
-            calls.append((mixed_adjugate_sum, part, want))
-    errors, done = [], []
-
-    def work(seed):
-        pick = random.Random(seed)
-        try:
-            for _ in range(500):
-                kernel, mats, want = calls[pick.randrange(len(calls))]
-                assert kernel(mats) == want
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-        done.append(seed)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(done) == 8
-    assert _kernels._rest_layer.cache_info().currsize <= _kernels._REST_LAYER_MEMO_SIZE
 
 
 @pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls, rest_layers", [

@@ -168,16 +168,17 @@ def test_kt_pencil_matches_the_per_m_reference(n):
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_kt_pencil_takes_p0_from_the_class(monkeypatch, n):
-    # p(0) = det A_2 is the c_n that TorusClass already holds, so only
-    # p(1), ..., p(n) run a determinant
+    # p(0) = det A_2 and the leading coefficient det A_1 are the c_n that
+    # each TorusClass already holds, so only p(1), ..., p(n-1) run a
+    # determinant
     rng = random.Random(341 + n)
     g1, g2 = tc(rand_pd(rng, n, bound=2)), tc(rand_pd(rng, n, bound=2).scale(F(3, 4)))
-    assert g2.det == g2.mat.det().re
+    assert (g1.det, g2.det) == (g1.mat.det().re, g2.mat.det().re)
     want, calls = kt_sequence_reference(g1, g2), []
     det = mixdisc.gauss_det
     monkeypatch.setattr(mixdisc, "gauss_det", lambda rows: calls.append(1) or det(rows))
     assert kt_sequence(g1, g2) == want
-    assert len(calls) == n
+    assert len(calls) == n - 1
 
 
 def test_kt_non_real_pencil_determinant_raises(monkeypatch):
