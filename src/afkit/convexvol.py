@@ -7,22 +7,21 @@ point above one facet. A new facet's plane combines the two planes at
 its horizon ridge; only the first simplex takes cofactors, for every d.
 One hull pass per point cloud yields the extreme points and the facet
 measures m_K(u) = (d-1)! vol_{d-1}(F(K, u)) / |u|, one per primitive
-outer normal u, which a Polytope keeps; the volume is d! vol(K) =
-sum_u h_K(u) m_K(u), and a dilation or a shift carries all three over
-without a hull.
+outer normal u, which a Polytope keeps; a dilation or a shift carries
+them over without a hull.
 
-Mixed volumes use the facet recursion (Schneider, Convex Bodies, 5.1):
-V(K_1, ..., K_d) sums h_{K_1}(u) times the (d-1)-dimensional mixed
-volume of the faces F(K_j, u), j >= 2, over the facet normals u of
-K_2 + ... + K_d. Its closed-form base case is Minkowski's formula
-d! V(L, K, ..., K) = sum_u h_L(u) m_K(u): a body of least multiplicity
-leads, so a rest that repeats one body needs no sum and no recursion.
-Any other rest needs its Minkowski sum, folded one body at a time and
-kept in a 4-entry LRU cache, the engine's only one, keyed by the
-(body, count) multiset and the vertex budget. Every operation after
-construction works on the grid; Fractions appear only in the volumes
-and measures a Polytope keeps and hands out, and in the `vertices` view
-JSON reads.
+Every volume is one support sum against a mixed area measure
+(Schneider, Convex Bodies, 5.1): d! V(L, K_2, ..., K_d) =
+sum_u h_L(u) S(K_2, ..., K_d)(u). A rest that repeats one body K has
+S = m_K, so vol(K) = V(K, ..., K) and V(L, K, ..., K) need no sum; a
+body of least multiplicity leads. `_area` builds any other S: the
+Minkowski sum of the rest's distinct bodies gives the normals, and the
+projected faces at each normal give S(u) by the same identity one
+dimension down. Such measures sit in a 4-entry LRU cache, the engine's
+only one, keyed by the (body, count) multiset and the vertex budget.
+Every operation after construction works on the grid; Fractions appear
+only in the volumes and measures a Polytope hands out, and in the
+`vertices` view JSON reads.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from ._kernels import _expansion_args, _multinomial_expansion, int_det
@@ -262,51 +261,51 @@ def _exact_measure(total, ui) -> int:
 
 
 def _hull_shape(ints, d):
-    """Extreme indices, d! volume and facet measures of a cloud, in one pass.
+    """Extreme indices and facet measures of a cloud of distinct points, in
+    one pass.
 
     The measures map each distinct primitive outer normal u to
-    m(u) = (d-1)! vol_{d-1}(F(u)) / |u|, an integer on the grid, and the
-    volume is sum_u b_u m(u) over the facet offsets b_u. A
-    full-dimensional cloud is hulled once by `_hull_full_dim`; the
-    ascending extreme indices are read off its facets, and a facet
-    simplex with plane u adds |det| / |u_i| of its d - 1 edge vectors
-    without coordinate i, u's first nonzero one, since dropping u_i
-    scales (d-1)-volumes normal to u by |u_i| / |u|. A flat cloud has
-    volume 0 and no extreme point off its affine span; dropping all but
-    the pivot coordinates of its affine basis echelon is injective
-    there, so the projected cloud is recursed. At rank d - 1 its plane's
-    normals ±u each take the projected volume over |u_j|, j the dropped
+    m(u) = (d-1)! vol_{d-1}(F(u)) / |u|, an integer on the grid; the
+    support sum of the cloud against them is d! vol. A full-dimensional
+    cloud is hulled once by `_hull_full_dim`; the ascending extreme
+    indices are read off its facets, and a facet simplex with plane u
+    adds |det| / |u_i| of its d - 1 edge vectors without coordinate i,
+    u's first nonzero one, since dropping u_i scales (d-1)-volumes
+    normal to u by |u_i| / |u|. A flat cloud has no extreme point off
+    its affine span; dropping all but the pivot coordinates of its
+    affine basis echelon is injective there, so the projected cloud is
+    recursed. At rank d - 1 its plane's normals ±u each take the
+    projected volume, a support sum, over |u_j|, j the dropped
     coordinate; a lower rank has no facets. On a line both directions
     have measure 1.
     """
     if d == 1:
         lo = min(range(len(ints)), key=ints.__getitem__)
         hi = max(range(len(ints)), key=ints.__getitem__)
-        return sorted({lo, hi}), ints[hi][0] - ints[lo][0], {(1,): 1, (-1,): 1}
+        return sorted({lo, hi}), {(1,): 1, (-1,): 1}
     if len(ints) == 1:
-        return [0], 0, {}
+        return [0], {}
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
         pivots = [piv for piv, _ in ech.rows]
-        idx, projected, _ = _hull_shape([tuple(p[i] for i in pivots) for p in ints], rank)
+        projected = [tuple(p[i] for i in pivots) for p in ints]
+        idx, measures = _hull_shape(projected, rank)
         if rank < d - 1:
-            return idx, 0, {}
+            return idx, {}
         u = _facet_plane(ints, basis_idx)[0]
-        m = _exact_measure(projected, u[next(j for j in range(d) if j not in pivots)])
-        return idx, 0, {u: m, tuple(-x for x in u): m}
+        vol = _support_sum([projected[i] for i in idx], measures)
+        m = _exact_measure(vol, u[next(j for j in range(d) if j not in pivots)])
+        return idx, {u: m, tuple(-x for x in u): m}
     facets = _hull_full_dim(ints, d, basis_idx)
-    planes = {}  # normal -> [offset, sum of |minor| over its facet simplices]
-    for a, b, vidx in facets:
+    planes = {}  # normal -> sum of |minor| over its facet simplices
+    for a, _, vidx in facets:
         i = next(j for j, x in enumerate(a) if x)
         base = ints[vidx[0]]
         edges = [[x - y for j, (x, y) in enumerate(zip(ints[v], base)) if j != i] for v in vidx[1:]]
-        planes.setdefault(a, [b, 0])[1] += abs(int_det(edges))
-    measures, total = {}, 0
-    for a, (b, minors) in planes.items():
-        m = measures[a] = _exact_measure(minors, next(x for x in a if x))
-        total += b * m
-    return _extreme_indices(d, facets), total, measures
+        planes[a] = planes.get(a, 0) + abs(int_det(edges))
+    measures = {a: _exact_measure(m, next(x for x in a if x)) for a, m in planes.items()}
+    return _extreme_indices(d, facets), measures
 
 
 def _support_sum(pts, measures):
@@ -320,14 +319,14 @@ class Polytope:
 
     Construction canonicalizes: whatever point set comes in, `_pts` holds
     the sorted extreme points of its hull, so equal bodies have equal
-    grids. Flat bodies are allowed. The exact volume and the facet
-    measures come out of the same hull pass and are kept with the grid,
-    the measures as Fractions in true coordinates, which the reduction
-    of the grid leaves alone; so is the hash, since bodies key the
-    rest-sum cache.
+    grids. Flat bodies are allowed. The facet measures come out of the
+    same hull pass and are kept with the grid, as Fractions in true
+    coordinates, which the reduction of the grid leaves alone; every
+    volume is a support sum against them or against a rest's area
+    measure. The hash is kept too, since bodies key the rest-area cache.
     """
 
-    __slots__ = ("dim", "_pts", "_den", "_volume", "_measures", "_hash")
+    __slots__ = ("dim", "_pts", "_den", "_measures", "_hash")
 
     def __init__(self, points):
         pts = [tuple(as_rat(c) for c in p) for p in points]
@@ -355,20 +354,18 @@ class Polytope:
     def _set_grid(self, ints, den, d, like=None, scale=1):
         uniq = sorted(ints)
         if like is None:
-            idx, vol, measures = _hull_shape(uniq, d)
-            pts, vol = tuple(uniq[i] for i in idx), Fraction(vol, factorial(d) * den ** d)
-            unit = den ** (d - 1)
+            idx, measures = _hull_shape(uniq, d)
+            pts, unit = tuple(uniq[i] for i in idx), den ** (d - 1)
             measures = {u: Fraction(m, unit) for u, m in measures.items()}
         else:  # both maps keep the sorted order; a dilation scales the measures
-            pts, vol, measures = tuple(uniq), like._volume * scale ** d, like._measures
+            pts, measures = tuple(uniq), like._measures
             if scale != 1:
                 measures = {u: m * scale ** (d - 1) for u, m in measures.items()}
         # reduce after the hull: a dropped point may hold a factor of den
         g = gcd(den, *(c for p in pts for c in p))
         if g > 1:
             pts = tuple(tuple(c // g for c in p) for p in pts)
-        self.dim, self._pts, self._den = d, pts, den // g
-        self._volume, self._measures = vol, measures
+        self.dim, self._pts, self._den, self._measures = d, pts, den // g, measures
         self._hash = hash((d, self._den, pts))
 
     @property
@@ -414,13 +411,20 @@ def convex_hull(points) -> Polytope:
     return Polytope(points)
 
 
+def _against(body: Polytope, area) -> Rat:
+    """V(body, rest) = sum_u h_body(u) S(u) / d!, S the rest's area measure."""
+    return Fraction(_support_sum(body._pts, area), factorial(body.dim) * body._den)
+
+
 def volume(p: Polytope) -> Rat:
-    """Exact d-dimensional volume; 0 for lower-dimensional bodies."""
-    return p._volume
+    """Exact d-dimensional volume V(K, ..., K); 0 for lower-dimensional bodies."""
+    _expect([p], Polytope, "a Polytope")
+    return _against(p, p._measures)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """Hull of all pairwise vertex sums, added on the grids over lcm(den)."""
+    _expect([p, q], Polytope, "a Polytope")
     if p.dim != q.dim:
         raise DimensionMismatchError(f"body dimensions differ: {p.dim} vs {q.dim}")
     if len(p._pts) == 1:
@@ -433,6 +437,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 def translate(p: Polytope, vec) -> Polytope:
     """The body shifted by a fixed vector: its Minkowski sum with that point."""
+    _expect([p], Polytope, "a Polytope")
     t = tuple(vec)
     if len(t) != p.dim:
         raise DimensionMismatchError(f"translation vector of length {len(t)} in dimension {p.dim}")
@@ -441,6 +446,7 @@ def translate(p: Polytope, vec) -> Polytope:
 
 def dilate(p: Polytope, lam) -> Polytope:
     """Scale by a nonnegative factor; factor 0 collapses to the origin."""
+    _expect([p], Polytope, "a Polytope")
     lam = as_rat(lam)
     if lam < 0:
         raise ValueError("dilation requires a nonnegative factor")
@@ -473,97 +479,87 @@ def _check_budget(size, budget) -> None:
         )
 
 
-# The rest sums S = K_2 + ... + K_d that `mixed_volume` reads its normals
-# from, keyed by the (body, count) terms by rising count, ties in
-# canonical body order, plus the vertex budget, so a tighter budget never
-# reuses a sum built under a looser one. A value needs S only when its
-# rest holds two distinct bodies: of the pair check V(K, L, rest),
-# V(K, K, rest), V(L, L, rest) that is V(K, L, M) at d = 3 and all three
-# at d = 4, back to back; the others lead with the lone body and read
-# the measures of the repeated one. The m-fold at m >= 3 asks for
-# V(items) again right after them, its one hit; its other values repeat
-# one body. 4 entries keep an instance's three with one to spare. The
-# lru_cache is thread-safe and caches no exception.
-@lru_cache(maxsize=4)
-def _rest_sum(terms, budget) -> Polytope:
-    """sum c K over the terms, a left fold: each c K is a dilate, and each
-    term after the first adds one Minkowski sum, so one hull per body."""
-    (body, c), *tail = terms
-    acc = dilate(body, c)
-    for body, c in tail:
-        term = dilate(body, c)
-        _check_budget(len(acc._pts) * len(term._pts), budget)
-        acc = minkowski_sum(acc, term)
-    return acc
+def _area(rest, d, budget) -> dict:
+    """The mixed area measure S(P_2, ..., P_d) of integer point sets, d >= 2:
+    d! V(P_1, ..., P_d) = sum_u h_{P_1}(u) S(u) for every P_1.
 
-
-def _facet_sum(grids, d, budget, normals=None) -> int:
-    """d! V(P_1, ..., P_d) of integer point sets, d >= 2, by a term per
-    outer normal u of P_2 + ... + P_d (hulled here unless given); u's
-    first nonzero coordinate u_i is dropped. A rest that is one set P
-    repeated, as always at d = 2, reads the facet measures of P's hull
-    instead."""
-    if normals is None:
-        first = grids[1]
-        if all(pts == first for pts in grids[2:]):
-            return _support_sum(grids[0], _hull_shape(first, d)[2])
-        acc = [(0,) * d]
-        for pts in grids[1:]:
-            _check_budget(len(acc) * len(pts), budget)
-            acc = {tuple(a + b for a, b in zip(v, w)) for v in acc for w in pts}
-        normals = _hull_shape(sorted(acc), d)[2]
-    total = 0
+    A rest that is one set repeated, as always at d = 2, has that set's
+    facet measures. Any other rest folds its distinct sets into their
+    Minkowski sum, keeping the extreme points after each step; counts do
+    not move a normal. At each outer normal u of the sum, u's first
+    nonzero coordinate u_i is dropped from the rest's faces F(P_j, u),
+    and S(u) is the (d-1)! mixed volume of those faces over |u_i|; a
+    point face gives no entry. The budget bounds every pairwise product of
+    the fold, here and in the faces, before it is built.
+    """
+    acc, *tail = dict.fromkeys(map(tuple, rest))
+    if not tail:
+        return _hull_shape(acc, d)[1]
+    for pts in tail:
+        _check_budget(len(acc) * len(pts), budget)
+        acc = sorted({tuple(map(add, v, w)) for v in acc for w in pts})
+        idx, normals = _hull_shape(acc, d)
+        acc = [acc[i] for i in idx]
+    area = {}
     for u in normals:
         i = next(j for j, x in enumerate(u) if x)
         faces = []
-        for pts in grids[1:]:
+        for pts in rest:
             dots = [_dot(u, p) for p in pts]
             top = max(dots)
             face = [p[:i] + p[i + 1:] for p, x in zip(pts, dots) if x == top]
             if len(face) == 1:
-                break  # a point face: the term is 0
+                break  # a point face: no term
             faces.append(face)
         else:
-            q, r = divmod(_facet_sum(faces, d - 1, budget), abs(u[i]))
-            if r:
-                raise InvariantViolationError("inexact projected mixed volume")
-            total += max(_dot(u, p) for p in grids[0]) * q
-    return total
+            area[u] = _exact_measure(_support_sum(faces[0], _area(faces[1:], d - 1, budget)), u[i])
+    return area
+
+
+# The area measures of the rests that `mixed_volume` reads, keyed by the
+# (body, count) terms by rising count, ties in canonical body order, plus
+# the vertex budget, so a tighter budget never reuses a measure built
+# under a looser one. A value needs one only when its rest holds two
+# distinct bodies: of the pair check V(K, L, rest), V(K, K, rest),
+# V(L, L, rest) that is V(K, L, M) at d = 3 and all three at d = 4, back
+# to back; the others lead with the lone body and read the measures of
+# the repeated one. The m-fold at m >= 3 asks for V(items) again right
+# after them, its one hit; its other values repeat one body. 4 entries
+# keep an instance's three with one to spare. The lru_cache is
+# thread-safe and caches no exception.
+@lru_cache(maxsize=4)
+def _rest_area(terms, budget) -> dict:
+    """`_area` of the terms' bodies, each repeated by its count, on one grid,
+    as Fractions in true coordinates."""
+    d, den = terms[0][0].dim, lcm(*(b._den for b, _ in terms))
+    grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b, _ in terms]
+    rest = [pts for pts, (_, n) in zip(grids, terms) for _ in range(n)]
+    unit = den ** (d - 1)
+    return {u: Fraction(m, unit) for u, m in _area(rest, d, budget).items()}
 
 
 def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
-    """V(K_1, ..., K_d) by the facet recursion, on one integer grid.
+    """V(K_1, ..., K_d) as one support sum against a mixed area measure.
 
-    d V sums h_{K_1}(u) v(F(K_2, u), ..., F(K_d, u)) over the facet
-    normals u of S = K_2 + ... + K_d. Dropping the first nonzero
-    coordinate u_i of a primitive u scales (d-1)-volumes normal to u by
-    |u_i| / |u| and maps the lattice normal to u onto one of index |u_i|,
-    so on integer grids a term of d! V is h(u) times an integer: (d-1)!
-    times the projected faces' mixed volume, over |u_i|. V is symmetric,
-    so the bodies are taken by rising multiplicity, ties in `(_den,
-    _pts)` order, and the first leads. A rest of one body K repeated
-    gives d! V = sum_u h_{K_1}(u) m_K(u) from K's facet measures, and
-    at d = 1 V(K) is K's length; any other S comes from `_rest_sum`. The
-    budget bounds every pairwise vertex product, in S and in the face
-    sums below it, before it is materialized.
+    d! V = sum_u h_{K_1}(u) S(u), S the mixed area measure of the rest
+    K_2, ..., K_d (Schneider, Convex Bodies, 5.1). V is symmetric, so
+    the bodies are taken by rising multiplicity, ties in `(_den, _pts)`
+    order, and the first leads. A rest of one body K repeated has K's
+    facet measures for S, and at d = 1 the lead's own measures give its
+    length; any other S comes from `_rest_area`. The budget bounds every
+    pairwise vertex product behind S before it is materialized.
     """
     _expect([t], BodyTuple, "a body tuple")
-    d = t.dim
     counts = Counter(t.bodies)
     order = sorted(counts, key=lambda b: (counts[b], b._den, b._pts))
     lead = order[0]
     counts[lead] -= 1
     rest = [b for b in order if counts[b]]  # still by rising multiplicity
-    if not rest:  # d = 1: V(K) is the length of K
-        result = lead._volume
-    elif len(rest) == 1:
-        result = Fraction(_support_sum(lead._pts, rest[0]._measures)) / (factorial(d) * lead._den)
-    else:
-        bodies = [lead] + [b for b in rest for _ in range(counts[b])]
-        den = lcm(*(b._den for b in bodies))
-        grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b in bodies]
-        normals = _rest_sum(tuple((b, counts[b]) for b in rest), budget)._measures
-        result = Fraction(_facet_sum(grids, d, budget, normals), factorial(d) * den ** d)
+    if len(rest) > 1:
+        area = _rest_area(tuple((b, counts[b]) for b in rest), budget)
+    else:  # a rest of one body, or none at d = 1
+        area = (rest or order)[0]._measures
+    result = _against(lead, area)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")
     return result

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from ._kernels import _gmul, clear_gauss_matrix, gauss_charpoly, gauss_det
-from .errors import DimensionMismatchError, InvariantViolationError
+from .errors import DimensionMismatchError, InvariantViolationError, _expect
 from .rationals import GaussRat, Rat
 
 
@@ -234,6 +234,7 @@ def proportional(a: GenMat, b: GenMat) -> Optional[Rat]:
     Conventions: (0, 0) gives 0, (A, 0) gives 0 for nonzero A, and
     (0, B) for nonzero B gives None. A complex ratio is rejected.
     """
+    _expect([a, b], GenMat, "a matrix")
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
     pairs = [(x, y) for r1, r2 in zip(a._rows, b._rows) for x, y in zip(r1, r2)]

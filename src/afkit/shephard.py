@@ -77,6 +77,7 @@ class ShephardMatrix:
 
 def shephard_matrix(g: GramTable) -> ShephardMatrix:
     """Build the Shephard matrix of a Gram table."""
+    _expect([g], GramTable, "a Gram table")
     d = g.d
     d00 = d[0][0]
     return ShephardMatrix(
@@ -122,6 +123,7 @@ def r2_inequality(g: GramTable) -> GapReport:
     2 x 2 Shephard matrix. A negative gap disproves the AF hypotheses
     on the table, so it raises HypothesisError rather than reporting.
     """
+    _expect([g], GramTable, "a Gram table")
     if g.r != 2:
         raise ValueError(f"r = 2 required, got r = {g.r}")
     d = g.d

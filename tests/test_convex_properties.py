@@ -9,13 +9,16 @@ translation invariance, and Minkowski additivity and homogeneity in
 each slot. The grid forms of translation, dilation and the homothety
 test are checked against their former Fraction-vertex forms, on full,
 flat, segment and single-point bodies, and the images that skip the
-hull against the hull-built body, facet measures included. The facet
-recursion behind `mixed_volume` is checked against the former
-polarization route in every order of each tuple, including tuples whose
-rest sum is flat or lower-dimensional, and the facet measures against
-Minkowski's relation, the volume and the polarization route, for
-d = 1..4 and flat bodies. Draws are derandomized and bounded, so the
-suite stays deterministic and keeps no example database.
+hull against the hull-built body, facet measures included. `mixed_volume`
+is checked against the former polarization route in every order of each
+tuple, including tuples whose rest sum is flat or lower-dimensional, and
+the facet measures against Minkowski's relation, the volume and the
+polarization route, for d = 1..4 and flat bodies. The mixed area measure
+`_area` behind it must not depend on the order of the rest, must balance
+(sum_u S(u) u = 0), and must give a set's facet measures for a rest of
+that set repeated, through the fold as well, for d = 2..4. Draws are
+derandomized and bounded, so the suite stays deterministic and keeps no
+example database.
 """
 
 from fractions import Fraction
@@ -26,7 +29,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit.convexvol import BodyTuple, Polytope, dilate, minkowski_sum, mixed_volume, translate
+from afkit.convexvol import (
+    DEFAULT_VERTEX_BUDGET,
+    BodyTuple,
+    Polytope,
+    _area,
+    _hull_shape,
+    _support_sum,
+    dilate,
+    minkowski_sum,
+    mixed_volume,
+    translate,
+    volume,
+)
 from afkit.ineqcheck import homothety_ratio
 
 from oracles import (
@@ -131,7 +146,7 @@ def test_minkowski_sum_is_the_hull_of_pointwise_sums(case):
     s = minkowski_sum(p, q)
     want = Polytope({tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices})
     assert s == want and hash(s) == hash(want)
-    assert s._volume == want._volume
+    assert volume(s) == volume(want)
     assert_canonical(s)
 
 
@@ -186,7 +201,7 @@ def test_dilation_by_zero_is_the_origin(case):
     d, k = case
     z = dilate(k, 0)
     assert z == dilate_fraction(k, 0) == Polytope([(0,) * d])
-    assert z._volume == 0
+    assert volume(z) == 0
     assert homothety_ratio(k, z) == homothety_ratio_fraction(k, z) == 0
     assert homothety_ratio(z, k) == homothety_ratio_fraction(z, k)
 
@@ -216,7 +231,7 @@ def test_images_without_a_hull_equal_the_hull_built_body(case, lam):
     for got, points in images:
         want = Polytope(points)
         assert got == want and hash(got) == hash(want)
-        assert (got._volume, got._measures) == (want._volume, want._measures)
+        assert (volume(got), got._measures) == (volume(want), want._measures)
         assert_canonical(got)
 
 
@@ -309,7 +324,7 @@ def test_volume_is_the_support_sum_of_the_facet_measures(d, data):
     want = factorial(d) * volume_insertion(k)
     for body in (k, translate(k, data.draw(vectors(d)))):
         assert sum(support(body, u) * m for u, m in body._measures.items()) == want
-        assert factorial(d) * body._volume == want
+        assert factorial(d) * volume(body) == want
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -321,3 +336,55 @@ def test_measure_shortcut_matches_the_polarized_oracle(d, data):
     want = mixed_volume_polarized([l] + [k] * (d - 1))
     for i in range(d):
         assert V([k] * i + [l] + [k] * (d - 1 - i)) == want
+
+
+@st.composite
+def grids(draw, d, count):
+    """The integer grids of count measured bodies, repeats allowed."""
+    pool = [draw(measured_body(d))._pts for _ in range(count)]
+    if draw(st.booleans()):
+        return pool
+    picks = draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count))
+    return [pool[i] for i in picks]
+
+
+def area(rest, d):
+    return _area(list(rest), d, DEFAULT_VERTEX_BUDGET)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_area_is_the_same_in_every_order_of_the_rest(d, data):
+    # and V is symmetric: each set of a d-tuple, against the area measure
+    # of the other d - 1, gives one d! V
+    sets = data.draw(grids(d, d))
+    rest = sets[1:]
+    want = area(rest, d)
+    assert all(m >= 0 for m in want.values())
+    for order in set(permutations(rest)):
+        assert area(order, d) == want
+    assert len({_support_sum(sets[k], area(sets[:k] + sets[k + 1:], d)) for k in range(d)}) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_area_balances(d, data):
+    # sum_u S(u) u = 0: d! V(L + t, rest) - d! V(L, rest) is that sum
+    # dotted with t, so V is translation invariant exactly when it is 0
+    s = area(data.draw(grids(d, d - 1)), d)
+    assert [sum(m * u[j] for u, m in s.items()) for j in range(d)] == [0] * d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_a_repeated_set_has_its_facet_measures(d, data):
+    # read off the hull directly, and through the fold and the face
+    # recursion when the copies list the set in rotated orders, which
+    # count as distinct sets
+    pts = data.draw(measured_body(d))._pts
+    want = _hull_shape(pts, d)[1]
+    assert area([pts] * (d - 1), d) == want
+    assert area([pts[i:] + pts[:i] for i in range(d - 1)], d) == want

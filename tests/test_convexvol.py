@@ -371,7 +371,7 @@ def test_mixed_volume_repeated_body_order_free_d3():
 
 def test_a_repeated_rest_builds_no_sum(monkeypatch):
     # V(K, K, M) leads with M and reads K's facet measures in every order,
-    # so neither the rest-sum cache nor minkowski_sum runs
+    # so neither the rest-area cache nor the area fold runs
     rng = random.Random(165)
     cases = []
     for d in (3, 4):
@@ -381,8 +381,8 @@ def test_a_repeated_rest_builds_no_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("a Minkowski sum was built")
 
-    monkeypatch.setattr(convexvol, "_rest_sum", no_sum)
-    monkeypatch.setattr(convexvol, "minkowski_sum", no_sum)
+    monkeypatch.setattr(convexvol, "_rest_area", no_sum)
+    monkeypatch.setattr(convexvol, "_area", no_sum)
     for bodies, want in cases:
         assert want > 0
         for order in set(itertools.permutations(bodies)):
@@ -390,16 +390,16 @@ def test_a_repeated_rest_builds_no_sum(monkeypatch):
 
 
 def test_memo_keys_on_the_budget():
-    # the tighter budget misses the cached sum and raises, caching
+    # the tighter budget misses the cached measure and raises, caching
     # nothing; the default budget then hits its own entry again
     rng = random.Random(167)
     t = BodyTuple([convex_hull(rand_cloud(rng, 3, 8, bound=9, denom=1)) for _ in range(3)])
-    convexvol._rest_sum.cache_clear()
+    convexvol._rest_area.cache_clear()
     value = mixed_volume(t)
     with pytest.raises(SizeLimitError):
         mixed_volume(t, budget=3)
     assert mixed_volume(t) == value
-    info = convexvol._rest_sum.cache_info()
+    info = convexvol._rest_area.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
 
 
@@ -506,7 +506,7 @@ def test_only_the_constructor_clears_a_polytope():
     assert clears == {("convexvol", "Polytope.__init__")}
     assert grid_readers == {"convexvol"}
     assert slots is not None and "vertices" not in slots
-    assert set(slots) == {"dim", "_pts", "_den", "_volume", "_measures", "_hash"}
+    assert set(slots) == {"dim", "_pts", "_den", "_measures", "_hash"}
 
 
 def test_only_jsonio_reads_the_vertices_view():

@@ -28,7 +28,10 @@ from afkit import (
     af_m_fold_volume,
     bm_concavity_discriminant,
     bm_concavity_volume,
+    check_psd_shephard,
     det_expansion_check,
+    det_identity_check,
+    dilate,
     equality_corollary_full,
     equality_theorem_m,
     equality_theorem_pair,
@@ -38,10 +41,16 @@ from afkit import (
     intersection_number,
     kt_sequence,
     minkowski_expansion_check,
+    minkowski_sum,
     mixed_adjugate,
     mixed_discriminant,
     mixed_discriminant_polarized,
     mixed_volume,
+    proportional,
+    r2_inequality,
+    shephard_matrix,
+    translate,
+    volume,
 )
 
 from support import box, diag, gen
@@ -154,6 +163,17 @@ ROWS = [
     ("BodyTuple/type", lambda: BodyTuple([SQ, "L"]), TypeError),
     ("BodyTuple/empty", lambda: BodyTuple([]), ValueError),
     ("BodyTuple/dims", lambda: BodyTuple([SQ, CUBE]), DimensionMismatchError),
+    # single bodies and matrices
+    ("volume/type", lambda: volume("K"), TypeError),
+    ("minkowski_sum/type", lambda: minkowski_sum(SQ, "L"), TypeError),
+    ("dilate/type", lambda: dilate("K", 2), TypeError),
+    ("translate/type", lambda: translate("K", (1, 1)), TypeError),
+    ("proportional/type", lambda: proportional(A2, "B"), TypeError),
+    # Shephard matrices of a Gram table
+    ("shephard_matrix/type", lambda: shephard_matrix("G"), TypeError),
+    ("check_psd_shephard/type", lambda: check_psd_shephard("G"), TypeError),
+    ("det_identity_check/type", lambda: det_identity_check("G"), TypeError),
+    ("r2_inequality/type", lambda: r2_inequality("G"), TypeError),
     # expansion checks
     ("det_expansion_check/type", lambda: det_expansion_check(["A", A2], [1, 1]), TypeError),
     ("det_expansion_check/empty", lambda: det_expansion_check([], []), ValueError),

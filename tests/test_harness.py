@@ -457,7 +457,7 @@ def test_m2_instance_runs_the_adjugate_sweep_twice(monkeypatch):
 def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
     # three mixed volumes per instance, those of the pair check; the fold
     # asks for none. V(K, K, M) and V(L, L, M) lead with M and read the
-    # facet measures of K and L, so only V(K, L, M) builds a sum
+    # facet measures of K and L, so only V(K, L, M) builds an area measure
     calls = []
     real = ineqcheck.mixed_volume
 
@@ -466,25 +466,27 @@ def test_m2_volume_instance_takes_its_fold_from_the_pair(monkeypatch):
         return real(t, *args)
 
     monkeypatch.setattr(ineqcheck, "mixed_volume", counted)
-    convexvol._rest_sum.cache_clear()
+    convexvol._rest_area.cache_clear()
     run = run_suite(RunConfig(mode="volume", n=3, trials=3, seed=0))
     assert run.summary["failures"] == 0
-    info = convexvol._rest_sum.cache_info()
+    info = convexvol._rest_area.cache_info()
     assert (len(calls), info.misses, info.hits) == (9, 3, 0)
 
 
 @pytest.mark.parametrize("n, m, trials, misses, hits", [
-    # one sum per instance, V(K, L, M)'s; the m = 3 fold hits it for V(items)
+    # one area measure per instance, V(K, L, M)'s; the m = 3 fold hits it
+    # for V(items)
     (3, 3, 3, 3, 3),
     # all three pair values at d = 4 have a rest of two distinct bodies
     (4, 2, 2, 6, 0),
     (4, 3, 2, 6, 2),
 ])
 def test_volume_instance_traffic_on_the_rest_sum_cache(n, m, trials, misses, hits):
-    convexvol._rest_sum.cache_clear()
+    # the rest-area cache; the name predates it and keeps the test ids
+    convexvol._rest_area.cache_clear()
     run = run_suite(RunConfig(mode="volume", n=n, m=m, trials=trials, seed=0))
     assert run.summary["failures"] == 0
-    info = convexvol._rest_sum.cache_info()
+    info = convexvol._rest_area.cache_info()
     assert (info.misses, info.hits) == (misses, hits)
 
 

@@ -1,8 +1,9 @@
 """The outside-set hull against the lexicographic insertion oracle.
 
-`_hull_shape` must give the same extreme indices and the same d! *
-volume as `oracles.hull_insertion`, the former insertion hull, for
-d = 2..5 on random clouds, on subsets of {0,1,2}^d (heavy coplanarity),
+`_hull_shape` must give the same extreme indices, and through its facet
+measures the same d! * volume as a support sum, as
+`oracles.hull_insertion`, the former insertion hull, for d = 2..5 on
+random clouds, on subsets of {0,1,2}^d (heavy coplanarity),
 on points placed on the edges and facets of a few corners, and in any
 input order; points that lie on several facets without being vertices
 stay out. The facets of `_hull_full_dim` must form a closed simplicial
@@ -24,7 +25,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit import convexvol
-from afkit.convexvol import _affine_basis, _facet_plane, _hull_full_dim, _hull_shape, convex_hull, volume
+from afkit.convexvol import (
+    _affine_basis,
+    _facet_plane,
+    _hull_full_dim,
+    _hull_shape,
+    _support_sum,
+    convex_hull,
+    volume,
+)
 from afkit.errors import InvariantViolationError
 
 from oracles import facet_plane_minors, hull_insertion
@@ -77,11 +86,18 @@ def clouds(draw):
     return d, draw(st.permutations(draw(kind(d))))
 
 
+def shape(pts, d):
+    """The extreme indices and d! volume, the cloud's support sum against
+    its facet measures."""
+    idx, measures = _hull_shape(pts, d)
+    return idx, _support_sum(pts, measures)
+
+
 @SETTINGS
 @given(clouds())
 def test_hull_matches_the_insertion_oracle(case):
     d, pts = case
-    assert _hull_shape(pts, d)[:2] == hull_insertion(pts, d)
+    assert shape(pts, d) == hull_insertion(pts, d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -91,7 +107,7 @@ def test_full_lattice_cube_in_shuffled_orders(d):
     for seed in range(3):
         pts = cube[:]
         Random(seed).shuffle(pts)
-        idx, vol = _hull_shape(pts, d)[:2]
+        idx, vol = shape(pts, d)
         assert sorted(pts[i] for i in idx) == list(product((0, 2), repeat=d))
         assert (idx, vol) == hull_insertion(pts, d)
 
@@ -108,7 +124,7 @@ def test_points_on_several_facets_are_not_vertices():
     pts = corners + mids + centres
     for seed in range(3):
         Random(seed).shuffle(pts)
-        idx, vol = _hull_shape(pts, 4)[:2]
+        idx, vol = shape(pts, 4)
         assert sorted(pts[i] for i in idx) == corners
         assert vol == 16 * 24
         assert (idx, vol) == hull_insertion(pts, 4)

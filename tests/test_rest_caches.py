@@ -1,8 +1,8 @@
 """The library's two caches, one test set: the kernels' rest layers
-(`_kernels._rest_layer`) and the convex engine's rest sums
-(`convexvol._rest_sum`). Each holds "the rest of a value", stays bounded
-at its size, caches no exception, and serves threads that race its
-evictions."""
+(`_kernels._rest_layer`) and the convex engine's rest area measures
+(`convexvol._rest_area`, under the id `rest_sum`). Each holds "the rest
+of a value", stays bounded at its size, caches no exception, and serves
+threads that race its evictions."""
 
 import random
 import sys
@@ -40,9 +40,9 @@ def rest_layer_calls(rng):
     return calls
 
 
-def rest_sum_calls(rng):
+def rest_area_calls(rng):
     """V(K, L, M) of three fresh tetrahedra in two orders: the rest after
-    the lead holds two distinct bodies, so both read one cached sum."""
+    the lead holds two distinct bodies, so both read one cached measure."""
     bodies = [
         convex_hull([
             tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3))
@@ -58,7 +58,7 @@ Cache = namedtuple("Cache", "cached fault calls")
 
 CACHES = [
     pytest.param(Cache(_kernels._rest_layer, (_kernels, "_add_matrix"), rest_layer_calls), id="rest_layer"),
-    pytest.param(Cache(convexvol._rest_sum, (convexvol, "minkowski_sum"), rest_sum_calls), id="rest_sum"),
+    pytest.param(Cache(convexvol._rest_area, (convexvol, "_area"), rest_area_calls), id="rest_sum"),
 ]
 
 

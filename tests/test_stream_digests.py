@@ -46,9 +46,14 @@ PINS = [
      "9e69ba27ac601aa6a9b5dc9892f8802dda0401004b9dc1da0fccbf65382a479c", 0),
     ("--mode volume --n 4 --trials 2 --seed 0",
      "0cc03271f3dedc7ab6b03a44b9485338bdb1ae789c17b340e6d566cd701f3b6c", 0),
-    # an m = 3 fold at d = 4, whose V(items) rereads the pair's rest sum
+    # an m = 3 fold at d = 4, whose V(items) rereads the area measure
+    # cached for the pair's rest
     ("--mode volume --n 4 --m 3 --trials 2 --seed 0",
      "48d3aa7aa16d1d34877bcb2241b8fd5836a025f6d26fb4138402cb0573e250d8", 0),
+    # the full fold at d = 4: its right-hand side is four volumes
+    # V(K, ..., K), and its V(items) rereads the cached rest area measure
+    ("--mode volume --n 4 --m 4 --trials 2 --seed 0",
+     "79e0ac5a901c1308d66c797c175a7f19039ac8ac2c99c6bdb4fb948084f8c769", 0),
     # n = 5 and 6, where the distinct-matrix values and the adjugates run the subset DP
     ("--mode discriminant --n 6 --trials 3 --seed 0",
      "b7b022f6f0d488d443f62f1d505c043ea494c80cf6cf20459e8f62d509fcf4d3", 0),
