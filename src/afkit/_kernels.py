@@ -11,11 +11,16 @@ The permutation-sum DP runs matrix by matrix over (rows used, columns
 used) states. A layer maps each row mask to two flat int lists, the real
 and imaginary parts, indexed by column mask. Each state of the next
 layer is pulled from its predecessors and stored once; the mask tables
-behind it are built once per n, on first use. Both kernels take the
-trailing matrices first, and the layer after them comes from a small
-memo keyed by their multiset, so the values and adjugates that share
-fixed matrices build that layer once. It is the only cache of the
-matrix engine: finished values and adjugates are not kept.
+behind it are built once per n, on first use. Both kernels read the
+layer after a call's trailing grids and its first grid, of n - 1
+matrices: the mixed adjugate of the first grid over the trailing ones
+is that layer's signed states, and a value pairs its second grid with
+that adjugate, n^2 products. A small memo keyed by the trailing
+multiset, and by the first grid, holds both the rest layer and the one
+after it, so the values and adjugates that share fixed matrices build
+the rest once and each distinct first grid one more layer. It is the
+only cache of the matrix engine: finished values and adjugates are not
+kept.
 
 A layer whose grids are all Hermitian is mirrored: F_t(C, R) is the
 conjugate of F_t(R, C), so each such layer pulls only the states with
@@ -232,15 +237,18 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-# Layers kept by `_rest_layer`. The discriminant, shephard and bm
-# (m = 2) modes and the torus pair theorem ask for one rest per
-# instance, back to back: the 3 values, the 10 Gram entries of r = 3,
-# the 3 coefficients, or the pair's 3 values and 2 adjugates. A torus
-# fold at m = 3 interleaves three rests, g_i + tail for its leading
-# classes g_i: its values D(g_i^[3], tail) and adjugates
-# W(g_i, g_j, tail) revisit each. 4 layers keep those three with one to
-# spare, at about 30 KB a layer for n = 6.
-_REST_LAYER_MEMO_SIZE = 4
+# Layers kept by `_rest_layer`: rest layers, and the lead layers after
+# them. The discriminant, shephard and bm (m = 2) modes and the torus
+# pair theorem read one rest per instance, back to back, and one lead
+# layer over it per first grid: 2 for the pair's 3 values (and, in
+# torus, its 2 adjugates), 4 for the 10 Gram entries of r = 3. A torus
+# fold at m = 3 interleaves three rests, g_j + tail, and 6 lead layers
+# over them, and its adjugates W(g_i, g_j, tail) revisit each rest.
+# Counted over three instances at seed 0, torus n = 5, m = 3 rebuilt 21
+# rests at 4 entries where 9 are distinct; 8 entries keep it at 9 (one
+# lead layer per instance is built twice), at about 30 KB a layer for
+# n = 6.
+_REST_LAYER_MEMO_SIZE = 8
 
 
 @lru_cache(maxsize=8)
@@ -329,56 +337,64 @@ def _add_matrix(layer, grid, n):
 
 
 @lru_cache(maxsize=_REST_LAYER_MEMO_SIZE)
-def _rest_layer(n, grids):
-    """The layer after the grids, from the empty one. F_t is symmetric
-    in its matrices, so the caller passes the multiset sorted; cached
-    layers are shared and never mutated."""
+def _rest_layer(n, grids, lead):
+    """The layer after the grids, from the empty one, and after the lead
+    grid as well unless it is None: that layer is the cached rest layer
+    plus one `_add_matrix` step. F_t is symmetric in its matrices, so the
+    caller passes the rest multiset sorted; cached layers are shared and
+    never mutated."""
+    if lead is not None:
+        return _add_matrix(_rest_layer(n, grids, None), lead, n)
     layer = ({0: ([1] + [0] * ((1 << n) - 1), [0] * (1 << n))}, True)
     for g in grids:
         layer = _add_matrix(layer, g, n)
     return layer
 
 
-def _layer_after(n, rest, lead):
-    """The states after the rest grids, from the memo, then the lead ones."""
-    layer = _rest_layer(n, tuple(sorted(rest)))
-    for g in lead:
-        layer = _add_matrix(layer, g, n)
-    return layer[0]
+def _adjugate(n, rest, lead):
+    """The grid G with G[r][c] = n! D(E_rc, lead, *rest), E_rc the
+    single-entry basis matrix, from the memo's layer after rest + lead.
+
+    Giving E_rc the last row r and column c leaves the other n - 1
+    matrices every other row and column, so
+    G[r][c] = (-1)^(r + c) F_(n-1)(rows - r, columns - c).
+    """
+    states = _rest_layer(n, tuple(sorted(rest)), lead)[0]
+    full = (1 << n) - 1
+
+    def entry(r, c):
+        re, im = states[full ^ 1 << r]
+        k = full ^ 1 << c
+        return (-re[k], -im[k]) if (r + c) & 1 else (re[k], im[k])
+
+    return tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))
 
 
 def mixed_perm_sum(mats):
     """n! times the mixed discriminant of the n integer n x n inputs:
 
         n! D(A_1, ..., A_n) = sum_(rho, gamma in S_n) sgn(rho) sgn(gamma)
-                              prod_i A_i[rho(i)][gamma(i)],
+                              prod_i A_i[rho(i)][gamma(i)].
 
-    which is F_n(all rows, all columns). The layer after mats[2:] comes
-    from the rest-layer memo, so calls that share their trailing grids
-    pay only for the leading two.
+    D is linear in A_2, so n! D = sum_rc A_2[r][c] G[r][c] with G the
+    adjugate grid of A_1 over mats[2:] (`_adjugate`): an n^2 pairing
+    with the memo's layer after mats[2:] + A_1, which the calls that
+    share their trailing grids and their first build once.
     """
     n = len(mats)
-    re, im = _layer_after(n, mats[2:], mats[:2])[(1 << n) - 1]
-    return (re[-1], im[-1])
+    if n < 2:
+        # no second grid to pair: the empty sum, or the one entry
+        re, im = mats[0][0][0] if n else (1, 0)
+        return (re, im)
+    terms = [_gdot(y, w) for y, w in zip(mats[1], _adjugate(n, mats[2:], mats[0]))]
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
 
 
 def mixed_adjugate_sum(mats):
     """The grid G with G[r][c] = n! D(E_rc, A_1, ..., A_(n-1)) for the
     n - 1 integer n x n inputs A_i, E_rc the single-entry basis matrix.
 
-    Giving E_rc the last row r and column c leaves the other n - 1
-    matrices every other row and column, so
-    G[r][c] = (-1)^(r + c) F_(n-1)(rows - r, columns - c). The layer
-    after mats[1:] comes from the rest-layer memo, the one that
-    `mixed_perm_sum` reads for the same trailing grids.
+    G is read off the memo's layer after mats[1:] + A_1, the one that
+    `mixed_perm_sum` pairs for the same trailing grids and first grid.
     """
-    n = len(mats[0])
-    full = (1 << n) - 1
-    layer = _layer_after(n, mats[1:], mats[:1])
-
-    def entry(r, c):
-        re, im = layer[full ^ 1 << r]
-        k = full ^ 1 << c
-        return (-re[k], -im[k]) if (r + c) & 1 else (re[k], im[k])
-
-    return tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))
+    return _adjugate(len(mats[0]), mats[1:], mats[0])

@@ -19,6 +19,10 @@ from .errors import DimensionMismatchError, InvariantViolationError, _expect
 from .rationals import GaussRat, Rat
 
 
+# the entries of `GenMat.zero` and `GenMat.identity`, shared by every call
+_ZERO, _ONE = GaussRat(0), GaussRat(1)
+
+
 def _as_gauss(value) -> GaussRat:
     if isinstance(value, GaussRat):
         return value
@@ -72,11 +76,11 @@ class GenMat:
 
     @classmethod
     def zero(cls, n: int) -> "GenMat":
-        return cls([[0] * n for _ in range(n)])
+        return cls([[_ZERO] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "GenMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     def _require_same_shape(self, other: "GenMat") -> None:
         if self.n != other.n:

@@ -6,12 +6,14 @@ only construct inputs, never compute expected answers.
 
 import importlib.util
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from afkit import _kernels
 from afkit.convexvol import Polytope, convex_hull, minkowski_sum
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat
@@ -48,6 +50,32 @@ def shephard_table_past_the_digit_limit() -> dict:
     for i in range(1, r):
         d[i][i] = str(-10 ** 200)
     return {"r": r, "d": d}
+
+
+@contextmanager
+def layer_builds():
+    """Count the kernels' DP layer builds inside the block, from a cleared
+    memo: yields a function that gives (rest builds, lead builds) so far.
+
+    A lead build is the one `_add_matrix` step from a rest layer of
+    n - 2 grids to the layer of n - 1 that values and adjugates read; the
+    steps of a rest build start lower, so every other memo miss is a
+    rest build.
+    """
+    real = _kernels._add_matrix
+    leads = []
+
+    def spy(layer, grid, n):
+        if next(iter(layer[0])).bit_count() == n - 2:
+            leads.append(n)
+        return real(layer, grid, n)
+
+    _kernels._rest_layer.cache_clear()
+    _kernels._add_matrix = spy
+    try:
+        yield lambda: (_kernels._rest_layer.cache_info().misses - len(leads), len(leads))
+    finally:
+        _kernels._add_matrix = real
 
 
 def gr(re, im=0):

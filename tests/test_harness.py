@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from afkit.convexvol import BodyTuple, volume
-from afkit import _kernels, convexvol, harness, ineqcheck, mixdisc
+from afkit import convexvol, harness, ineqcheck, mixdisc
 from afkit.errors import FormatError, SizeLimitError
 from afkit.harness import (
     RunConfig,
@@ -34,6 +34,7 @@ from support import (
     DIGIT_LIMIT,
     box,
     gen_psd_singular,
+    layer_builds,
     needs_digit_limit,
     rand_pd,
     segment,
@@ -490,12 +491,38 @@ def test_volume_instance_traffic_on_the_rest_sum_cache(n, m, trials, misses, hit
     assert (info.misses, info.hits) == (misses, hits)
 
 
-@pytest.mark.parametrize("n, misses", [(6, 9), (5, 9)])
-def test_torus_instance_builds_only_its_fold_rests(n, misses):
+@pytest.mark.parametrize("n, rests, leads", [
+    pytest.param(6, 9, 21, id="6-9"), pytest.param(5, 9, 21, id="5-9"),
+])
+def test_torus_instance_builds_only_its_fold_rests(n, rests, leads):
     # the m = 3 fold reads three rests, g_i + tail for i < 3, the pair's
     # among them; the KT values come from determinants and build no
-    # layer, so each of the three instances builds three
-    _kernels._rest_layer.cache_clear()
-    run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
+    # layer, so each of the three instances builds three. Its values and
+    # adjugates W(g_i, g_j, tail) lead with 6 distinct (rest, g_i), and
+    # with the 3 rests they outrun the 8-entry memo by one, so one lead
+    # layer is built twice: 7 lead builds per instance
+    with layer_builds() as builds:
+        run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
+        assert builds() == (rests, leads)
     assert run.summary["failures"] == 0
-    assert _kernels._rest_layer.cache_info().misses == misses
+
+
+# Rest-layer builds over three instances (seed 0), pinned at one build
+# per distinct rest of each instance: lead layers share the memo with
+# the rests, and too small a memo would evict a rest that a later value
+# of the same instance reads (at 4 entries, torus n = 5, m = 3 rebuilt
+# 21 rests of these 9). Lead builds, one per first grid over each rest,
+# are pinned beside them.
+@pytest.mark.parametrize("mode, n, extra, rests, leads", [
+    ("torus", 5, {"m": 3}, 9, 21),
+    ("torus", 6, {"m": 4}, 48, 64),
+    ("discriminant", 6, {"m": 3}, 9, 15),
+    ("discriminant", 6, {"m": 4}, 15, 18),
+    ("bm", 6, {"m": 3}, 6, 9),
+    ("shephard", 6, {"r": 5}, 3, 18),
+])
+def test_rest_layer_builds_hold_per_mode(mode, n, extra, rests, leads):
+    with layer_builds() as builds:
+        run = run_suite(RunConfig(mode=mode, n=n, trials=3, seed=0, **extra))
+        assert builds() == (rests, leads)
+    assert run.summary["failures"] == 0

@@ -21,6 +21,7 @@ from afkit import _kernels
 from afkit._kernels import mixed_adjugate_sum, mixed_perm_sum
 
 from oracles import adjugate_sum_dict, mixed_adjugate_minors, mixed_disc_perm, perm_sum_dict
+from support import layer_builds
 
 # no shrinking: a failing example is reported as drawn, since the
 # oracles make every shrink step slow
@@ -117,16 +118,21 @@ def test_calls_sharing_a_rest_match_the_oracles(n, data):
     rest, other = pool[:size], pool[1:size + 1]
     zero = tuple(tuple((0, 0) for _ in range(n)) for _ in range(n))
     leads = st.sampled_from(pool + [zero])
-    _kernels._rest_layer.cache_clear()
-    for tail in (rest, other, rest):
-        lead = [data.draw(leads) for _ in range(min(n, 2))]
-        mats = lead + data.draw(st.permutations(tail))
-        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
-        if n >= 2:
-            part = lead[:1] + data.draw(st.permutations(tail))
-            assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
-    # one build per distinct rest multiset: the rest again is a hit
-    assert _kernels._rest_layer.cache_info().misses == (1 if sorted(rest) == sorted(other) else 2)
+    keys = set()
+    with layer_builds() as builds:
+        for tail in (rest, other, rest):
+            lead = [data.draw(leads) for _ in range(min(n, 2))]
+            mats = lead + data.draw(st.permutations(tail))
+            assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+            if n >= 2:
+                part = lead[:1] + data.draw(st.permutations(tail))
+                assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+                keys.add((tuple(sorted(tail)), lead[0]))
+        # one build per distinct rest multiset, and one per distinct first
+        # grid over it, which the value and the adjugate share; n = 1
+        # reads its one entry and builds none
+        rests = 0 if n == 1 else 1 if sorted(rest) == sorted(other) else 2
+        assert builds() == (rests, len(keys))
 
 
 @st.composite
@@ -161,8 +167,12 @@ def test_hermitian_tuples_match_the_unmirrored_oracles(n, data):
     _kernels._rest_layer.cache_clear()
     assert mixed_perm_sum(mats) == reference_perm_sum(mats)
     assert mixed_adjugate_sum(mats[1:]) == reference_adjugate_sum(mats[1:])
-    # both rests were built mirrored
-    assert all(_kernels._rest_layer(n, tuple(sorted(rest)))[1] for rest in (mats[2:], mats[1:]))
+    # the rest and both lead layers, after mats[0] and after mats[1],
+    # were built mirrored, and are read here from the memo
+    misses = _kernels._rest_layer.cache_info().misses
+    rest = tuple(sorted(mats[2:]))
+    assert all(_kernels._rest_layer(n, rest, lead)[1] for lead in (None, *mats[:2]))
+    assert _kernels._rest_layer.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -176,15 +186,20 @@ def test_non_hermitian_lead_after_a_cached_hermitian_rest(n, data):
     herm = data.draw(hermitian_grids(n, n))
     lead, tail = herm[:2], herm[2:]
     odd = with_entry(lead[0], 0, 0, (1, 1))
-    _kernels._rest_layer.cache_clear()
-    for pair in (lead, [odd, lead[1]], [lead[1], odd]):
-        mats = pair + data.draw(st.permutations(tail))
-        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
-    for first in (lead[0], odd):
-        part = [first] + data.draw(st.permutations(tail))
-        assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
-    info = _kernels._rest_layer.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    with layer_builds() as builds:
+        for pair in (lead, [odd, lead[1]], [lead[1], odd]):
+            mats = pair + data.draw(st.permutations(tail))
+            assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+        for first in (lead[0], odd):
+            part = [first] + data.draw(st.permutations(tail))
+            assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+        # one rest and a lead layer per distinct first grid of lead[0],
+        # odd and lead[1] (a draw may repeat a grid); later lead layers
+        # read the cached rest, and both adjugates a cached lead layer
+        assert builds() == (1, len({lead[0], odd, lead[1]}))
+        assert _kernels._rest_layer.cache_info().hits == 4
+        rest = tuple(sorted(tail))
+        assert [_kernels._rest_layer(n, rest, g)[1] for g in (lead[0], odd)] == [True, False]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -203,3 +218,63 @@ def test_grid_hermitian_but_for_one_entry(n, data):
     assert mixed_perm_sum(mats) == reference_perm_sum(mats)
     part = [m for i, m in enumerate(mats) if i != (slot + 1) % n]
     assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+
+
+# A value D(A_1, A_2, rest) is the pairing of A_2 with the adjugate of A_1
+# over the rest, sum_rc (-1)^(r + c) A_2[r][c] F_(n-1)(rows - r,
+# columns - c). The tests below check that pairing: where it does not
+# apply, under grids that break the Hermitian mirror on either side of
+# it, and through a cold and a warm memo.
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pairing_at_the_smallest_n(data):
+    """n = 1 is the one entry: it has no second grid to pair and reads
+    no memo (n = 0, the empty sum, is `test_empty_perm_sum_is_one`).
+    n = 2 pairs A_2 with the adjugate of A_1 alone, n = 3 over one rest
+    grid."""
+    _kernels._rest_layer.cache_clear()
+    one = data.draw(sparse_grids(1, 1))
+    assert mixed_perm_sum(one) == one[0][0][0] == reference_perm_sum(one)
+    assert _kernels._rest_layer.cache_info().misses == 0
+    for n in (2, 3):
+        mats = data.draw(sparse_grids(n, n))
+        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_non_hermitian_grid_after_a_cached_hermitian_lead_layer(n, data):
+    """A Hermitian tuple caches its mirrored lead layer; then either grid
+    of the pair turns non-Hermitian. A non-Hermitian second grid is only
+    paired, so it reads the cached lead layer; a non-Hermitian first grid
+    builds an unmirrored lead layer on the cached rest."""
+    herm = data.draw(hermitian_grids(n, n))
+    r, c = data.draw(st.permutations(range(n)))[:2]
+    with layer_builds() as builds:
+        assert mixed_perm_sum(herm) == reference_perm_sum(herm)
+        assert builds() == (1, 1)
+        for slot, want in ((1, (1, 1)), (0, (1, 2))):
+            mats = list(herm)
+            re, im = mats[slot][r][c]
+            mats[slot] = with_entry(mats[slot], r, c, (re, im + 1))
+            assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+            assert builds() == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_cold_and_warm_memos_give_equal_values(n, data):
+    """Each value from a cleared memo equals the same value read again
+    from the warm memo, under a shuffled rest, and the reference."""
+    mats = data.draw(sparse_grids(n, n))
+    want = reference_perm_sum(mats)
+    _kernels._rest_layer.cache_clear()
+    cold = mixed_perm_sum(mats)
+    misses = _kernels._rest_layer.cache_info().misses
+    warm = mixed_perm_sum(mats[:2] + data.draw(st.permutations(mats[2:])))
+    assert _kernels._rest_layer.cache_info().misses == misses
+    assert cold == warm == want

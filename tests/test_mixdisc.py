@@ -25,7 +25,9 @@ from afkit.mixdisc import (
 from afkit.rationals import GaussRat
 
 from oracles import mixed_disc_perm, mixed_disc_polarized
-from support import as_pairs, diag, gen, herm, identity, rand_gen, rand_herm, rand_psd
+from support import (
+    as_pairs, diag, gen, herm, identity, layer_builds, rand_gen, rand_herm, rand_psd,
+)
 
 
 def test_diagonal_of_polarization_is_det():
@@ -347,24 +349,26 @@ def test_hermitian_invariant_fires_on_every_call(monkeypatch):
             mixed_adjugate(h[:2])
 
 
-@pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls, rest_layers", [
-    # r = 3: the 10 Gram entries D(K_i, K_j, rest)
-    pytest.param("shephard", 6, 10, 0, 1, id="shephard-6-10-0"),
+@pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls, rest_layers, lead_layers", [
+    # r = 3: the 10 Gram entries D(K_i, K_j, rest), one lead layer per K_i
+    pytest.param("shephard", 6, 10, 0, 1, 4, id="shephard-6-10-0"),
     # the pair's three values and W(g1, rest), W(g2, rest), whose rest the
-    # m = 2 fold shares; the KT values come from the determinant pencil
-    # det(x g1 + g2) and run no DP
-    pytest.param("torus", 5, 3, 2, 1, id="torus-5-3-2"),
-    # the pair's three values, which the m = 2 fold shares
-    pytest.param("discriminant", 6, 3, 0, 1, id="discriminant-6-3-0"),
+    # m = 2 fold shares; the values D(g1, .) and W(g1) read one lead
+    # layer, D(g2, g2) and W(g2) the other. The KT values come from the
+    # determinant pencil det(x g1 + g2) and run no DP
+    pytest.param("torus", 5, 3, 2, 1, 2, id="torus-5-3-2"),
+    # the pair's three values, which the m = 2 fold shares: D(A, .) and
+    # D(B, B) lead with A and B
+    pytest.param("discriminant", 6, 3, 0, 1, 2, id="discriminant-6-3-0"),
 ])
 def test_one_instance_builds_its_rest_layer_once(
-    monkeypatch, mode, n, dp_calls, adjugate_calls, rest_layers
+    monkeypatch, mode, n, dp_calls, adjugate_calls, rest_layers, lead_layers
 ):
-    _kernels._rest_layer.cache_clear()
     dp = count_calls(monkeypatch, mixdisc, "mixed_perm_sum")
     adjugates = count_calls(monkeypatch, mixdisc, "mixed_adjugate_sum")
-    run = run_suite(RunConfig(mode=mode, n=n, r=3, trials=1))
+    with layer_builds() as builds:
+        run = run_suite(RunConfig(mode=mode, n=n, r=3, trials=1))
+        assert builds() == (rest_layers, lead_layers)
     assert run.summary["failures"] == 0
     assert "error" not in run.records[0]
     assert (len(dp), len(adjugates)) == (dp_calls, adjugate_calls)
-    assert _kernels._rest_layer.cache_info().misses == rest_layers

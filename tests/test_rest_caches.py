@@ -25,8 +25,9 @@ def int_grid(rng, n):
 
 
 def rest_layer_calls(rng):
-    """Both kernels under two leading grids over one fresh 3 x 3 rest,
-    against n! times the minor-expansion references."""
+    """Both kernels under two leading pairs over one fresh 3 x 3 rest,
+    against n! times the minor-expansion references; the value and the
+    adjugate of a pair share its first grid."""
     f = factorial(3)
     rest = [int_grid(rng, 3)]
     calls = []
@@ -54,11 +55,18 @@ def rest_area_calls(rng):
     return [(lambda t=BodyTuple(order): mixed_volume(t), want) for order in (bodies, bodies[::-1])]
 
 
-Cache = namedtuple("Cache", "cached fault calls")
+# size: the cache's maxsize; builds: its misses per round of `calls`
+Cache = namedtuple("Cache", "cached fault calls size builds")
 
 CACHES = [
-    pytest.param(Cache(_kernels._rest_layer, (_kernels, "_add_matrix"), rest_layer_calls), id="rest_layer"),
-    pytest.param(Cache(convexvol._rest_area, (convexvol, "_area"), rest_area_calls), id="rest_sum"),
+    # the rest layer and the lead layers of the two leading grids
+    pytest.param(
+        Cache(_kernels._rest_layer, (_kernels, "_add_matrix"), rest_layer_calls, 8, 3),
+        id="rest_layer",
+    ),
+    pytest.param(
+        Cache(convexvol._rest_area, (convexvol, "_area"), rest_area_calls, 4, 1), id="rest_sum"
+    ),
 ]
 
 
@@ -66,14 +74,14 @@ CACHES = [
 def test_stays_bounded_at_its_size(cache):
     rng = random.Random(97)
     size = cache.cached.cache_info().maxsize
-    assert size == 4
+    assert size == cache.size
     cache.cached.cache_clear()
     for _ in range(2 * size):
         for run, want in cache.calls(rng):
             assert run() == want
         assert cache.cached.cache_info().currsize <= size
     info = cache.cached.cache_info()
-    assert (info.misses, info.currsize) == (2 * size, size)
+    assert (info.misses, info.currsize) == (2 * size * cache.builds, size)
 
 
 @pytest.mark.parametrize("cache", CACHES)
