@@ -3,6 +3,9 @@
 Every instance is a pure function of (config, instance index): the
 index derives a child seed, the child seed drives a SplitMix64 stream,
 and the stream fully determines the generated matrices or bodies.
+Each mode has a generator, which draws an instance's items from its
+stream, and a verifier, which checks items and writes the record;
+fixture items skip the generator and go through the same verifier.
 `run_suite` verifies the instances one after another in index order,
 and the JSONL output is byte-identical for identical configs.
 """
@@ -172,10 +175,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("r must be at least 1")
     if cfg.exact_only and cfg.mode == "bm":
         raise ValueError("mode bm samples floating-point roots; drop --exact-only")
-    if cfg.mode in ("volume", "all"):
-        ceiling = MAX_DIMENSION
-    else:
-        ceiling = PERMUTATION_ROUTE_MAX_N
+    ceiling = MAX_DIMENSION if cfg.mode in ("volume", "all") else PERMUTATION_ROUTE_MAX_N
     if not 2 <= cfg.n <= ceiling:
         raise ValueError(f"mode {cfg.mode} needs n in [2, {ceiling}], got {cfg.n}")
     lo = 1 if cfg.mode == "bm" else 2
@@ -199,7 +199,7 @@ def _rand_scale(rng: SplitMix64) -> Fraction:
     return Fraction(rng.int_between(1, 6), rng.int_between(1, 3))
 
 
-def _run_discriminant(cfg, rng, kind, record):
+def _gen_discriminant(cfg, rng, kind):
     n = cfg.n
     a = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
     rest = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - 2)]
@@ -209,15 +209,10 @@ def _run_discriminant(cfg, rng, kind, record):
         b = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
         while proportional(a, b) is not None:
             b = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
-    pair = af_gap_discriminant(a, b, rest)
-    record["report"] = jsonio.gap_report_to_json(pair)
-    # the m = 2 fold is the pair check on the same matrices
-    fold = pair if cfg.m == 2 else af_m_fold_discriminant(MatTuple([a, b] + rest), cfg.m)
-    record["mfold"] = jsonio.gap_report_to_json(fold)
-    return pair.gap, pair.equality, True
+    return MatTuple([a, b] + rest)
 
 
-def _run_volume(cfg, rng, kind, record):
+def _gen_volume(cfg, rng, kind):
     d = cfg.n
     count = d + 3
     k = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
@@ -229,25 +224,33 @@ def _run_volume(cfg, rng, kind, record):
         l = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
         while homothety_ratio(k, l) is not None:
             l = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
-    pair = af_gap_volume(k, l, rest)
+    return BodyTuple([k, l] + rest)
+
+
+def _verify_gap(cfg, t, record, fold):
+    """Pair and m-fold AF gaps of a matrix tuple or of a body tuple."""
+    if isinstance(t, MatTuple):
+        items, pair_check, fold_check = t.mats, af_gap_discriminant, af_m_fold_discriminant
+    else:
+        items, pair_check, fold_check = t.bodies, af_gap_volume, af_m_fold_volume
+    pair = pair_check(items[0], items[1], list(items[2:]))
     record["report"] = jsonio.gap_report_to_json(pair)
-    # the m = 2 fold is the pair check on the same bodies
-    fold = pair if cfg.m == 2 else af_m_fold_volume(BodyTuple([k, l] + rest), cfg.m)
-    record["mfold"] = jsonio.gap_report_to_json(fold)
+    if fold:
+        # the m = 2 fold is the pair check on the same items
+        record["mfold"] = jsonio.gap_report_to_json(pair if cfg.m == 2 else fold_check(t, cfg.m))
     return pair.gap, pair.equality, True
 
 
-def _run_shephard(cfg, rng, kind, record):
+def _gen_shephard(cfg, rng, kind):
     n = cfg.n
     classes = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(cfg.r + 1)]
     if kind == "proportional":
         classes[1] = classes[0].scale(_rand_scale(rng))
     rest = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - 2)]
-    g = gram_from_discriminants(classes, rest)
-    return _certify_gram(g, record)
+    return gram_from_discriminants(classes, rest)
 
 
-def _certify_gram(g, record):
+def _verify_shephard(cfg, g, record, fold):
     ok, witness = check_psd_shephard(g)
     ident = det_identity_check(g)
     record["psd"] = ok
@@ -260,51 +263,44 @@ def _certify_gram(g, record):
     return None, False, ok and ident
 
 
-def _run_torus(cfg, rng, kind, record):
+def _gen_torus(cfg, rng, kind):
     n = cfg.n
-    g1 = TorusClass(gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound))
+    g1 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
     if kind == "proportional":
         # scale the whole leading m-block so the fold verdict hits equality too
-        lead = [TorusClass(g1.mat.scale(_rand_scale(rng))) for _ in range(cfg.m - 1)]
-        tail = [
-            TorusClass(gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound))
-            for _ in range(n - cfg.m)
-        ]
+        lead = [g1.scale(_rand_scale(rng)) for _ in range(cfg.m - 1)]
+        tail = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - cfg.m)]
     else:
-        g2 = TorusClass(gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound))
-        while proportional(g1.mat, g2.mat) is not None:
-            g2 = TorusClass(gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound))
+        g2 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
+        while proportional(g1, g2) is not None:
+            g2 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
         lead = [g2]
-        tail = [
-            TorusClass(gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound))
-            for _ in range(n - 2)
-        ]
-    g2 = lead[0]
-    rest = lead[1:] + tail
-    pair = _torus_pair(g1, g2, rest, record)
-    # the m = 2 fold is the pair theorem on the same classes
-    fold = pair if cfg.m == 2 else equality_theorem_m([g1, g2] + rest, cfg.m)
-    record["mfold"] = {
-        "report": jsonio.gap_report_to_json(fold.report),
-        "adjugates_proportional": fold.adjugates_proportional,
-    }
-    # the KT values come from determinants alone and read no rest layer
-    record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
-    return pair.report.gap, pair.report.equality, True
+        tail = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - 2)]
+    return MatTuple([g1] + lead + tail)
 
 
-def _torus_pair(g1, g2, rest, record):
-    """Record the pair equality verdict of (g1, g2) and return it."""
+def _verify_torus(cfg, t, record, fold):
+    classes = [TorusClass(mat) for mat in t.mats]
+    g1, g2, *rest = classes
     pair = equality_theorem_pair(g1, g2, rest)
     record["report"] = jsonio.gap_report_to_json(pair.report)
     record["pair"] = {
         "adjugates_proportional": pair.adjugates_proportional,
         "matrices_proportional": pair.matrices_proportional,
     }
-    return pair
+    if fold:
+        # the m = 2 fold is the pair theorem on the same classes
+        rep = pair if cfg.m == 2 else equality_theorem_m(classes, cfg.m)
+        record["mfold"] = {
+            "report": jsonio.gap_report_to_json(rep.report),
+            "adjugates_proportional": rep.adjugates_proportional,
+        }
+    # the KT values come from determinants alone and read no rest layer
+    record["kt"] = [format_rat(x) for x in kt_sequence(g1, g2)]
+    return pair.report.gap, pair.report.equality, True
 
 
-def _run_bm(cfg, rng, kind, record):
+def _gen_bm(cfg, rng, kind):
     n = cfg.n
     a0 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
     if kind == "proportional":
@@ -312,6 +308,11 @@ def _run_bm(cfg, rng, kind, record):
     else:
         a1 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
     rest = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - cfg.m)]
+    return [a0, a1] + rest
+
+
+def _verify_bm(cfg, mats, record, fold):
+    a0, a1, *rest = mats
     rep = bm_concavity_discriminant(a0, a1, rest, cfg.m, cfg.grid)
     ok = rep.max_violation <= cfg.tolerance
     record["max_violation"] = rep.max_violation
@@ -319,48 +320,37 @@ def _run_bm(cfg, rng, kind, record):
     return None, False, ok
 
 
-_GENERATED_RUNNERS = {
-    "discriminant": _run_discriminant,
-    "volume": _run_volume,
-    "shephard": _run_shephard,
-    "torus": _run_torus,
-    "bm": _run_bm,
+# mode -> (generator, verifier, fixture parser). A generator draws one
+# instance's items from its stream; a verifier checks items, generated or
+# from a fixture, and fills the record, with the m-fold verdict only when
+# `fold` is set, as it is for generated instances. The parser names a
+# jsonio function, None where a mode takes no fixtures. Generators and
+# verifiers call library functions through this module's globals, so a
+# rebinding of those names reaches them.
+_MODE_TABLE = {
+    "discriminant": (_gen_discriminant, _verify_gap, "tuple_from_json"),
+    "volume": (_gen_volume, _verify_gap, "body_tuple_from_json"),
+    "shephard": (_gen_shephard, _verify_shephard, "gram_from_json"),
+    "torus": (_gen_torus, _verify_torus, "tuple_from_json"),
+    "bm": (_gen_bm, _verify_bm, None),
 }
-
-
-def _run_fixture(cfg, mode, obj, record):
-    if mode == "shephard":
-        return _certify_gram(obj, record)
-    if mode == "torus":
-        classes = [TorusClass(m) for m in obj.mats]
-        pair = _torus_pair(classes[0], classes[1], classes[2:], record)
-        record["kt"] = [format_rat(x) for x in kt_sequence(classes[0], classes[1])]
-        return pair.report.gap, pair.report.equality, True
-    if mode == "discriminant":
-        rep = af_gap_discriminant(obj.mats[0], obj.mats[1], list(obj.mats[2:]))
-    elif mode == "volume":
-        rep = af_gap_volume(obj.bodies[0], obj.bodies[1], list(obj.bodies[2:]))
-    else:
-        raise ValueError(f"fixtures are not supported for mode {mode!r}")
-    record["report"] = jsonio.gap_report_to_json(rep)
-    return rep.gap, rep.equality, True
-
 
 _IDENTITY_FIELDS = ("type", "mode", "index", "seed", "kind", "source")
 
 
 def _worker(cfg, mode, index, fixture):
     record = {"type": "instance", "mode": mode, "index": index}
+    generate, verify, _ = _MODE_TABLE[mode]
     try:
         if fixture is None:
             seed = derive_seed(cfg.seed, index)
             record["seed"] = seed
             record["kind"] = "proportional" if index % 3 == 2 else "generic"
-            runner = _GENERATED_RUNNERS[mode]
-            gap, equality, ok = runner(cfg, SplitMix64(seed), record["kind"], record)
+            items = generate(cfg, SplitMix64(seed), record["kind"])
         else:
             record["source"] = "fixture"
-            gap, equality, ok = _run_fixture(cfg, mode, fixture, record)
+            items = fixture
+        gap, equality, ok = verify(cfg, items, record, fixture is None)
     except (AfkitError, ArithmeticError) as exc:
         # a non-exact kernel division breaks an invariant of this instance only
         name = type(exc).__name__ if isinstance(exc, AfkitError) else "InvariantViolationError"
@@ -369,6 +359,13 @@ def _worker(cfg, mode, index, fixture):
         record["error"] = f"{name}: {exc}"
         return record, True, None, False
     return record, not ok, gap, equality
+
+
+def _fixture_parser(mode):
+    name = _MODE_TABLE[mode][2] if mode in _MODE_TABLE else None
+    if name is None:
+        raise ValueError(f"fixtures are not supported for mode {mode!r}")
+    return getattr(jsonio, name)
 
 
 def load_fixtures(path, mode: str):
@@ -380,8 +377,7 @@ def load_fixtures(path, mode: str):
     Matrix and body tuples of dimension below 2 are structural problems:
     every pair check reads two slots.
     """
-    if mode in ("all", "bm"):
-        raise ValueError(f"fixtures are not supported for mode {mode!r}")
+    parse = _fixture_parser(mode)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -398,15 +394,9 @@ def load_fixtures(path, mode: str):
         raise FormatError("fixture file holds no instances")
     parsed = []
     for item in items:
-        if mode == "shephard":
-            parsed.append(jsonio.gram_from_json(item))
-            continue
-        if mode in ("discriminant", "torus"):
-            obj = jsonio.tuple_from_json(item)
-            size = obj.n
-        else:
-            obj = jsonio.body_tuple_from_json(item)
-            size = obj.dim
+        obj = parse(item)
+        # matrix tuples carry n, body tuples dim; a Gram table has two classes at least
+        size = getattr(obj, "n", getattr(obj, "dim", 2))
         if size < 2:
             raise FormatError(f"mode {mode} needs fixtures of dimension at least 2, got {size}")
         parsed.append(obj)
@@ -423,30 +413,22 @@ def run_suite(cfg: RunConfig, out=None, fixtures=None) -> RunRecord:
     validate_config(cfg)
     start = time.monotonic()
     if fixtures is not None:
+        _fixture_parser(cfg.mode)  # raises for the modes that take no fixtures
         results = [_worker(cfg, cfg.mode, i, obj) for i, obj in enumerate(fixtures)]
     else:
         modes = _instance_modes(cfg) * cfg.trials
         results = [_worker(cfg, mode, i, None) for i, mode in enumerate(modes)]
-    records = []
-    failed_indices = []
-    equalities = 0
-    min_gap = None
-    for record, failed, gap, equality in results:
-        records.append(record)
-        if failed:
-            failed_indices.append(record["index"])
-        if equality:
-            equalities += 1
-        if gap is not None and (min_gap is None or gap < min_gap):
-            min_gap = gap
+    records = [record for record, _, _, _ in results]
+    failed_indices = [record["index"] for record, failed, _, _ in results if failed]
+    gaps = [gap for _, _, gap, _ in results if gap is not None]
     summary = {
         "type": "summary",
         "config": config_to_json(cfg),
         "instances": len(records),
         "failures": len(failed_indices),
         "failed_indices": failed_indices,
-        "equalities": equalities,
-        "min_gap": None if min_gap is None else format_rat(min_gap),
+        "equalities": sum(1 for _, _, _, equality in results if equality),
+        "min_gap": format_rat(min(gaps)) if gaps else None,
     }
     wall = time.monotonic() - start
     if out is not None:

@@ -10,6 +10,7 @@ import pytest
 
 from afkit.convexvol import BodyTuple, volume
 from afkit import convexvol, harness, ineqcheck, mixdisc
+from afkit.cli import main
 from afkit.errors import FormatError, SizeLimitError
 from afkit.harness import (
     RunConfig,
@@ -23,7 +24,13 @@ from afkit.harness import (
     validate_config,
 )
 from afkit.ineqcheck import af_m_fold_discriminant, af_m_fold_volume
-from afkit.jsonio import dumps_canonical, gap_report_to_json, gram_to_json, tuple_to_json
+from afkit.jsonio import (
+    body_tuple_to_json,
+    dumps_canonical,
+    gap_report_to_json,
+    gram_to_json,
+    tuple_to_json,
+)
 from afkit.matrixcore import is_pd, is_psd
 from afkit.mixdisc import MatTuple
 from afkit.shephard import GramTable
@@ -343,14 +350,14 @@ def test_summary_matches_dumped_lines():
 
 def test_kernel_arithmetic_error_is_recorded_per_instance(monkeypatch):
     # a non-exact kernel division at one index used to abort the whole run
-    real = harness._GENERATED_RUNNERS["discriminant"]
+    generate, real, parse = harness._MODE_TABLE["discriminant"]
 
-    def runner(cfg, rng, kind, record):
+    def verify(cfg, items, record, fold):
         if record["index"] == 1:
             raise ArithmeticError("non-exact division in a fraction-free elimination step")
-        return real(cfg, rng, kind, record)
+        return real(cfg, items, record, fold)
 
-    monkeypatch.setitem(harness._GENERATED_RUNNERS, "discriminant", runner)
+    monkeypatch.setitem(harness._MODE_TABLE, "discriminant", (generate, verify, parse))
     cfg = RunConfig(seed=46, trials=3, n=2, mode="discriminant")
     result = run_suite(cfg, io.StringIO())
     assert [r["index"] for r in result.records] == [0, 1, 2]
@@ -362,18 +369,60 @@ def test_kernel_arithmetic_error_is_recorded_per_instance(monkeypatch):
 
 
 def test_error_record_drops_fields_written_before_the_raise(monkeypatch):
-    real = harness._GENERATED_RUNNERS["discriminant"]
+    generate, real, parse = harness._MODE_TABLE["discriminant"]
 
-    def runner(cfg, rng, kind, record):
-        out = real(cfg, rng, kind, record)
+    def verify(cfg, items, record, fold):
+        out = real(cfg, items, record, fold)
         if record["index"] == 1:
             raise ArithmeticError("non-exact division in a fraction-free elimination step")
         return out
 
-    monkeypatch.setitem(harness._GENERATED_RUNNERS, "discriminant", runner)
+    monkeypatch.setitem(harness._MODE_TABLE, "discriminant", (generate, verify, parse))
     result = run_suite(RunConfig(seed=46, trials=3, n=2, mode="discriminant"), io.StringIO())
     assert sorted(result.records[1]) == ["error", "index", "kind", "mode", "seed", "type"]
     assert "report" in result.records[0] and "report" in result.records[2]
+
+
+def cli_lines(argv, capsys):
+    """The parsed JSONL lines of a CLI run, and its exit code."""
+    code = main(argv)
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()], code
+
+
+FIXTURE_JSON = {
+    "discriminant": tuple_to_json,
+    "volume": body_tuple_to_json,
+    "shephard": gram_to_json,
+    "torus": tuple_to_json,
+}
+
+
+@pytest.mark.parametrize("mode", list(FIXTURE_JSON))
+@pytest.mark.parametrize("m", [2, 3])
+def test_fixture_records_match_generated_records(monkeypatch, capsys, tmp_path, mode, m):
+    # the generated items, written to a fixture file, give the same
+    # verdicts; only generated records carry seed, kind and the fold
+    generate, verify, parse = harness._MODE_TABLE[mode]
+    drawn = []
+
+    def recording(cfg, rng, kind):
+        drawn.append(generate(cfg, rng, kind))
+        return drawn[-1]
+
+    monkeypatch.setitem(harness._MODE_TABLE, mode, (recording, verify, parse))
+    argv = ["--mode", mode, "--n", "3", "--r", "2", "--m", str(m), "--trials", "3"]
+    generated, code = cli_lines(argv, capsys)
+    assert code == 0
+    assert [r["kind"] for r in generated[:-1]] == ["generic", "generic", "proportional"]
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps([FIXTURE_JSON[mode](items) for items in drawn]))
+    fixture, code = cli_lines(argv + ["--in", str(path)], capsys)
+    assert code == 0
+    assert fixture[-1] == generated[-1]
+    for got, record in zip(fixture[:-1], generated[:-1], strict=True):
+        assert ("mfold" in record) is (mode != "shephard")
+        expected = {k: v for k, v in record.items() if k not in ("seed", "kind", "mfold")}
+        assert got == {**expected, "source": "fixture"}
 
 
 def test_config_json_lists_every_field():

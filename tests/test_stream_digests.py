@@ -5,7 +5,9 @@ and the exit code with pinned values, so a rewrite that means to keep
 the bytes is held to it. Four cases run fixture files: a torus file, and
 a discriminant, a shephard and a volume file that each hold one instance
 whose record is an error or a failing witness, so the hypothesis
-messages that reach the stream are pinned too.
+messages that reach the stream are pinned too. A fifth, a torus file
+whose two instances hold classes that are not nef and big, pins the
+NotBigError records.
 The `bm --n 4 --m 1` run exits 1: a proportional instance's affine root
 function misses the default tolerance by float rounding.
 """
@@ -31,6 +33,9 @@ PINS = [
      "c7f8f52658f367e6b91686424f015d7737407dc019904fb1f73f9b6ef0cd01d2", 0),
     ("--mode all --n 3 --trials 2 --seed 77",
      "a5b085d059a995cd51b98ead9bd3e24b0494c484487a9a7c8b73b3a787484c3b", 0),
+    # every generator at n = 4, volume at d = 4 and bm among them
+    ("--mode all --n 4 --trials 2 --seed 0",
+     "58d36a3d1f7ebf4e5b1729579c84833b61081d281a1c6497ecae5bda2f53021a", 0),
     ("--mode bm --n 4 --m 2 --trials 6 --seed 1",
      "23ce8f8e238a89e0963ffa4c63f777deb8b42d55bf7b9e0e9c67f4ec2897f6ea", 0),
     ("--mode bm --n 4 --m 1 --trials 6 --seed 3",
@@ -110,6 +115,16 @@ def test_discriminant_fixture_with_an_indefinite_instance(tmp_path):
     items = [tuple_to_json(MatTuple(t)) for t in tuples]
     assert fixture_digest(tmp_path, "discriminant", 3, items) == (
         "ee29b6edcc24f6f51e2ceb3370a562b2cbb2038487215ec73d356d12c3ae0e69", 1
+    )
+
+
+def test_torus_fixture_with_classes_that_are_not_big(tmp_path):
+    # diag(1, 0, 0) is nef but not big, diag(1, -1, 2) is not nef: two NotBigError records
+    mats = [gen_pd_hermitian(derive_seed(4, i), 3) for i in range(2)]
+    tuples = [[diag(1, 0, 0)] + mats, mats + [diag(1, -1, 2)]]
+    items = [tuple_to_json(MatTuple(t)) for t in tuples]
+    assert fixture_digest(tmp_path, "torus", 3, items) == (
+        "656a14cc47ee0eaca07b00ee82e5bfe1cb564e79c51529ae34fb34ada7213a63", 1
     )
 
 
