@@ -12,15 +12,14 @@ used) states. A layer maps each row mask to two flat int lists, the real
 and imaginary parts, indexed by column mask. Each state of the next
 layer is pulled from its predecessors and stored once; the mask tables
 behind it are built once per n, on first use. Both kernels read the
-layer after a call's trailing grids and its first grid, of n - 1
-matrices: the mixed adjugate of the first grid over the trailing ones
-is that layer's signed states, and a value pairs its second grid with
-that adjugate, n^2 products. A small memo keyed by the trailing
-multiset, and by the first grid, holds both the rest layer and the one
-after it, so the values and adjugates that share fixed matrices build
-the rest once and each distinct first grid one more layer. It is the
-only cache of the matrix engine: finished values and adjugates are not
-kept.
+mixed adjugate W of a call's first grid over its trailing grids, the
+signed states one layer past the rest layer, and a value pairs its
+second grid with W, n^2 products. A small memo keyed by the trailing
+multiset, and by the first grid, holds the rest layer and each W read
+over it, so the values and adjugates that share fixed matrices build
+the rest once and each distinct first grid one more layer, dropped once
+W is read. It is the only cache of the matrix engine: finished values
+are not kept.
 
 A layer whose grids are all Hermitian is mirrored: F_t(C, R) is the
 conjugate of F_t(R, C), so each such layer pulls only the states with
@@ -237,17 +236,16 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-# Layers kept by `_rest_layer`: rest layers, and the lead layers after
-# them. The discriminant, shephard and bm (m = 2) modes and the torus
-# pair theorem read one rest per instance, back to back, and one lead
-# layer over it per first grid: 2 for the pair's 3 values (and, in
-# torus, its 2 adjugates), 4 for the 10 Gram entries of r = 3. A torus
-# fold at m = 3 interleaves three rests, g_j + tail, and 6 lead layers
-# over them, and its adjugates W(g_i, g_j, tail) revisit each rest.
-# Counted over three instances at seed 0, torus n = 5, m = 3 rebuilt 21
-# rests at 4 entries where 9 are distinct; 8 entries keep it at 9 (one
-# lead layer per instance is built twice), at about 30 KB a layer for
-# n = 6.
+# Entries kept by `_rest_layer`: rest layers, and the adjugate grids W
+# over them. The discriminant, shephard and bm (m = 2) modes and the
+# torus pair theorem read one rest per instance, back to back, and one
+# W over it per first grid: 2 for the pair's 3 values (and, in torus,
+# its 2 adjugates), 4 for the 10 Gram entries of r = 3. A torus fold at
+# m = 3 interleaves three rests, g_j + tail, and 6 W over them, and
+# rereads each rest. Over three instances at seed 0, torus n = 5,
+# m = 3 builds 9 rests, all distinct, and 21 W, 18 distinct. At n = 6
+# (recursive sys.getsizeof) a rest layer takes 27.7 KiB and a W 4.5 KiB;
+# the 9.2 KiB layer a W is read off is not kept.
 _REST_LAYER_MEMO_SIZE = 8
 
 
@@ -338,36 +336,26 @@ def _add_matrix(layer, grid, n):
 
 @lru_cache(maxsize=_REST_LAYER_MEMO_SIZE)
 def _rest_layer(n, grids, lead):
-    """The layer after the grids, from the empty one, and after the lead
-    grid as well unless it is None: that layer is the cached rest layer
-    plus one `_add_matrix` step. F_t is symmetric in its matrices, so the
-    caller passes the rest multiset sorted; cached layers are shared and
-    never mutated."""
+    """The layer after the grids, from the empty one, or with a lead grid
+    the grid G with G[r][c] = n! D(E_rc, lead, *grids), E_rc the
+    single-entry basis matrix. F_t is symmetric in its matrices, so the
+    caller passes the grids sorted; entries are shared, never mutated.
+
+    Giving E_rc the last row r and column c leaves the other n - 1
+    matrices every other row and column, so G[r][c] is (-1)^(r + c)
+    F_(n-1)(rows - r, columns - c), read off the cached rest layer plus
+    one `_add_matrix` step."""
     if lead is not None:
-        return _add_matrix(_rest_layer(n, grids, None), lead, n)
+        states = _add_matrix(_rest_layer(n, grids, None), lead, n)[0]
+        masks = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+        return tuple(
+            tuple((-re[k], -im[k]) if (r + c) & 1 else (re[k], im[k]) for c, k in enumerate(masks))
+            for r, (re, im) in enumerate(states[m] for m in masks)
+        )
     layer = ({0: ([1] + [0] * ((1 << n) - 1), [0] * (1 << n))}, True)
     for g in grids:
         layer = _add_matrix(layer, g, n)
     return layer
-
-
-def _adjugate(n, rest, lead):
-    """The grid G with G[r][c] = n! D(E_rc, lead, *rest), E_rc the
-    single-entry basis matrix, from the memo's layer after rest + lead.
-
-    Giving E_rc the last row r and column c leaves the other n - 1
-    matrices every other row and column, so
-    G[r][c] = (-1)^(r + c) F_(n-1)(rows - r, columns - c).
-    """
-    states = _rest_layer(n, tuple(sorted(rest)), lead)[0]
-    full = (1 << n) - 1
-
-    def entry(r, c):
-        re, im = states[full ^ 1 << r]
-        k = full ^ 1 << c
-        return (-re[k], -im[k]) if (r + c) & 1 else (re[k], im[k])
-
-    return tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))
 
 
 def mixed_perm_sum(mats):
@@ -377,16 +365,17 @@ def mixed_perm_sum(mats):
                               prod_i A_i[rho(i)][gamma(i)].
 
     D is linear in A_2, so n! D = sum_rc A_2[r][c] G[r][c] with G the
-    adjugate grid of A_1 over mats[2:] (`_adjugate`): an n^2 pairing
-    with the memo's layer after mats[2:] + A_1, which the calls that
-    share their trailing grids and their first build once.
+    memo's adjugate grid of A_1 over mats[2:] (`_rest_layer`): an n^2
+    pairing, which the calls that share their trailing grids and their
+    first read from one entry.
     """
     n = len(mats)
     if n < 2:
         # no second grid to pair: the empty sum, or the one entry
         re, im = mats[0][0][0] if n else (1, 0)
         return (re, im)
-    terms = [_gdot(y, w) for y, w in zip(mats[1], _adjugate(n, mats[2:], mats[0]))]
+    adj = _rest_layer(n, tuple(sorted(mats[2:])), mats[0])
+    terms = [_gdot(y, w) for y, w in zip(mats[1], adj)]
     return (sum(t[0] for t in terms), sum(t[1] for t in terms))
 
 
@@ -394,7 +383,7 @@ def mixed_adjugate_sum(mats):
     """The grid G with G[r][c] = n! D(E_rc, A_1, ..., A_(n-1)) for the
     n - 1 integer n x n inputs A_i, E_rc the single-entry basis matrix.
 
-    G is read off the memo's layer after mats[1:] + A_1, the one that
+    G is the memo's entry for mats[1:] and A_1, the one that
     `mixed_perm_sum` pairs for the same trailing grids and first grid.
     """
-    return _adjugate(len(mats[0]), mats[1:], mats[0])
+    return _rest_layer(len(mats[0]), tuple(sorted(mats[1:])), mats[0])

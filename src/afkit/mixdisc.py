@@ -9,13 +9,10 @@ matrix is its determinant, any other runs the DP up to
 carries the determinant expansion identity checker and the mixed
 adjugate, the matrix of discriminants against single-entry basis
 matrices, read off one layer of the same DP. Neither keeps finished
-values: the DP takes the fixed matrices last, and the kernels' layer
-memo holds the layer after them and the one after them and a first
-matrix X. W(X, rest) is read off that second layer, and D(X, Y, rest)
-pairs Y with it, so the values and adjugates that share the fixed
-matrices build their layer once and each distinct X one more. The
-values D(A^[m], B^[n-m]) of a pair, m = 0..n, come together from the
-n + 1 determinants of the pencil x A + B.
+values; the kernels' one memo (`_kernels._rest_layer`) holds the rest
+layers and the adjugates W(X, rest) that each D(X, Y, rest) pairs Y
+with. The values D(A^[m], B^[n-m]) of a pair, m = 0..n, come together
+from the n + 1 determinants of the pencil x A + B.
 """
 
 from __future__ import annotations

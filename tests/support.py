@@ -58,7 +58,7 @@ def layer_builds():
     memo: yields a function that gives (rest builds, lead builds) so far.
 
     A lead build is the one `_add_matrix` step from a rest layer of
-    n - 2 grids to the layer of n - 1 that values and adjugates read; the
+    n - 2 grids to the layer of n - 1 that an adjugate is read off; the
     steps of a rest build start lower, so every other memo miss is a
     rest build.
     """

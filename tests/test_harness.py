@@ -548,8 +548,8 @@ def test_torus_instance_builds_only_its_fold_rests(n, rests, leads):
     # among them; the KT values come from determinants and build no
     # layer, so each of the three instances builds three. Its values and
     # adjugates W(g_i, g_j, tail) lead with 6 distinct (rest, g_i), and
-    # with the 3 rests they outrun the 8-entry memo by one, so one lead
-    # layer is built twice: 7 lead builds per instance
+    # with the 3 rests they outrun the 8-entry memo by one, so one
+    # adjugate is built twice: 7 lead builds per instance
     with layer_builds() as builds:
         run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
         assert builds() == (rests, leads)
@@ -557,8 +557,8 @@ def test_torus_instance_builds_only_its_fold_rests(n, rests, leads):
 
 
 # Rest-layer builds over three instances (seed 0), pinned at one build
-# per distinct rest of each instance: lead layers share the memo with
-# the rests, and too small a memo would evict a rest that a later value
+# per distinct rest of each instance: adjugate grids share the memo
+# with the rests, and too small a memo would evict a rest that a later value
 # of the same instance reads (at 4 entries, torus n = 5, m = 3 rebuilt
 # 21 rests of these 9). Lead builds, one per first grid over each rest,
 # are pinned beside them.

@@ -167,11 +167,13 @@ def test_hermitian_tuples_match_the_unmirrored_oracles(n, data):
     _kernels._rest_layer.cache_clear()
     assert mixed_perm_sum(mats) == reference_perm_sum(mats)
     assert mixed_adjugate_sum(mats[1:]) == reference_adjugate_sum(mats[1:])
-    # the rest and both lead layers, after mats[0] and after mats[1],
-    # were built mirrored, and are read here from the memo
+    # the rest layer was built mirrored; it and the adjugates of mats[0]
+    # and of mats[1] over it are read here from the memo
     misses = _kernels._rest_layer.cache_info().misses
     rest = tuple(sorted(mats[2:]))
-    assert all(_kernels._rest_layer(n, rest, lead)[1] for lead in (None, *mats[:2]))
+    assert _kernels._rest_layer(n, rest, None)[1] is True
+    for lead in mats[:2]:
+        assert _kernels._rest_layer(n, rest, lead) == reference_adjugate_sum([lead, *rest])
     assert _kernels._rest_layer.cache_info().misses == misses
 
 
@@ -193,13 +195,17 @@ def test_non_hermitian_lead_after_a_cached_hermitian_rest(n, data):
         for first in (lead[0], odd):
             part = [first] + data.draw(st.permutations(tail))
             assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
-        # one rest and a lead layer per distinct first grid of lead[0],
-        # odd and lead[1] (a draw may repeat a grid); later lead layers
-        # read the cached rest, and both adjugates a cached lead layer
+        # one rest and an adjugate per distinct first grid of lead[0],
+        # odd and lead[1] (a draw may repeat a grid); later adjugates
+        # read the cached rest, and both adjugate calls a cached entry
         assert builds() == (1, len({lead[0], odd, lead[1]}))
         assert _kernels._rest_layer.cache_info().hits == 4
         rest = tuple(sorted(tail))
-        assert [_kernels._rest_layer(n, rest, g)[1] for g in (lead[0], odd)] == [True, False]
+        misses = _kernels._rest_layer.cache_info().misses
+        assert _kernels._rest_layer(n, rest, None)[1] is True
+        for g in (lead[0], odd):
+            assert _kernels._rest_layer(n, rest, g) == reference_adjugate_sum([g, *rest])
+        assert _kernels._rest_layer.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -218,6 +224,30 @@ def test_grid_hermitian_but_for_one_entry(n, data):
     assert mixed_perm_sum(mats) == reference_perm_sum(mats)
     part = [m for i, m in enumerate(mats) if i != (slot + 1) % n]
     assert mixed_adjugate_sum(part) == reference_adjugate_sum(part)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(SETTINGS, max_examples=5)
+@given(data=st.data(), hermitian=st.booleans())
+def test_a_lead_entry_is_the_adjugate_grid(n, data, hermitian):
+    """The memo entry of a rest and a first grid is the adjugate grid,
+    immutable int pairs, and a second value over the same rest and first
+    grid pairs another second grid with it, adding no layer."""
+    mats = data.draw(hermitian_grids(n, n) if hermitian else sparse_grids(n, n))
+    other = data.draw(hermitian_grids(n, 1) if hermitian else sparse_grids(n, 1))[0]
+    with layer_builds() as builds:
+        assert mixed_perm_sum(mats) == reference_perm_sum(mats)
+        misses = _kernels._rest_layer.cache_info().misses
+        grid = _kernels._rest_layer(n, tuple(sorted(mats[2:])), mats[0])
+        assert _kernels._rest_layer.cache_info().misses == misses
+        assert type(grid) is tuple and len(grid) == n
+        assert all(type(row) is tuple and len(row) == n for row in grid)
+        assert all(type(z) is tuple and [type(x) for x in z] == [int, int] for row in grid for z in row)
+        assert grid == reference_adjugate_sum([mats[0], *mats[2:]])
+        steps = builds()
+        again = [mats[0], other, *mats[2:]]
+        assert mixed_perm_sum(again) == reference_perm_sum(again)
+        assert builds() == steps
 
 
 # A value D(A_1, A_2, rest) is the pairing of A_2 with the adjugate of A_1
@@ -247,10 +277,11 @@ def test_pairing_at_the_smallest_n(data):
 @settings(SETTINGS, max_examples=5)
 @given(data=st.data())
 def test_non_hermitian_grid_after_a_cached_hermitian_lead_layer(n, data):
-    """A Hermitian tuple caches its mirrored lead layer; then either grid
-    of the pair turns non-Hermitian. A non-Hermitian second grid is only
-    paired, so it reads the cached lead layer; a non-Hermitian first grid
-    builds an unmirrored lead layer on the cached rest."""
+    """A Hermitian tuple caches the adjugate of its first grid, read off a
+    mirrored layer; then either grid of the pair turns non-Hermitian. A
+    non-Hermitian second grid is only paired, so it reads the cached
+    adjugate; a non-Hermitian first grid builds its adjugate off an
+    unmirrored layer on the cached rest."""
     herm = data.draw(hermitian_grids(n, n))
     r, c = data.draw(st.permutations(range(n)))[:2]
     with layer_builds() as builds:

@@ -350,11 +350,11 @@ def test_hermitian_invariant_fires_on_every_call(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, n, dp_calls, adjugate_calls, rest_layers, lead_layers", [
-    # r = 3: the 10 Gram entries D(K_i, K_j, rest), one lead layer per K_i
+    # r = 3: the 10 Gram entries D(K_i, K_j, rest), one adjugate per K_i
     pytest.param("shephard", 6, 10, 0, 1, 4, id="shephard-6-10-0"),
     # the pair's three values and W(g1, rest), W(g2, rest), whose rest the
-    # m = 2 fold shares; the values D(g1, .) and W(g1) read one lead
-    # layer, D(g2, g2) and W(g2) the other. The KT values come from the
+    # m = 2 fold shares; the values D(g1, .) and W(g1) read one cached
+    # adjugate, D(g2, g2) and W(g2) the other. The KT values come from the
     # determinant pencil det(x g1 + g2) and run no DP
     pytest.param("torus", 5, 3, 2, 1, 2, id="torus-5-3-2"),
     # the pair's three values, which the m = 2 fold shares: D(A, .) and

@@ -59,7 +59,7 @@ def rest_area_calls(rng):
 Cache = namedtuple("Cache", "cached fault calls size builds")
 
 CACHES = [
-    # the rest layer and the lead layers of the two leading grids
+    # the rest layer and the adjugates of the two leading grids over it
     pytest.param(
         Cache(_kernels._rest_layer, (_kernels, "_add_matrix"), rest_layer_calls, 8, 3),
         id="rest_layer",

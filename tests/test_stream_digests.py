@@ -68,6 +68,10 @@ PINS = [
      "fcb19321b9f00076dac8648f8ad6c5d1b047d9889df031c1ea2a445de4f358ec", 0),
     ("--mode torus --n 6 --m 3 --trials 3 --seed 0",
      "d12f6ff0ffd8562860916415914ed6926867c98ab821157c232ce8d4eb0510c0", 0),
+    # an m = 5 fold, whose rests and adjugates outrun the 8-entry layer
+    # memo most often, so rebuilt adjugates must give the same bytes
+    ("--mode torus --n 6 --m 5 --trials 3 --seed 0",
+     "4dc79b01f286a9df40d83ecf9cfa27bf779d2a0859aba9f490488043cabb826f", 0),
     # folds over repeated matrices at n = 4..6, whose values D(A^[m], tail)
     # once went to polarization and now run the DP, or det A at m = n
     ("--mode discriminant --n 6 --m 6 --trials 3 --seed 0",
