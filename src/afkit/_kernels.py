@@ -1,6 +1,7 @@
 """Integer kernels: exact determinants over Z and Z[i], the
 permutation-sum DP behind mixed discriminants and mixed adjugates, and
-the polarization and expansion sums shared by both engines.
+the multinomial expansion sums shared by both engines. Multiset
+polarization lives with its one caller, `mixdisc`.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
@@ -31,38 +32,12 @@ layer after it, a cached rest layer included.
 
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 
 from .errors import DimensionMismatchError, _expect
 from .rationals import as_rat
 
 _GZERO = (0, 0)
-
-
-def compositions(total, parts):
-    """All tuples of nonnegative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _polarize(mults, value):
-    """d! times the mixed value of the multiset {X_i repeated r_i}, d = sum r_i.
-
-    It is the sum over 0 <= k <= r, k != 0, in lexicographic order, of
-    prod_i C(r_i, k_i) (-1)^(d - |k|) value(k), where value(k) is the
-    top-degree value (a volume or a determinant) of sum_i k_i X_i.
-    """
-    d = sum(mults)
-    total = 0
-    for k in product(*(range(r + 1) for r in mults)):
-        if any(k):
-            term = prod(map(comb, mults, k)) * value(k)
-            total += -term if (d - sum(k)) & 1 else term
-    return total
 
 
 def _expansion_args(items, lambdas, cls, nouns):
@@ -86,7 +61,9 @@ def _multinomial_expansion(items, lams, d, mixed):
     vanishing monomials.
     """
     total = 0
-    for comp in compositions(d, len(items)):
+    for comp in product(range(d + 1), repeat=len(items)):
+        if sum(comp) != d:
+            continue
         monomial = prod(lam ** r for lam, r in zip(lams, comp))
         if monomial:
             coeff = factorial(d) // prod(map(factorial, comp))

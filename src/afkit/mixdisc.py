@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from ._kernels import (
     _expansion_args,
     _multinomial_expansion,
-    _polarize,
     gauss_det,
     mixed_adjugate_sum,
     mixed_perm_sum,
@@ -89,9 +89,10 @@ def mixed_discriminant(t: MatTuple) -> GaussRat:
 def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
     """D(A_1, ..., A_n) by multiset polarization over sum determinants.
 
-    Equal matrices are grouped, and n! D is the polarization sum of
-    det(sum_i k_i B_i) over 0 <= k <= r, k != 0 (`_polarize`); over the
-    lcm of the B_i denominators, each sum is an integer grid.
+    Equal matrices are grouped, B_i repeated r_i times, and n! D is the
+    sum over 0 <= k <= r, k != 0, of prod_i C(r_i, k_i) (-1)^(n - |k|)
+    det(sum_i k_i B_i); over the lcm of the B_i denominators, each sum
+    is an integer grid, and the signed sum stays in two ints.
     """
     _expect([t], MatTuple, "a matrix tuple")
     n = t.n
@@ -102,17 +103,20 @@ def mixed_discriminant_polarized(t: MatTuple) -> GaussRat:
     counts = Counter(t.mats)
     scale = lcm(*(m._den for m in counts))
     grids = [(scale // m._den, m._rows) for m in counts]
-
-    def det_of_sum(k):
+    re = im = 0
+    for k in product(*(range(r + 1) for r in counts.values())):
+        if not any(k):
+            continue
         terms = [(c * f, g) for c, (f, g) in zip(k, grids) if c]
-        return GaussRat(*gauss_det([
-            [tuple(sum(c * g[r][j][part] for c, g in terms) for part in (0, 1)) for j in range(n)]
-            for r in range(n)
-        ]))
-
-    total = _polarize(list(counts.values()), det_of_sum)
+        dre, dim = gauss_det([
+            [tuple(sum(c * g[i][j][part] for c, g in terms) for part in (0, 1)) for j in range(n)]
+            for i in range(n)
+        ])
+        weight = prod(map(comb, counts.values(), k)) * (-1) ** (n - sum(k))
+        re += weight * dre
+        im += weight * dim
     denom = factorial(n) * scale ** n
-    return _finalize(t, total.re / denom, total.im / denom)
+    return _finalize(t, Fraction(re, denom), Fraction(im, denom))
 
 
 def _discriminant_auto(t: MatTuple) -> GaussRat:

@@ -10,18 +10,18 @@ for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
 GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
 the Fraction-vertex homothety test, translation and dilation, the
-polarized mixed volume, which keeps `_polarize` for its signed sum, the
-dict-keyed permutation-sum DP, and the Khovanskii-Teissier sequence one
-intersection number at a time. Slow is fine; these exist to catch bugs
-in the fast code.
+polarized mixed volume, which runs its own signed sum over the
+constructor's hulls, the dict-keyed permutation-sum DP, and the
+Khovanskii-Teissier sequence one intersection number at a time. Slow
+is fine; these exist to catch bugs in the fast code.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial, gcd, lcm, prod
+from itertools import combinations, permutations, product
+from math import comb, factorial, gcd, lcm, prod
 
-from afkit._kernels import _polarize, int_det
+from afkit._kernels import int_det
 from afkit.convexvol import (
     BodyTuple,
     Polytope,
@@ -326,23 +326,24 @@ def bm_samples_bodies(k0, k1, rest, m, grid):
 
 def mixed_volume_polarized(bodies):
     """The former `convexvol.mixed_volume`, by multiset polarization:
-    d! V is the sum over 0 <= k <= r, k != 0, of signed binomial
-    multiples of vol(sum_i k_i K_i) (`_kernels._polarize`), each sum the
-    constructor's hull of the pointwise Fraction vertex sums, no memo,
-    and each volume `volume_insertion`'s, not the facet measures'."""
+    d! V is the sum over 0 <= k <= r, k != 0, of prod_i C(r_i, k_i)
+    (-1)^(d - |k|) vol(sum_i k_i K_i), each sum the constructor's hull
+    of the pointwise Fraction vertex sums, no memo, and each volume
+    `volume_insertion`'s, not the facet measures'."""
     counts = Counter(bodies)
-    distinct = list(counts)
-
-    def volume_of(k):
+    d = len(bodies)
+    total = 0
+    for k in product(*(range(r + 1) for r in counts.values())):
+        if not any(k):
+            continue
         acc = None
-        for body, c in zip(distinct, k):
+        for body, c in zip(counts, k):
             for _ in range(c):
                 acc = body if acc is None else Polytope(
                     {tuple(a + b for a, b in zip(u, v)) for u in acc.vertices for v in body.vertices}
                 )
-        return volume_insertion(acc)
-
-    return _polarize([counts[b] for b in distinct], volume_of) / factorial(len(bodies))
+        total += prod(map(comb, counts.values(), k)) * (-1) ** (d - sum(k)) * volume_insertion(acc)
+    return total / factorial(d)
 
 
 def volume_insertion(body):

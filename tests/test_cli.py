@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,16 @@ def run_main(args, capsys=None):
         return code, None, None
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def checkout_env():
+    """The parent's environment with this checkout's sources first on the
+    child's PYTHONPATH, so a subprocess imports this afkit, not an
+    installed one or none."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parser_defaults():
@@ -124,7 +135,7 @@ def test_console_script_subprocess(tmp_path):
         "--trials",
         "3",
     ]
-    env = dict(os.environ)
+    env = checkout_env()
     env.pop("AFKIT_THREADS", None)
     plain = subprocess.run(args, capture_output=True, text=True, env=env)
     assert plain.returncode == 0
@@ -143,7 +154,9 @@ def test_cli_import_loads_no_process_pool():
         "import sys, afkit.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env()
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

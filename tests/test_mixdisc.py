@@ -6,7 +6,7 @@ the mixed adjugate."""
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -318,6 +318,25 @@ def test_route_rule_pins_the_route(monkeypatch):
     for _ in range(2):
         with pytest.raises(SizeLimitError):
             _discriminant_auto(MatTuple([identity(21)] * 20 + [diag(*range(1, 22))]))
+
+
+def test_polarized_route_matches_the_dp_past_the_cap(monkeypatch):
+    # complex, non-Hermitian tuples of two and three groups past the
+    # permutation cap; the DP kernel itself has no cap
+    rng = random.Random(89)
+    for n, shape in [(7, (4, 3)), (7, (3, 2, 2)), (8, (5, 3)), (8, (3, 3, 2))]:
+        mats = shaped_tuple(rng, shape, n)
+        dets = count_calls(monkeypatch, mixdisc, "gauss_det")
+        got = mixed_discriminant_polarized(MatTuple(mats))
+        monkeypatch.undo()
+        assert len(dets) == prod(r + 1 for r in shape) - 1
+        re, im = _kernels.mixed_perm_sum([m._rows for m in mats])
+        den = factorial(n) * prod(m._den for m in mats)
+        assert got == GaussRat(Fraction(re, den), Fraction(im, den))
+        assert not got.is_real
+        if (n, shape) == (7, (3, 2, 2)):
+            # the subset-sum oracle takes seconds at n = 7 and more at n = 8
+            assert (got.re, got.im) == mixed_disc_polarized([as_pairs(m) for m in mats])
 
 
 def test_hermitian_invariant_fires_on_every_call(monkeypatch):
