@@ -19,9 +19,9 @@ Minkowski sum of the rest's distinct bodies gives the normals, and the
 projected faces at each normal give S(u) by the same identity one
 dimension down. Such measures sit in a 4-entry LRU cache, the engine's
 only one, keyed by the (body, count) multiset and the vertex budget.
-Every operation after construction works on the grid; Fractions appear
-only in the volumes and measures a Polytope hands out, and in the
-`vertices` view JSON reads.
+Every operation after construction works on the grid, and every measure
+is an integer on the grid it came from; Fractions appear only in the
+volumes, and in the `vertices` view JSON reads.
 """
 
 from __future__ import annotations
@@ -229,30 +229,6 @@ def _hull_full_dim(ints, d, basis_idx):
     return [f[:3] for f in facets.values()]
 
 
-def _extreme_indices(d, facets):
-    """Indices of the extreme points, given the final facet list.
-
-    A listed point is a vertex exactly when the planes of the facets it
-    belongs to span the whole space. Every geometric facet through a
-    vertex has a simplex at that vertex, while a point inside a face
-    meets only facets containing that face, whose planes have rank
-    below d; so coplanar splits of a geometric facet are harmless, and
-    their duplicate planes are dropped up front.
-    """
-    planes = {}  # vertex index -> the distinct planes of its facets
-    for a, b, vidx in facets:
-        for v in vidx:
-            planes.setdefault(v, set()).add((a, b))
-    out = []
-    for v in sorted(planes):
-        ech = _IntEchelon()
-        for a, _ in planes[v]:
-            if ech.add(a) and ech.rank == d:
-                out.append(v)
-                break
-    return out
-
-
 def _exact_measure(total, ui) -> int:
     m, r = divmod(total, abs(ui))
     if r:
@@ -267,17 +243,18 @@ def _hull_shape(ints, d):
     The measures map each distinct primitive outer normal u to
     m(u) = (d-1)! vol_{d-1}(F(u)) / |u|, an integer on the grid; the
     support sum of the cloud against them is d! vol. A full-dimensional
-    cloud is hulled once by `_hull_full_dim`; the ascending extreme
-    indices are read off its facets, and a facet simplex with plane u
-    adds |det| / |u_i| of its d - 1 edge vectors without coordinate i,
-    u's first nonzero one, since dropping u_i scales (d-1)-volumes
-    normal to u by |u_i| / |u|. A flat cloud has no extreme point off
-    its affine span; dropping all but the pivot coordinates of its
-    affine basis echelon is injective there, so the projected cloud is
-    recursed. At rank d - 1 its plane's normals ±u each take the
-    projected volume, a support sum, over |u_j|, j the dropped
-    coordinate; a lower rank has no facets. On a line both directions
-    have measure 1.
+    cloud is hulled once by `_hull_full_dim`, and one loop over its
+    facets reads both: a listed point is extreme when the normals of its
+    facets span R^d (a point on a facet fixes the offset, so the normal
+    names the plane), and a facet simplex with normal u adds |det| / |u_i|
+    of its d - 1 edge vectors without coordinate i, u's first nonzero
+    one, since dropping u_i scales (d-1)-volumes normal to u by
+    |u_i| / |u|. A flat cloud has no extreme point off its affine span;
+    dropping all but the pivot coordinates of its affine basis echelon
+    is injective there, so the projected cloud is recursed. At rank
+    d - 1 its plane's normals ±u each take the projected volume, a
+    support sum, over |u_j|, j the dropped coordinate; a lower rank has
+    no facets. On a line both directions have measure 1.
     """
     if d == 1:
         lo = min(range(len(ints)), key=ints.__getitem__)
@@ -297,15 +274,25 @@ def _hull_shape(ints, d):
         vol = _support_sum([projected[i] for i in idx], measures)
         m = _exact_measure(vol, u[next(j for j in range(d) if j not in pivots)])
         return idx, {u: m, tuple(-x for x in u): m}
-    facets = _hull_full_dim(ints, d, basis_idx)
     planes = {}  # normal -> sum of |minor| over its facet simplices
-    for a, _, vidx in facets:
+    through = {}  # listed point -> the distinct normals of its facets
+    for a, _, vidx in _hull_full_dim(ints, d, basis_idx):
         i = next(j for j, x in enumerate(a) if x)
         base = ints[vidx[0]]
         edges = [[x - y for j, (x, y) in enumerate(zip(ints[v], base)) if j != i] for v in vidx[1:]]
         planes[a] = planes.get(a, 0) + abs(int_det(edges))
+        for v in vidx:
+            through.setdefault(v, set()).add(a)
+    # every geometric facet through a vertex has a simplex there, while a
+    # point inside a face meets only facets containing that face, whose
+    # normals have rank below d; coplanar splits share one normal
+    idx = []
+    for v in sorted(through):
+        ech = _IntEchelon()
+        if any(ech.add(a) and ech.rank == d for a in through[v]):
+            idx.append(v)
     measures = {a: _exact_measure(m, next(x for x in a if x)) for a, m in planes.items()}
-    return _extreme_indices(d, facets), measures
+    return idx, measures
 
 
 def _support_sum(pts, measures):
@@ -320,10 +307,9 @@ class Polytope:
     Construction canonicalizes: whatever point set comes in, `_pts` holds
     the sorted extreme points of its hull, so equal bodies have equal
     grids. Flat bodies are allowed. The facet measures come out of the
-    same hull pass and are kept with the grid, as Fractions in true
-    coordinates, which the reduction of the grid leaves alone; every
-    volume is a support sum against them or against a rest's area
-    measure. The hash is kept too, since bodies key the rest-area cache.
+    same hull pass and are kept with the grid as integers on it, den^(d-1)
+    times their true values; every volume is a support sum against them
+    or against a rest's area measure. The hash is kept too, since bodies key the rest-area cache.
     """
 
     __slots__ = ("dim", "_pts", "_den", "_measures", "_hash")
@@ -346,7 +332,7 @@ class Polytope:
     @classmethod
     def _of_grid(cls, ints, den: int, d: int, like=None, scale=1) -> "Polytope":
         """The hull of ints / den, for distinct integer points and den > 0; no
-        hull runs when they are the body `like` scaled by scale > 0 or shifted."""
+        hull runs when they are `like`'s grid times the integer scale > 0 or shifted."""
         p = object.__new__(cls)
         p._set_grid(ints, den, d, like, scale)
         return p
@@ -355,9 +341,8 @@ class Polytope:
         uniq = sorted(ints)
         if like is None:
             idx, measures = _hull_shape(uniq, d)
-            pts, unit = tuple(uniq[i] for i in idx), den ** (d - 1)
-            measures = {u: Fraction(m, unit) for u, m in measures.items()}
-        else:  # both maps keep the sorted order; a dilation scales the measures
+            pts = tuple(uniq[i] for i in idx)
+        else:  # both maps keep the sorted order; the grid grew by scale
             pts, measures = tuple(uniq), like._measures
             if scale != 1:
                 measures = {u: m * scale ** (d - 1) for u, m in measures.items()}
@@ -365,6 +350,7 @@ class Polytope:
         g = gcd(den, *(c for p in pts for c in p))
         if g > 1:
             pts = tuple(tuple(c // g for c in p) for p in pts)
+            measures = {u: _exact_measure(m, g ** (d - 1)) for u, m in measures.items()}
         self.dim, self._pts, self._den, self._measures = d, pts, den // g, measures
         self._hash = hash((d, self._den, pts))
 
@@ -411,15 +397,17 @@ def convex_hull(points) -> Polytope:
     return Polytope(points)
 
 
-def _against(body: Polytope, area) -> Rat:
-    """V(body, rest) = sum_u h_body(u) S(u) / d!, S the rest's area measure."""
-    return Fraction(_support_sum(body._pts, area), factorial(body.dim) * body._den)
+def _against(body: Polytope, area, den) -> Rat:
+    """V(body, rest) = sum_u h_body(u) S(u) / d!, S the rest's area measure
+    on the grid over den, so S(u) / den^(d-1) in true coordinates."""
+    d = body.dim
+    return Fraction(_support_sum(body._pts, area), factorial(d) * body._den * den ** (d - 1))
 
 
 def volume(p: Polytope) -> Rat:
     """Exact d-dimensional volume V(K, ..., K); 0 for lower-dimensional bodies."""
     _expect([p], Polytope, "a Polytope")
-    return _against(p, p._measures)
+    return _against(p, p._measures, p._den)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -432,7 +420,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     den = lcm(p._den, q._den)
     s, t = den // p._den, den // q._den
     sums = {tuple(s * a + t * b for a, b in zip(u, v)) for u in p._pts for v in q._pts}
-    return Polytope._of_grid(sums, den, p.dim, p if len(q._pts) == 1 else None)
+    return Polytope._of_grid(sums, den, p.dim, p if len(q._pts) == 1 else None, s)
 
 
 def translate(p: Polytope, vec) -> Polytope:
@@ -450,8 +438,9 @@ def dilate(p: Polytope, lam) -> Polytope:
     lam = as_rat(lam)
     if lam < 0:
         raise ValueError("dilation requires a nonnegative factor")
-    grid = {tuple(lam.numerator * c for c in v) for v in p._pts}
-    return Polytope._of_grid(grid, p._den * lam.denominator, p.dim, p if lam else None, lam)
+    a, b = lam.numerator, lam.denominator
+    grid = {tuple(a * c for c in v) for v in p._pts}
+    return Polytope._of_grid(grid, p._den * b, p.dim, p if lam else None, a)
 
 
 def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
@@ -528,14 +517,13 @@ def _area(rest, d, budget) -> dict:
 # keep an instance's three with one to spare. The lru_cache is
 # thread-safe and caches no exception.
 @lru_cache(maxsize=4)
-def _rest_area(terms, budget) -> dict:
-    """`_area` of the terms' bodies, each repeated by its count, on one grid,
-    as Fractions in true coordinates."""
+def _rest_area(terms, budget) -> tuple:
+    """`_area` of the terms' bodies, each repeated by its count, on the grid
+    over the lcm of their dens, and that lcm."""
     d, den = terms[0][0].dim, lcm(*(b._den for b, _ in terms))
     grids = [[tuple(c * (den // b._den) for c in p) for p in b._pts] for b, _ in terms]
     rest = [pts for pts, (_, n) in zip(grids, terms) for _ in range(n)]
-    unit = den ** (d - 1)
-    return {u: Fraction(m, unit) for u, m in _area(rest, d, budget).items()}
+    return _area(rest, d, budget), den
 
 
 def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
@@ -556,10 +544,11 @@ def mixed_volume(t: BodyTuple, budget: int = DEFAULT_VERTEX_BUDGET) -> Rat:
     counts[lead] -= 1
     rest = [b for b in order if counts[b]]  # still by rising multiplicity
     if len(rest) > 1:
-        area = _rest_area(tuple((b, counts[b]) for b in rest), budget)
+        area, den = _rest_area(tuple((b, counts[b]) for b in rest), budget)
     else:  # a rest of one body, or none at d = 1
-        area = (rest or order)[0]._measures
-    result = _against(lead, area)
+        body = (rest or order)[0]
+        area, den = body._measures, body._den
+    result = _against(lead, area, den)
     if result < 0:
         raise InvariantViolationError("mixed volume of polytopes must be nonnegative")
     return result

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import jsonio
@@ -150,7 +150,13 @@ class RunRecord:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Reject bad configs with ValueError before any work happens."""
+    """Reject bad configs before any work happens: a field of the wrong type
+    (a bool only for the flag) with TypeError, a bad value with ValueError."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = {"int": int, "float": (int, float), "bool": bool}.get(f.type)
+        if kind and (not isinstance(value, kind) or isinstance(value, bool) != (f.type == "bool")):
+            raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}; choose from {', '.join(MODES)}")
     if cfg.trials < 1:

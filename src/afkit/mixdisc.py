@@ -12,7 +12,7 @@ matrices, read off one layer of the same DP. Neither keeps finished
 values; the kernels' one memo (`_kernels._rest_layer`) holds the rest
 layers and the adjugates W(X, rest) that each D(X, Y, rest) pairs Y
 with. The values D(A^[m], B^[n-m]) of a pair, m = 0..n, come together
-from the n + 1 determinants of the pencil x A + B.
+from det A, det B and n - 1 determinants of the pencil x A + B.
 """
 
 from __future__ import annotations

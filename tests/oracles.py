@@ -12,8 +12,11 @@ GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
 the Fraction-vertex homothety test, translation and dilation, the
 polarized mixed volume, which runs its own signed sum over the
 constructor's hulls, the dict-keyed permutation-sum DP, and the
-Khovanskii-Teissier sequence one intersection number at a time. Slow
-is fine; these exist to catch bugs in the fast code.
+Khovanskii-Teissier sequence one intersection number at a time. Two
+closed forms tie the engines together: the mixed volume of zonotopes and
+the mixed discriminant of rank-one sums, the same sum over one generator
+per slot with |det| against |det|^2. Slow is fine; these exist to catch
+bugs in the fast code.
 """
 
 from collections import Counter
@@ -359,6 +362,27 @@ def truncated_simplex_mixed_volume(pairs):
     the truncated simplices T(A, B) = {x >= 0, B <= sum x <= A}, the
     classes A H - B E on the blow-up of P^d at a point."""
     return Fraction(prod(a for a, _ in pairs) - prod(b for _, b in pairs), factorial(len(pairs)))
+
+
+def zonotope_mixed_volume(generator_sets):
+    """V(Z_1, ..., Z_d) for the zonotopes Z_i = sum_j [0, u_ij]: the sum
+    of |det(u_(1 j_1), ..., u_(d j_d))| / d! over one generator per body
+    (Schneider, Convex Bodies, 2nd ed., 5.3)."""
+    total = Fraction(0)
+    for pick in product(*generator_sets):
+        total += abs(real_det([list(map(as_rat, u)) for u in pick]))
+    return total / factorial(len(generator_sets))
+
+
+def rank_one_mixed_disc(vector_sets):
+    """D(A_1, ..., A_n) for the rank-one sums A_i = sum_j v_ij v_ij*,
+    vectors of (re, im) pairs: n! D = sum |det(v_(1 j_1), ..., v_(n j_n))|^2
+    over one vector per matrix (Bapat, Linear Algebra Appl. 1989)."""
+    total = Fraction(0)
+    for pick in product(*vector_sets):
+        det = det_cofactor(pick)
+        total += c_mul(det, (det[0], -det[1]))[0]
+    return total / factorial(len(vector_sets))
 
 
 def permanent(rows):

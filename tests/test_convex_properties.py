@@ -13,7 +13,9 @@ hull against the hull-built body, facet measures included. `mixed_volume`
 is checked against the former polarization route in every order of each
 tuple, including tuples whose rest sum is flat or lower-dimensional, and
 the facet measures against Minkowski's relation, the volume and the
-polarization route, for d = 1..4 and flat bodies. The mixed area measure
+polarization route, for d = 1..4 and flat bodies. Zonotopes with
+rational generators, flat ones included, must match the closed form
+d! V = sum |det| over one generator per body, for d = 2..4. The mixed area measure
 `_area` behind it must not depend on the order of the rest, must balance
 (sum_u S(u) u = 0), and must give a set's facet measures for a rest of
 that set repeated, through the fold as well, for d = 2..4. Draws are
@@ -26,7 +28,7 @@ from itertools import permutations
 from math import factorial, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afkit.convexvol import (
@@ -51,7 +53,9 @@ from oracles import (
     mixed_volume_polarized,
     translate_fraction,
     volume_insertion,
+    zonotope_mixed_volume,
 )
+from support import zonotope
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -220,9 +224,14 @@ def test_mismatched_vertex_counts_have_no_ratio(case):
     st.integers(1, 4).flatmap(lambda d: st.tuples(shaped_body(d), vectors(d))),
     st.just(Fraction(0)) | positive_rats,
 )
+@example(
+    (Polytope([(0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 3))]), (Fraction(1, 2), 0)),
+    Fraction(3, 2),
+)
 def test_images_without_a_hull_equal_the_hull_built_body(case, lam):
     # a positive dilation and a shift keep the sorted extreme grid, so
-    # they skip the hull; lam = 0 is one point
+    # they skip the hull; lam = 0 is one point. The example grows the grid
+    # by 3 over a den of 6, which then reduces by 3.
     k, t = case
     images = [
         (dilate(k, lam), [tuple(lam * x for x in v) for v in k.vertices]),
@@ -319,11 +328,13 @@ def test_facet_measures_satisfy_minkowskis_relation(d, data):
 @given(data=st.data())
 def test_volume_is_the_support_sum_of_the_facet_measures(d, data):
     # d! vol(K) = sum_u h_K(u) m(u), against the insertion hull's volume;
-    # a shifted copy keeps the measures, so no facet hides at offset 0
+    # the measures are on the grid, den^(d-1) times their true values; a
+    # shifted copy carries them over, so no facet hides at offset 0
     k = data.draw(measured_body(d))
     want = factorial(d) * volume_insertion(k)
     for body in (k, translate(k, data.draw(vectors(d)))):
-        assert sum(support(body, u) * m for u, m in body._measures.items()) == want
+        total = sum(support(body, u) * m for u, m in body._measures.items())
+        assert total == want * body._den ** (d - 1)
         assert factorial(d) * volume(body) == want
 
 
@@ -336,6 +347,27 @@ def test_measure_shortcut_matches_the_polarized_oracle(d, data):
     want = mixed_volume_polarized([l] + [k] * (d - 1))
     for i in range(d):
         assert V([k] * i + [l] + [k] * (d - 1 - i)) == want
+
+
+generators = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_zonotopes_match_the_closed_form(d, data):
+    # d! V(Z_1, ..., Z_d) = sum |det| over one generator per body; a set
+    # of rank below d gives a flat zonotope, and equal sets give volume
+    gens = st.lists(st.tuples(*[generators] * d), min_size=1, max_size=d)
+    sets = data.draw(st.lists(gens, min_size=d, max_size=d))
+    if data.draw(st.booleans()):
+        sets = [sets[0]] * d
+    bodies = [zonotope(s) for s in sets]
+    want = zonotope_mixed_volume(sets)
+    for order in set(permutations(bodies)):
+        assert V(list(order)) == want
+    if len(set(bodies)) == 1:
+        assert volume(bodies[0]) == want
 
 
 @st.composite

@@ -178,6 +178,29 @@ def test_validate_config_rejections():
     validate_config(RunConfig(entry_bound=(1 << 63) - 1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", 2.0),
+        ("trials", True),
+        ("trials", 2.5),
+        ("seed", 1.5),
+        ("n", 3.0),
+        ("r", 2.0),
+        ("grid", 11.0),
+        ("entry_bound", 2.5),
+        ("tolerance", "1e-9"),
+        ("tolerance", True),
+        ("exact_only", 1),
+    ],
+)
+def test_wrong_typed_fields_raise_before_any_work(field, value):
+    buf = io.StringIO()
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        run_suite(RunConfig(**{field: value}), buf)
+    assert buf.getvalue() == ""
+
+
 def run_to_lines(cfg, fixtures=None):
     buf = io.StringIO()
     record = run_suite(cfg, buf, fixtures)
