@@ -1,7 +1,7 @@
 """Integer kernels: exact determinants over Z and Z[i], the
 permutation-sum DP behind mixed discriminants and mixed adjugates, and
-the multinomial expansion sums shared by both engines. Multiset
-polarization lives with its one caller, `mixdisc`.
+the multinomial expansion sums and the ratio test `_ratio` shared by
+both engines. Multiset polarization lives with its one caller, `mixdisc`.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
@@ -30,6 +30,7 @@ one check per added grid; a non-Hermitian grid turns it off for every
 layer after it, a cached rest layer included.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
@@ -70,6 +71,17 @@ def _multinomial_expansion(items, lams, d, mixed):
             rep = [x for x, r in zip(items, comp) for _ in range(r)]
             total = total + mixed(rep) * (coeff * monomial)
     return total
+
+
+def _ratio(xs, ys):
+    """The Fraction lam with ys = lam xs for integer sequences of equal
+    length, or None: two zero sequences give 0, a zero xs with a nonzero
+    ys None, through the stand-in pivot (1, 0). Matrices pass their
+    (re, im) components, bodies their offsets from the first point."""
+    x0, y0 = next(((x, y) for x, y in zip(xs, ys) if x), (1, 0))
+    if any(x0 * y != y0 * x for x, y in zip(xs, ys)):
+        return None
+    return Fraction(y0, x0)
 
 
 def _gmul(a, b):

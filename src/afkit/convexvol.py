@@ -34,7 +34,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
-from ._kernels import _expansion_args, _multinomial_expansion, int_det
+from ._kernels import _expansion_args, _multinomial_expansion, _ratio, int_det
 from .errors import DimensionMismatchError, InvariantViolationError, SizeLimitError, _expect
 from .rationals import Rat, as_rat
 
@@ -444,21 +444,17 @@ def dilate(p: Polytope, lam) -> Polytope:
 
 
 def _homothety_ratio(k: Polytope, l: Polytope) -> Rat | None:
-    """`ineqcheck.homothety_ratio` on the grids, by cross-multiplied offsets
-    from the first point. Both grids are sorted, so the first nonzero
+    """`ineqcheck.homothety_ratio` on the grids: the one integer ratio
+    test (`_kernels._ratio`) on the offsets from the first point, scaled
+    by the denominators. Both grids are sorted, so the first nonzero
     offset of each is positive, and so is any factor that passes."""
     u, v = k._pts, l._pts
     if len(v) == 1:
         return Fraction(0)
     if len(u) != len(v):
         return None
-    du = [x - x0 for p in u for x, x0 in zip(p, u[0])]
-    dv = [y - y0 for q in v for y, y0 in zip(q, v[0])]
-    # K has two distinct points here, so some offset is nonzero
-    a, b = next((x, y) for x, y in zip(du, dv) if x)
-    if any(a * y != b * x for x, y in zip(du, dv)):
-        return None
-    return Fraction(b * k._den, a * l._den)
+    lam = _ratio(*([x - x0 for p in w for x, x0 in zip(p, w[0])] for w in (u, v)))
+    return None if lam is None else lam * Fraction(k._den, l._den)
 
 
 def _check_budget(size, budget) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from ._kernels import _gmul, clear_gauss_matrix, gauss_charpoly, gauss_det
+from ._kernels import _gdot, _gmul, _ratio, clear_gauss_matrix, gauss_charpoly, gauss_det
 from .errors import DimensionMismatchError, InvariantViolationError, _expect
 from .rationals import GaussRat, Rat
 
@@ -124,14 +124,7 @@ class GenMat:
             return NotImplemented
         self._require_same_shape(other)
         cols = tuple(zip(*other._rows))
-        rows = tuple(
-            tuple(
-                (sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
-                 sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
-                for col in cols
-            )
-            for row in self._rows
-        )
+        rows = tuple(tuple(_gdot(row, col) for col in cols) for row in self._rows)
         return GenMat._of_grid(rows, self._den * other._den)
 
     def conj_transpose(self) -> "GenMat":
@@ -236,22 +229,12 @@ def proportional(a: GenMat, b: GenMat) -> Optional[Rat]:
     """Return the real rational lambda with B = lambda * A, if one exists.
 
     Conventions: (0, 0) gives 0, (A, 0) gives 0 for nonzero A, and
-    (0, B) for nonzero B gives None. A complex ratio is rejected.
+    (0, B) for nonzero B gives None. A complex ratio is rejected: a real
+    lambda scales the grids' (re, im) components alike, so they go through
+    the integer ratio test `_kernels._ratio`, scaled by the denominators.
     """
     _expect([a, b], GenMat, "a matrix")
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
-    pairs = [(x, y) for r1, r2 in zip(a._rows, b._rows) for x, y in zip(r1, r2)]
-    pivot = next(((x, y) for x, y in pairs if x != (0, 0)), None)
-    if pivot is None:
-        return Fraction(0) if b.is_zero() else None
-    # lam = (w / b._den) / (z / a._den) is real exactly when w conj(z) is
-    (zr, zi), (wr, wi) = pivot
-    if wi * zr != wr * zi:
-        return None
-    lam = Fraction((wr * zr + wi * zi) * a._den, (zr * zr + zi * zi) * b._den)
-    # y / b._den == lam x / a._den, cross-multiplied
-    p, q = lam.numerator * b._den, lam.denominator * a._den
-    if any(q * y[0] != p * x[0] or q * y[1] != p * x[1] for x, y in pairs):
-        return None
-    return lam
+    lam = _ratio(*([c for row in m._rows for z in row for c in z] for m in (a, b)))
+    return None if lam is None else lam * Fraction(a._den, b._den)

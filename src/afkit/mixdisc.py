@@ -36,6 +36,7 @@ from .rationals import GaussRat
 
 PERMUTATION_ROUTE_MAX_N = 6
 POLARIZED_ROUTE_MAX_N = 20
+ADJUGATE_MAX_N = 10
 
 
 class MatTuple:
@@ -197,8 +198,9 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
 
     E_jk is the single-entry basis matrix. Over the integer grids,
     n! prod(den) W is read off the permutation-sum DP's layer after the
-    n - 1 inputs (`mixed_adjugate_sum`). The pairing identity
-    D(B, A_1, ..., A_(n-1)) = sum_jk B[j][k] W[j][k] holds for every B.
+    n - 1 inputs (`mixed_adjugate_sum`), up to n = `ADJUGATE_MAX_N`. The
+    pairing identity D(B, A_1, ..., A_(n-1)) = sum_jk B[j][k] W[j][k]
+    holds for every B.
     """
     part = list(partial)
     if not part:
@@ -209,6 +211,8 @@ def mixed_adjugate(partial: Sequence[HermMat]) -> HermMat:
         raise DimensionMismatchError(
             f"need exactly {n - 1} Hermitian matrices of dimension {n}"
         )
+    if n > ADJUGATE_MAX_N:
+        raise SizeLimitError(f"mixed adjugate limited to n <= {ADJUGATE_MAX_N}, got {n}")
     grid = mixed_adjugate_sum([m._rows for m in part])
     den = factorial(n) * prod(m._den for m in part)
     try:

@@ -155,13 +155,16 @@ class FullEqualityVerdict:
 def _equality_core(classes, m, context):
     """The m-fold gap report of nef and big classes, and the ratio of each
     later mixed adjugate W(g_{i_1}, ..., g_{i_(m-1)}, tail), all i_k < m,
-    to the first; gap = 0 exactly when every ratio exists (asserted)."""
+    to the first; gap = 0 exactly when every ratio exists (asserted).
+    Adjugates go rest by rest, each rest g_{i_2}, ..., tail with all its
+    leads g_{i_1} in one run, while the kernels' memo still holds it."""
     mats = _big_mats(classes)
     report = _fold_gap(_inum, proportional, mats, m, True, context)
     tail = mats[m:]
+    combos = combinations_with_replacement(range(m), m - 1)
     adjugates = [
         mixed_adjugate([mats[i] for i in combo] + tail)
-        for combo in combinations_with_replacement(range(m), m - 1)
+        for combo in sorted(combos, key=lambda c: (c[1:], c[0]))
     ]
     ratios = [proportional(adjugates[0], w) for w in adjugates[1:]]
     if report.equality != all(r is not None for r in ratios):

@@ -7,7 +7,8 @@ so this table pins what each entry point reports however those checks
 are arranged: a wrong argument type is a TypeError, m outside its range
 a ValueError, a wrong rest length or mixed dimensions a
 DimensionMismatchError, and a failed theorem hypothesis a
-HypothesisError (NotBigError for the equality theorems).
+HypothesisError (NotBigError for the equality theorems). An input past
+a documented size limit is a SizeLimitError.
 """
 
 import warnings
@@ -20,6 +21,7 @@ from afkit import (
     HypothesisError,
     MatTuple,
     NotBigError,
+    SizeLimitError,
     TorusClass,
     af_gap_discriminant,
     af_gap_torus,
@@ -53,7 +55,7 @@ from afkit import (
     volume,
 )
 
-from support import box, diag, gen
+from support import box, diag, gen, identity
 
 A2, B2 = diag(1, 2), diag(3, 1)
 A3, B3, C3 = diag(1, 2, 3), diag(2, 1, 1), diag(1, 1, 2)
@@ -153,6 +155,7 @@ ROWS = [
     ("mixed_adjugate/type", lambda: mixed_adjugate([NONHERM2]), TypeError),
     ("mixed_adjugate/empty", lambda: mixed_adjugate([]), ValueError),
     ("mixed_adjugate/count", lambda: mixed_adjugate([A3]), DimensionMismatchError),
+    ("mixed_adjugate/size", lambda: mixed_adjugate([identity(11)] * 10), SizeLimitError),
     ("mixed_discriminant/list", lambda: mixed_discriminant([A2, B2]), TypeError),
     ("mixed_discriminant_polarized/list",
      lambda: mixed_discriminant_polarized([A2, B2]), TypeError),

@@ -7,13 +7,16 @@ one-sweep adjugate is checked against the minor-expansion oracle on
 indefinite, singular, sparse, repeated and scaled Hermitian inputs.
 Rank-one sums A_i = sum_j v_ij v_ij* must match the closed form
 n! D = sum |det|^2 over one vector per matrix, on both routes
-`_discriminant_auto` takes, and through the adjugate's pairing.
+`_discriminant_auto` takes, through the adjugate's pairing and through
+the Khovanskii-Teissier pencil.
 Draws are derandomized and bounded, so the suite stays deterministic
 and keeps no example database.
 """
 
+import random
 from functools import reduce
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -28,6 +31,7 @@ from afkit.mixdisc import (
     mixed_discriminant_polarized,
 )
 from afkit.rationals import GaussRat
+from afkit.toruskahler import TorusClass, kt_sequence
 
 from oracles import ZERO, c_add, c_mul, mixed_adjugate_minors, rank_one_mixed_disc
 from support import as_pairs
@@ -177,3 +181,25 @@ def test_rank_one_adjugate_pairs_with_the_closed_form(n, data):
     adj = mixed_adjugate([rank_one_sum(s) for s in rest]).entries
     pairing = sum((x * y for rb, ra in zip(b, adj) for x, y in zip(rb, ra)), GaussRat(0))
     assert pairing == rank_one_mixed_disc([[w]] + rest)
+
+
+# The cofactor oracle takes about 25 s at n = 6, so the sweep stops at 5.
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kt_pencil_matches_the_rank_one_closed_form(n):
+    # s_m = n! 2^n D(V^[m], W^[n-m]) for V = sum v v*, W = sum w w*. With
+    # a vectors in V and n - a + 1 in W, D vanishes unless m is a - 1 or
+    # a; with fewer vectors every s_m would be 0 and prove nothing. The
+    # swapped pair reverses the sequence, and at n = 2 its first class is
+    # full rank, so the pencil's leading coefficient det A is checked too
+    rng = random.Random(n)
+
+    def vectors(count):
+        return [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(count)]
+
+    a = (n + 1) // 2
+    v, w = vectors(a), vectors(n - a + 1)
+    scale = factorial(n) * 2 ** n
+    want = [scale * rank_one_mixed_disc([v] * m + [w] * (n - m)) for m in range(n + 1)]
+    assert any(want)
+    assert kt_sequence(TorusClass(rank_one_sum(v)), TorusClass(rank_one_sum(w))) == want
+    assert kt_sequence(TorusClass(rank_one_sum(w)), TorusClass(rank_one_sum(v))) == want[::-1]

@@ -14,6 +14,7 @@ from afkit.errors import (
     HypothesisError,
     InvariantViolationError,
     NotBigError,
+    SizeLimitError,
 )
 from afkit.ineqcheck import af_gap_discriminant
 from afkit.matrixcore import proportional
@@ -239,6 +240,14 @@ def test_equality_pair_rejects_non_big():
         equality_theorem_pair(tc(diag(1, 0)), tc(identity(2)))
     with pytest.raises(NotBigError):
         equality_theorem_pair(tc(identity(2)), tc(diag(1, -1)))
+
+
+def test_equality_pair_stops_at_the_adjugate_size_limit():
+    # the values of eleven equal classes take the det route; the
+    # certificate's mixed adjugates at n = 11 lie past ADJUGATE_MAX_N
+    classes = [tc(identity(11))] * 11
+    with pytest.raises(SizeLimitError):
+        equality_theorem_pair(classes[0], classes[1], classes[2:])
 
 
 def test_equality_m_fold_proportional_family():
