@@ -15,10 +15,12 @@ Every volume is one support sum against a mixed area measure
 sum_u h_L(u) S(K_2, ..., K_d)(u). A rest that repeats one body K has
 S = m_K, so vol(K) = V(K, ..., K) and V(L, K, ..., K) need no sum; a
 body of least multiplicity leads. `_area` builds any other S: the
-Minkowski sum of the rest's distinct bodies gives the normals, and the
-projected faces at each normal give S(u) by the same identity one
-dimension down. Such measures sit in a 4-entry LRU cache, the engine's
-only one, keyed by the (body, count) multiset and the vertex budget.
+Minkowski sum of the rest's distinct bodies gives the normals, read off
+the last sum's hull facets alone, and the projected faces at each
+normal give S(u) by the same identity one dimension down; a two-point
+face takes its measures in closed form. Such measures sit in a 4-entry
+LRU cache, the engine's only one, keyed by the (body, count) multiset
+and the vertex budget.
 Every operation after construction works on the grid, and every measure
 is an integer on the grid it came from; Fractions appear only in the
 volumes, and in the `vertices` view JSON reads.
@@ -254,7 +256,9 @@ def _hull_shape(ints, d):
     is injective there, so the projected cloud is recursed. At rank
     d - 1 its plane's normals ±u each take the projected volume, a
     support sum, over |u_j|, j the dropped coordinate; a lower rank has
-    no facets. On a line both directions have measure 1.
+    no facets. On a line both directions have measure 1. Two points are
+    both extreme; at d = 2 the flat branch's normals are u = (dy, -dx) / g
+    and -u, g = gcd(dx, dy) for q - p = (dx, dy), each of measure g.
     """
     if d == 1:
         lo = min(range(len(ints)), key=ints.__getitem__)
@@ -262,6 +266,13 @@ def _hull_shape(ints, d):
         return sorted({lo, hi}), {(1,): 1, (-1,): 1}
     if len(ints) == 1:
         return [0], {}
+    if len(ints) == 2:
+        if d > 2:
+            return [0, 1], {}
+        (p0, p1), (q0, q1) = ints
+        g = gcd(q0 - p0, q1 - p1)
+        u = ((q1 - p1) // g, (p0 - q0) // g)
+        return [0, 1], {u: g, (-u[0], -u[1]): g}
     basis_idx, ech = _affine_basis(ints, d)
     rank = ech.rank
     if rank < d:
@@ -470,21 +481,30 @@ def _area(rest, d, budget) -> dict:
 
     A rest that is one set repeated, as always at d = 2, has that set's
     facet measures. Any other rest folds its distinct sets into their
-    Minkowski sum, keeping the extreme points after each step; counts do
-    not move a normal. At each outer normal u of the sum, u's first
-    nonzero coordinate u_i is dropped from the rest's faces F(P_j, u),
-    and S(u) is the (d-1)! mixed volume of those faces over |u_i|; a
-    point face gives no entry. The budget bounds every pairwise product of
-    the fold, here and in the faces, before it is built.
+    Minkowski sum, keeping the extreme points after each step but the
+    last; counts do not move a normal. The last sum gives its normals
+    alone: a full-dimensional one takes them off `_hull_full_dim`'s
+    facets in facet order, with no extreme points or measures, and a
+    flat one goes through `_hull_shape`. At each outer normal u of the
+    sum, u's first nonzero coordinate u_i is dropped from the rest's
+    faces F(P_j, u), and S(u) is the (d-1)! mixed volume of those faces
+    over |u_i|; a point face gives no entry. The budget bounds every
+    pairwise product of the fold, here and in the faces, before it is
+    built.
     """
     acc, *tail = dict.fromkeys(map(tuple, rest))
     if not tail:
         return _hull_shape(acc, d)[1]
-    for pts in tail:
+    for j, pts in enumerate(tail):
+        if j:  # the sum so far, by its extreme points
+            acc = [acc[i] for i in _hull_shape(acc, d)[0]]
         _check_budget(len(acc) * len(pts), budget)
         acc = sorted({tuple(map(add, v, w)) for v in acc for w in pts})
-        idx, normals = _hull_shape(acc, d)
-        acc = [acc[i] for i in idx]
+    basis_idx, ech = _affine_basis(acc, d)
+    if ech.rank < d:
+        normals = _hull_shape(acc, d)[1]
+    else:  # the last sum is read for its normals only
+        normals = dict.fromkeys(a for a, _, _ in _hull_full_dim(acc, d, basis_idx))
     area = {}
     for u in normals:
         i = next(j for j, x in enumerate(u) if x)

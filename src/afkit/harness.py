@@ -26,7 +26,7 @@ from .convexvol import (
     dilate,
     translate,
 )
-from .errors import AfkitError, FormatError, SizeLimitError
+from .errors import AfkitError, FormatError, InvariantViolationError, SizeLimitError
 from .ineqcheck import (
     af_gap_discriminant,
     af_gap_volume,
@@ -205,6 +205,21 @@ def _rand_scale(rng: SplitMix64) -> Fraction:
     return Fraction(rng.int_between(1, 6), rng.int_between(1, 3))
 
 
+# A random generic item is almost never proportional to the first, so
+# this many proportional draws in a row mean the ratio test accepts
+# every pair: the instance fails instead of the run spinning.
+_MAX_DRAWS = 64
+
+
+def _generic(draw, ratio, first):
+    """The first of up to _MAX_DRAWS draws for which ratio(first, item) is None."""
+    for _ in range(_MAX_DRAWS):
+        item = draw()
+        if ratio(first, item) is None:
+            return item
+    raise InvariantViolationError(f"{_MAX_DRAWS} generic draws were all proportional to the first item")
+
+
 def _gen_discriminant(cfg, rng, kind):
     n = cfg.n
     a = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
@@ -212,9 +227,7 @@ def _gen_discriminant(cfg, rng, kind):
     if kind == "proportional":
         b = a.scale(_rand_scale(rng))
     else:
-        b = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
-        while proportional(a, b) is not None:
-            b = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
+        b = _generic(lambda: gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound), proportional, a)
     return MatTuple([a, b] + rest)
 
 
@@ -227,9 +240,7 @@ def _gen_volume(cfg, rng, kind):
         shift = tuple(Fraction(rng.int_between(-cfg.entry_bound, cfg.entry_bound)) for _ in range(d))
         l = translate(dilate(k, _rand_scale(rng)), shift)
     else:
-        l = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
-        while homothety_ratio(k, l) is not None:
-            l = gen_polytope(rng.next_u64(), d, count, cfg.entry_bound)
+        l = _generic(lambda: gen_polytope(rng.next_u64(), d, count, cfg.entry_bound), homothety_ratio, k)
     return BodyTuple([k, l] + rest)
 
 
@@ -277,9 +288,7 @@ def _gen_torus(cfg, rng, kind):
         lead = [g1.scale(_rand_scale(rng)) for _ in range(cfg.m - 1)]
         tail = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - cfg.m)]
     else:
-        g2 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
-        while proportional(g1, g2) is not None:
-            g2 = gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound)
+        g2 = _generic(lambda: gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound), proportional, g1)
         lead = [g2]
         tail = [gen_pd_hermitian(rng.next_u64(), n, cfg.entry_bound) for _ in range(n - 2)]
     return MatTuple([g1] + lead + tail)

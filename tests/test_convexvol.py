@@ -389,6 +389,45 @@ def test_a_repeated_rest_builds_no_sum(monkeypatch):
             assert mixed_volume(BodyTuple(order)) == want
 
 
+def dot(u, p):
+    return sum(a * b for a, b in zip(u, p))
+
+
+def has_point_face(pts, u):
+    top = max(dot(u, p) for p in pts)
+    return sum(dot(u, p) == top for p in pts) == 1
+
+
+@pytest.mark.parametrize("d, distinct, flat", [
+    (3, 2, False), (4, 2, False), (4, 3, False), (3, 2, True), (4, 3, True),
+])
+def test_the_area_measure_takes_the_normals_of_the_whole_sum(d, distinct, flat):
+    # `_area` folds the rest's distinct bodies into their Minkowski sum,
+    # keeping the extreme points of each sum but the last, and hulls the
+    # last for its normals only: its keys must be the measures' keys of
+    # the full hull of that sum, in their order, less the normals where
+    # some body has a point face. A flat sum (every body in x_d = 0) is
+    # hulled by `_hull_shape`'s flat branch.
+    rng = random.Random(40 * d + distinct + flat)
+    for _ in range(8):
+        bodies = []
+        for _ in range(distinct):
+            cloud = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 3)]
+            if flat:
+                cloud = [p[:-1] + (0,) for p in cloud]
+            bodies.append(convex_hull(fr_points(cloud))._pts)
+        rest = (bodies * d)[:d - 1]
+        assert len(set(rest)) == distinct
+        total = bodies[0]
+        for pts in bodies[1:]:
+            total = [total[i] for i in convexvol._hull_shape(total, d)[0]]
+            total = sorted({tuple(a + b for a, b in zip(v, w)) for v in total for w in pts})
+        normals = convexvol._hull_shape(total, d)[1]
+        want = [u for u in normals if not any(has_point_face(pts, u) for pts in rest)]
+        assert want
+        assert list(convexvol._area(rest, d, convexvol.DEFAULT_VERTEX_BUDGET)) == want
+
+
 def test_memo_keys_on_the_budget():
     # the tighter budget misses the cached measure and raises, caching
     # nothing; the default budget then hits its own entry again

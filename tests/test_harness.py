@@ -600,3 +600,42 @@ def test_rest_layer_builds_hold_per_mode(mode, n, extra, rests, leads):
         run = run_suite(RunConfig(mode=mode, n=n, trials=3, seed=0, **extra))
         assert builds() == (rests, leads)
     assert run.summary["failures"] == 0
+
+
+def test_volume_hull_work_holds(monkeypatch):
+    # the last Minkowski sum of each area measure is hulled for its
+    # normals only, and a two-point face takes no hull: both counted
+    # through the `convexvol` bindings, recursive calls included, from a
+    # cleared rest-area cache. Reading the last sum's extreme points and
+    # measures again gives (354, 72).
+    counts = dict.fromkeys(("int_det", "_hull_shape"), 0)
+    for name in counts:
+        def counted(*args, real=getattr(convexvol, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(convexvol, name, counted)
+    convexvol._rest_area.cache_clear()
+    run = run_suite(RunConfig(mode="volume", n=3, trials=3, seed=0))
+    assert run.summary["failures"] == 0
+    assert (counts["int_det"], counts["_hull_shape"]) == (190, 39)
+
+
+@pytest.mark.parametrize("mode, n, ratio", [
+    ("discriminant", 3, "proportional"),
+    ("volume", 2, "homothety_ratio"),
+    ("torus", 2, "proportional"),
+])
+def test_a_ratio_test_that_accepts_every_pair_fails_the_generic_instances(monkeypatch, mode, n, ratio):
+    # every redraw of the generic second item would be proportional again:
+    # the bounded redraw fails those instances and the run finishes
+    monkeypatch.setattr(harness, ratio, lambda a, b: Fraction(1))
+    run = run_suite(RunConfig(mode=mode, n=n, trials=3, seed=0), io.StringIO())
+    assert run.summary["failed_indices"] == [0, 1]
+    for record in run.records[:2]:
+        assert record["kind"] == "generic"
+        assert record["error"] == (
+            f"InvariantViolationError: {harness._MAX_DRAWS} generic draws were all "
+            "proportional to the first item"
+        )
+    assert run.records[2]["kind"] == "proportional" and "error" not in run.records[2]

@@ -186,3 +186,24 @@ def test_only_the_initial_simplex_calls_facet_plane(d, monkeypatch):
     facets = _hull_full_dim(pts, d, basis_idx)
     assert len(calls) == d + 1
     assert len(facets) > 2 * (d + 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_segment_has_the_measures_of_its_collinear_cloud(d):
+    # {p, p + 2 delta} takes the closed-form two-point rule, and adding
+    # its midpoint sends the same segment through the general flat
+    # branch: same ends, same normals in the same order, same measures,
+    # which at d = 2 are gcd(2 delta) >= 2 on each side
+    rng = Random(40 + d)
+    for _ in range(300):
+        p = tuple(rng.randint(-9, 9) for _ in range(d))
+        delta = (0,) * d
+        while not any(delta):
+            delta = tuple(rng.randint(-5, 5) for _ in range(d))
+        mid = tuple(a + b for a, b in zip(p, delta))
+        q = tuple(a + 2 * b for a, b in zip(p, delta))
+        idx, measures = _hull_shape([p, q], d)
+        cloud_idx, cloud_measures = _hull_shape([p, mid, q], d)
+        assert (idx, cloud_idx) == ([0, 1], [0, 2])
+        assert list(measures.items()) == list(cloud_measures.items())
+        assert len(measures) == (2 if d == 2 else 0)
