@@ -1,7 +1,13 @@
 """Integer kernels: exact determinants over Z and Z[i], the
+characteristic polynomial of a Hermitian matrix over Z[i], the
 permutation-sum DP behind mixed discriminants and mixed adjugates, and
 the multinomial expansion sums and the ratio test `_ratio` shared by
 both engines. Multiset polarization lives with its one caller, `mixdisc`.
+
+The characteristic polynomial is Berkowitz's recursion in its Hermitian
+form, which pairs powers A^k S of each column S and so takes half the
+general recursion's matrix-vector products; the general one is a test
+oracle.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
@@ -34,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import DimensionMismatchError, _expect
 from .rationals import as_rat
@@ -152,34 +159,40 @@ def gauss_det(rows):
     return (sign * d[0], sign * d[1]) if sign < 0 else d
 
 
-def gauss_charpoly(rows):
-    """Coefficients of det(tI - A), t^n first, of a Gaussian-integer
-    matrix by Berkowitz's division-free recursion; (re, im) int pairs.
+def hermitian_charpoly(rows):
+    """Coefficients of det(tI - A), t^n first, of a Hermitian
+    Gaussian-integer matrix by Berkowitz's division-free recursion; ints.
 
-    With A_r the leading r x r block, R and S the rest of row and column
-    r and a its diagonal entry, the polynomial of A_(r+1) is the lower
-    triangular Toeplitz matrix with first column (1, -a, -R S, -R A_r S,
-    ..., -R A_r^(r-1) S) applied to the polynomial of A_r.
+    With A_r the leading r x r block, S the rest of column r and a its
+    diagonal entry, the polynomial of A_(r+1) is the lower triangular
+    Toeplitz matrix with first column (1, -a, -S* S, -S* A_r S, ...,
+    -S* A_r^(r-1) S) applied to the polynomial of A_r. In the general
+    recursion the row beside a stands where S* does; on Hermitian input
+    each S* A_r^j S is real and equals Re(y_(j//2)* y_(j - j//2)) for
+    y_0 = S and y_(k+1) = A_r y_k. So step r takes r // 2 products
+    A_r y_k instead of r - 1, and its dots and Toeplitz update run on
+    real ints. The caller vouches that A is Hermitian: the kernel reads
+    no row beside a diagonal entry outside A_r, and no imaginary part
+    of the diagonal.
     """
-    poly = [(1, 0)]
+    poly = [1]
     for r in range(len(rows)):
-        ar, ai = rows[r][r]
-        col = [(-ar, -ai)]
-        vec = [rows[i][r] for i in range(r)]
+        block = rows[:r]
+        y = [row[r] for row in block]
+        ys = [y]
+        for _ in range(r // 2):
+            y = [_gdot(row, y) for row in block]
+            ys.append(y)
+        col = [-rows[r][r][0]]
         for j in range(r):
-            if j:
-                vec = [_gdot(rows[i], vec) for i in range(r)]
-            dr, di = _gdot(rows[r], vec)
-            col.append((-dr, -di))
-        nxt = poly + [_GZERO]
-        for i in range(1, r + 2):
-            tr, ti = nxt[i]
-            for j in range(i):
-                (cr, ci), (pr, pi) = col[i - 1 - j], poly[j]
-                tr += cr * pr - ci * pi
-                ti += cr * pi + ci * pr
-            nxt[i] = (tr, ti)
-        poly = nxt
+            t = 0
+            for (xr, xi), (yr, yi) in zip(ys[j // 2], ys[j - j // 2]):
+                t += xr * yr + xi * yi
+            col.append(-t)
+        poly = [1] + [
+            (poly[i] if i <= r else 0) + sum(map(mul, col[i - 1::-1], poly))
+            for i in range(1, r + 2)
+        ]
     return poly
 
 

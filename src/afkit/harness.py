@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from itertools import islice
 
 from . import jsonio
 from .convexvol import (
@@ -51,6 +52,7 @@ EXACT_MODES = ("discriminant", "volume", "shephard", "torus")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _ENTRY_BOUND_MAX = (1 << 63) - 1
 
 
@@ -71,14 +73,28 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def int_between(self, lo: int, hi: int) -> int:
         # modulo bias is immaterial at our tiny ranges; determinism is
         # the requirement, not statistical perfection
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def ints_between(self, lo: int, hi: int, count: int) -> list:
+        """`count` calls of `int_between(lo, hi)` in one loop: the same
+        values, and the same state after them."""
+        span = hi - lo + 1
+        state = self.state
+        out = []
+        for _ in range(count):
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            out.append(lo + (z ^ (z >> 31)) % span)
+        self.state = state
+        return out
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -91,13 +107,10 @@ def derive_seed(seed: int, index: int) -> int:
 
 def gen_pd_hermitian(seed: int, n: int, entry_bound: int = 5) -> HermMat:
     """G G* + I for a random Gaussian-integer G: always positive definite."""
-    rng = SplitMix64(seed)
-    b = entry_bound
     # row-major draws, the real part before the imaginary part
-    grid = tuple(
-        tuple((rng.int_between(-b, b), rng.int_between(-b, b)) for _ in range(n))
-        for _ in range(n)
-    )
+    draws = SplitMix64(seed).ints_between(-entry_bound, entry_bound, 2 * n * n)
+    pairs = zip(draws[::2], draws[1::2])
+    grid = tuple(tuple(islice(pairs, n)) for _ in range(n))
     return HermMat.from_gram(GenMat._of_grid(grid, 1)) + HermMat.identity(n)
 
 

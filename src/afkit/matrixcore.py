@@ -5,17 +5,20 @@ Hermitian ones (validated at construction). Each holds one grid of
 Gaussian integers over one denominator, cleared once at construction;
 every operation works on it, and GaussRat entries are built only at the
 API boundary. Positivity is decided by exact minor arithmetic, never by
-eigenvalues.
+eigenvalues: the principal-minor sums of a HermMat come from Berkowitz's
+characteristic polynomial in its Hermitian form, which the validated
+grid licenses and which forms no imaginary part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from ._kernels import _gdot, _gmul, _ratio, clear_gauss_matrix, gauss_charpoly, gauss_det
-from .errors import DimensionMismatchError, InvariantViolationError, _expect
+from ._kernels import _gdot, _gmul, _ratio, clear_gauss_matrix, gauss_det, hermitian_charpoly
+from .errors import DimensionMismatchError, _expect
 from .rationals import GaussRat, Rat
 
 
@@ -52,7 +55,7 @@ class GenMat:
     @classmethod
     def _of_grid(cls, rows, den: int) -> "GenMat":
         """The matrix rows / den for an integer grid and den > 0."""
-        g = gcd(den, *(c for row in rows for z in row for c in z))
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
         if g > 1:
             rows = tuple(tuple((re // g, im // g) for re, im in row) for row in rows)
         m = object.__new__(cls)
@@ -203,16 +206,17 @@ def principal_minor_sums(a: HermMat) -> list:
     det(tI - A) = t^n - c_1 t^(n-1) + c_2 t^(n-2) - ... and a Hermitian A
     is positive semi-definite exactly when every c_k is nonnegative.
     They come from one division-free characteristic polynomial of the
-    integer grid, in O(n^4) operations rather than 2^n minors.
+    integer grid, in O(n^4) operations rather than 2^n minors: Berkowitz's
+    recursion in its Hermitian form (`_kernels.hermitian_charpoly`), half
+    the general count of matrix-vector products and all its sums real.
     """
     if not isinstance(a, HermMat):
         raise TypeError("positivity tests require a Hermitian matrix")
-    out = []
-    for k, (re, im) in enumerate(gauss_charpoly(a._rows)[1:], start=1):
-        if im != 0:
-            raise InvariantViolationError("principal minor of a Hermitian matrix must be real")
-        out.append(Fraction(-re if k & 1 else re, a._den ** k))
-    return out
+    den = a._den
+    return [
+        Fraction(-c if k & 1 else c, den ** k)
+        for k, c in enumerate(hermitian_charpoly(a._rows)[1:], start=1)
+    ]
 
 
 def is_psd(a: HermMat) -> bool:

@@ -12,6 +12,7 @@ pairing: the mixed discriminant, or the torus intersection number.
 from __future__ import annotations
 
 import warnings
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError, HypothesisError, InvariantViolationError, _expect
@@ -88,6 +89,14 @@ def shephard_matrix(g: GramTable) -> ShephardMatrix:
     )
 
 
+def _cleared(table):
+    """A square table of rationals as an integer grid of (re, 0) pairs
+    over the lcm of its denominators: (grid, den), for `_of_grid`."""
+    den = lcm(*(x.denominator for row in table for x in row))
+    grid = tuple(tuple((x.numerator * (den // x.denominator), 0) for x in row) for row in table)
+    return grid, den
+
+
 def check_psd_shephard(g: GramTable):
     """Certify positive semi-definiteness of the Shephard matrix.
 
@@ -96,15 +105,15 @@ def check_psd_shephard(g: GramTable):
     raises on a negative verdict: the witness is the point.
     """
     s = shephard_matrix(g)
-    sums = principal_minor_sums(HermMat(s.entries))
+    sums = principal_minor_sums(HermMat._of_grid(*_cleared(s.entries)))
     for k, c in enumerate(sums, start=1):
         if c < 0:
             return False, (k, c)
     return True, None
 
 
-def _real_det(rows) -> Rat:
-    return GenMat(rows).det().re
+def _real_det(table) -> Rat:
+    return GenMat._of_grid(*_cleared(table)).det().re
 
 
 def det_identity_check(g: GramTable) -> bool:

@@ -8,10 +8,11 @@ The exceptions are former library routes kept as references: the
 lexicographic insertion hull, which keeps the Bareiss kernel `int_det`
 for its plane minors and fan volume, the per-lambda Brunn-Minkowski
 samplers, which combine matrices and bodies with the public API, the
-GaussRat-entry matrix generator, the Fraction-cloud polytope generator,
-the Fraction-vertex homothety test, translation and dilation, the
-polarized mixed volume, which runs its own signed sum over the
-constructor's hulls, the dict-keyed permutation-sum DP, and the
+general Berkowitz characteristic polynomial, the two Shephard checks on
+GaussRat entries, the GaussRat-entry matrix generator, the Fraction-cloud
+polytope generator, the Fraction-vertex homothety test, translation and
+dilation, the polarized mixed volume, which runs its own signed sum over
+the constructor's hulls, the dict-keyed permutation-sum DP, and the
 Khovanskii-Teissier sequence one intersection number at a time. Two
 closed forms tie the engines together: the mixed volume of zonotopes and
 the mixed discriminant of rank-one sums, the same sum over one generator
@@ -35,8 +36,9 @@ from afkit.convexvol import (
 )
 from afkit.errors import DimensionMismatchError
 from afkit.harness import SplitMix64
-from afkit.matrixcore import GenMat, HermMat
+from afkit.matrixcore import GenMat, HermMat, principal_minor_sums
 from afkit.rationals import GaussRat, as_rat
+from afkit.shephard import shephard_matrix
 from afkit.toruskahler import intersection_number
 
 ZERO = (Fraction(0), Fraction(0))
@@ -224,6 +226,37 @@ def principal_minor_sums_subsets(rows):
     return out
 
 
+def charpoly_berkowitz(rows):
+    """Coefficients of det(tI - A), t^n first, of any square grid of
+    (re, im) pairs: Berkowitz's general division-free recursion, the
+    former library kernel. With A_r the leading r x r block, R and S the
+    rest of row and column r and a its diagonal entry, the polynomial of
+    A_(r+1) is the lower triangular Toeplitz matrix with first column
+    (1, -a, -R S, -R A_r S, ..., -R A_r^(r-1) S) applied to that of A_r."""
+    poly = [(1, 0)]
+    for r in range(len(rows)):
+        col = [c_scale(rows[r][r], -1)]
+        vec = [rows[i][r] for i in range(r)]
+        for j in range(r):
+            if j:
+                vec = [sum_products(rows[i][:r], vec) for i in range(r)]
+            col.append(c_scale(sum_products(rows[r][:r], vec), -1))
+        nxt = poly + [(0, 0)]
+        for i in range(1, r + 2):
+            for j in range(i):
+                nxt[i] = c_add(nxt[i], c_mul(col[i - 1 - j], poly[j]))
+        poly = nxt
+    return poly
+
+
+def sum_products(xs, ys):
+    """sum_k xs[k] ys[k] over (re, im) pairs."""
+    total = (0, 0)
+    for x, y in zip(xs, ys):
+        total = c_add(total, c_mul(x, y))
+    return total
+
+
 def is_pd_sylvester(rows):
     """Sylvester's criterion on a Hermitian grid of (re, im) pairs: every
     leading principal minor is positive. The former library loop, one
@@ -245,6 +278,22 @@ def gen_pd_hermitian_gaussrat(seed, n, entry_bound=5):
 
     g = GenMat([[entry() for _ in range(n)] for _ in range(n)])
     return HermMat.from_gram(g) + HermMat.identity(n)
+
+
+def check_psd_shephard_gaussrat(g):
+    """`shephard.check_psd_shephard` by the former library route: the
+    Shephard matrix's entries made GaussRat and cleared by the HermMat
+    constructor."""
+    sums = principal_minor_sums(HermMat(shephard_matrix(g).entries))
+    return next(((k, c) for k, c in enumerate(sums, start=1) if c < 0), None)
+
+
+def det_identity_check_gaussrat(g):
+    """`shephard.det_identity_check` by the former library route: each
+    determinant from a GenMat built of GaussRat entries."""
+    lhs = GenMat(shephard_matrix(g).entries).det().re
+    rhs = (-1) ** g.r * g.d[0][0] ** (g.r - 1) * GenMat(g.d).det().re
+    return lhs == rhs
 
 
 def gen_polytope_fraction(seed, d, points=6, coord_bound=5):

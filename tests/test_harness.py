@@ -72,6 +72,17 @@ def test_splitmix_determinism_and_masking():
         assert 2 <= g.int_between(2, 9) <= 9
 
 
+@pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+@pytest.mark.parametrize("lo, hi", [(3, 3), (-5, 5)])
+def test_ints_between_is_that_many_int_between_calls(seed, lo, hi):
+    # spans 1 and 11; the last seed wraps the state on its first step
+    for count in (0, 1, 2, 72):
+        one_loop, single = SplitMix64(seed), SplitMix64(seed)
+        want = [single.int_between(lo, hi) for _ in range(count)]
+        assert one_loop.ints_between(lo, hi, count) == want
+        assert one_loop.state == single.state
+
+
 def test_derive_seed_is_stream_position():
     assert derive_seed(0, 0) == SplitMix64(0).next_u64()
     g = SplitMix64(0)

@@ -6,7 +6,9 @@ against the entrywise GaussRat reference built from `entries`, the
 determinant against the cofactor oracle, and the canonical form: equal
 matrices have equal grids, equal hashes and a denominator coprime to
 the grid. The principal-minor sums from the division-free
-characteristic polynomial must equal the subset-minor oracle, and
+characteristic polynomial must equal the subset-minor oracle, its
+Hermitian kernel must match the general Berkowitz recursion on
+positive definite, singular and indefinite families, and
 `is_pd`, which reads their signs, must agree with Sylvester's
 leading-minor criterion; the `TorusClass` flags, read off one pass of
 them, must agree with `is_psd`, the determinant and `is_pd`. Draws are
@@ -17,16 +19,17 @@ example database.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit._kernels import gauss_charpoly
+from afkit._kernels import hermitian_charpoly
 from afkit.harness import gen_pd_hermitian
 from afkit.matrixcore import GenMat, HermMat, is_pd, is_psd, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
 from afkit.toruskahler import TorusClass
 
-from oracles import det_cofactor, is_pd_sylvester, principal_minor_sums_subsets
+from oracles import charpoly_berkowitz, det_cofactor, is_pd_sylvester, principal_minor_sums_subsets
 from support import as_pairs, gauss, gen_mats, gen_psd_singular, herm_mats, rats
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -149,12 +152,39 @@ def test_proportional_rejects_a_complex_ratio(a, re, im):
 @given(sizes.flatmap(gen_mats))
 def test_charpoly_coefficients_are_signed_principal_minor_sums(a):
     # det(tI - A) = sum_k (-1)^k c_k t^(n-k) for any square A, with the
-    # grid scaling each c_k by den^k
-    poly = gauss_charpoly(a._rows)
+    # grid scaling each c_k by den^k; the general recursion is the oracle
+    poly = charpoly_berkowitz(a._rows)
     assert len(poly) == a.n + 1 and poly[0] == (1, 0)
     for k, (re, im) in enumerate(principal_minor_sums_subsets(as_pairs(a)), start=1):
         scale = (-1) ** k * a._den ** k
         assert poly[k] == (re * scale, im * scale)
+
+
+def hermitian_family(kind, n, seed):
+    """A positive definite, singular PSD or indefinite HermMat; the
+    indefinite one is P - P[0][0] I for a positive definite P, whose
+    leading 2 x 2 minor -|P[0][1]|^2 is negative once P[0][1] != 0."""
+    if kind == "pd":
+        return gen_pd_hermitian(seed, n)
+    if kind == "singular":
+        return gen_psd_singular(seed, n)
+    p = gen_pd_hermitian(seed, n)
+    return p - HermMat.identity(n).scale(p.entries[0][0])
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    # a singular PSD draw needs n >= 2
+    [(kind, n) for kind in ("pd", "singular", "indefinite") for n in range(1 + (kind == "singular"), 9)],
+)
+def test_hermitian_charpoly_matches_the_general_recursion(kind, n):
+    for seed in range(4):
+        a = hermitian_family(kind, n, seed)
+        if kind == "indefinite" and n > 1:
+            assert a._rows[0][0] == (0, 0) and a._rows[0][1] != (0, 0)
+        want = charpoly_berkowitz(a._rows)
+        assert [im for _, im in want] == [0] * (n + 1)
+        assert hermitian_charpoly(a._rows) == [re for re, _ in want]
 
 
 @SETTINGS

@@ -24,7 +24,13 @@ from afkit.shephard import (
     shephard_matrix,
 )
 
-from oracles import negative_direction, quadratic_form, real_det
+from oracles import (
+    check_psd_shephard_gaussrat,
+    det_identity_check_gaussrat,
+    negative_direction,
+    quadratic_form,
+    real_det,
+)
 from support import diag, identity, rand_pd, rand_psd
 
 F = Fraction
@@ -93,6 +99,45 @@ def test_check_psd_witness_frozen():
     ok, witness = check_psd_shephard(GramTable([[100, 3], [3, 1]]))
     assert not ok
     assert witness == (1, F(-91))
+
+
+def mixed_denominator_tables(r):
+    """(r+1) x (r+1) symmetric tables whose entries share no denominator:
+    three that cycle through 1/3, 5/7 and -2/9, and one whose Shephard
+    matrix is the Gram matrix V V^T of r rational vectors in the plane,
+    PSD by construction and singular from r = 3 on."""
+    vals = (F(1, 3), F(5, 7), F(-2, 9))
+    tables = [
+        [[vals[(i + j + shift) % 3] for j in range(r + 1)] for i in range(r + 1)]
+        for shift in range(3)
+    ]
+    d00, d0 = vals[0], [vals[(i + 1) % 3] for i in range(r)]
+    vecs = [(vals[i % 3], vals[(i + 1) % 3] * (i + 1)) for i in range(r)]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+    rest = [[(d0[i] * d0[j] - gram[i][j]) / d00 for j in range(r)] for i in range(r)]
+    tables.append([[d00] + d0] + [[d0[i]] + rest[i] for i in range(r)])
+    return [GramTable(t) for t in tables]
+
+
+def test_check_psd_mixed_denominator_witness_frozen():
+    # S = d01^2 - d00 d11 = 4/81 - 5/21 = -107/567
+    g = GramTable([[F(1, 3), F(-2, 9)], [F(-2, 9), F(5, 7)]])
+    assert check_psd_shephard(g) == (False, (1, F(-107, 567)))
+    assert check_psd_shephard_gaussrat(g) == (1, F(-107, 567))
+    assert det_identity_check(g)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_shephard_checks_on_mixed_denominators_match_the_gaussrat_route(r):
+    verdicts = []
+    for g in mixed_denominator_tables(r):
+        ok, witness = check_psd_shephard(g)
+        assert witness == check_psd_shephard_gaussrat(g)
+        assert ok == (witness is None)
+        assert det_identity_check(g) and det_identity_check_gaussrat(g)
+        verdicts.append(ok)
+    # the Gram-built table is PSD, and some cycling table is not
+    assert verdicts[-1] and False in verdicts
 
 
 def test_check_psd_at_rank_40():
