@@ -1,24 +1,27 @@
 """Determinantal Alexandrov-Fenchel machinery.
 
-A Gram table collects the pairings d_ij of r+1 classes against a fixed
-background; its Shephard matrix S[i][j] = d_0i d_0j - d_00 d_ij is
-positive semi-definite whenever the table comes from an AF system. The
-determinant identity det S = (-1)^r d_00^(r-1) det(table) holds for
-every symmetric table, AF-sourced or not. Both Gram builders run one
-core, `_gram`, which checks their arguments and takes the engine's
-pairing: the mixed discriminant, or the torus intersection number.
+A Gram table keeps the pairings d_ij of r+1 classes against a fixed
+background as one integer grid D over one denominator den. Its Shephard
+matrix S[i][j] = d_0i d_0j - d_00 d_ij is positive semi-definite when
+the table comes from an AF system; det S = (-1)^r d_00^(r-1) det(table)
+holds for every symmetric table. Each verdict reads den^2 S off D as the
+integer grid D_0i D_0j - D_00 D_ij. Both Gram builders run one core,
+`_gram`, which checks their arguments and takes the engine's pairing:
+the mixed discriminant, or the torus intersection number.
 """
 
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from ._kernels import gauss_det
 from .errors import DimensionMismatchError, HypothesisError, InvariantViolationError, _expect
 from .ineqcheck import GapReport, _discriminant_value, gap_report
-from .matrixcore import GenMat, HermMat, is_psd, principal_minor_sums
-from .rationals import Rat, as_rat
+from .matrixcore import HermMat, is_psd, principal_minor_sums
+from .rationals import as_rat
 from .toruskahler import _inum
 
 
@@ -36,22 +39,31 @@ def _symmetric_rows(entries, name, detail=""):
 
 
 class GramTable:
-    """Symmetric (r+1) x (r+1) table of pairings, r >= 1."""
+    """Symmetric (r+1) x (r+1) table of pairings, r >= 1: the integer
+    grid `_rows` over `_den` > 0, in lowest terms; treat as immutable."""
 
-    __slots__ = ("r", "d")
+    __slots__ = ("r", "_rows", "_den")
 
     def __init__(self, d):
         d = tuple(d)
         if len(d) < 2:
             raise ValueError("a Gram table needs at least two classes")
-        self.d = _symmetric_rows(d, "Gram table", ": entries ({i},{j}) and ({j},{i}) differ")
-        self.r = len(self.d) - 1
+        rows = _symmetric_rows(d, "Gram table", ": entries ({i},{j}) and ({j},{i}) differ")
+        # the lcm of reduced denominators leaves the grid in lowest terms
+        self._den = den = lcm(*(x.denominator for row in rows for x in row))
+        self._rows = tuple(tuple(x.numerator * den // x.denominator for x in row) for row in rows)
+        self.r = len(rows) - 1
+
+    @property
+    def d(self) -> tuple:
+        """The pairings as Fractions, for serialization and display."""
+        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._rows)
 
     def __eq__(self, other):
-        return isinstance(other, GramTable) and self.d == other.d
+        return isinstance(other, GramTable) and (self._den, self._rows) == (other._den, other._rows)
 
     def __hash__(self):
-        return hash(self.d)
+        return hash((self._den, self._rows))
 
     def __repr__(self):
         return f"GramTable(r={self.r})"
@@ -64,6 +76,8 @@ class ShephardMatrix:
 
     def __init__(self, entries):
         self.entries = _symmetric_rows(entries, "Shephard matrix")
+        if not self.entries:
+            raise ValueError("a Shephard matrix needs at least one row")
         self.r = len(self.entries)
 
     def __eq__(self, other):
@@ -76,25 +90,22 @@ class ShephardMatrix:
         return f"ShephardMatrix(r={self.r})"
 
 
-def shephard_matrix(g: GramTable) -> ShephardMatrix:
-    """Build the Shephard matrix of a Gram table."""
+def _shephard_grid(g: GramTable) -> list:
+    """The Shephard matrix of a Gram table as an integer grid over
+    g._den ** 2: D_0i D_0j - D_00 D_ij on the table's grid D."""
     _expect([g], GramTable, "a Gram table")
-    d = g.d
-    d00 = d[0][0]
-    return ShephardMatrix(
-        [
-            [d[0][i + 1] * d[0][j + 1] - d00 * d[i + 1][j + 1] for j in range(g.r)]
-            for i in range(g.r)
-        ]
-    )
+    (d00, *top), *rest = g._rows
+    return [[ti * tj - d00 * x for tj, x in zip(top, row[1:])] for ti, row in zip(top, rest)]
 
 
-def _cleared(table):
-    """A square table of rationals as an integer grid of (re, 0) pairs
-    over the lcm of its denominators: (grid, den), for `_of_grid`."""
-    den = lcm(*(x.denominator for row in table for x in row))
-    grid = tuple(tuple((x.numerator * (den // x.denominator), 0) for x in row) for row in table)
-    return grid, den
+def _gauss(grid) -> tuple:
+    """An integer grid as the (re, 0) pairs the Gaussian kernels take."""
+    return tuple(tuple((x, 0) for x in row) for row in grid)
+
+
+def shephard_matrix(g: GramTable) -> ShephardMatrix:
+    """Build the Shephard matrix of a Gram table, in Fractions."""
+    return ShephardMatrix([[Fraction(x, g._den ** 2) for x in row] for row in _shephard_grid(g)])
 
 
 def check_psd_shephard(g: GramTable):
@@ -104,44 +115,35 @@ def check_psd_shephard(g: GramTable):
     negative coefficient in the sums of principal k x k minors. Never
     raises on a negative verdict: the witness is the point.
     """
-    s = shephard_matrix(g)
-    sums = principal_minor_sums(HermMat._of_grid(*_cleared(s.entries)))
+    sums = principal_minor_sums(HermMat._of_grid(_gauss(_shephard_grid(g)), g._den ** 2))
     for k, c in enumerate(sums, start=1):
         if c < 0:
             return False, (k, c)
     return True, None
 
 
-def _real_det(table) -> Rat:
-    return GenMat._of_grid(*_cleared(table)).det().re
-
-
 def det_identity_check(g: GramTable) -> bool:
-    """Check det S = (-1)^r d_00^(r-1) det(table), valid unconditionally."""
-    s = shephard_matrix(g)
-    lhs = _real_det(s.entries)
-    rhs = (-1) ** g.r * g.d[0][0] ** (g.r - 1) * _real_det(g.d)
-    return lhs == rhs
+    """Check det S = (-1)^r d_00^(r-1) det(table), valid unconditionally, in
+    integers: det(den^2 S) = (-1)^r D_00^(r-1) det(D) is den^(2r) times it."""
+    lhs, d = gauss_det(_gauss(_shephard_grid(g)))[0], g._rows
+    return lhs == (-1) ** g.r * d[0][0] ** (g.r - 1) * gauss_det(_gauss(d))[0]
 
 
 def r2_inequality(g: GramTable) -> GapReport:
     """The r = 2 determinantal inequality.
 
-    lhs = (d_01^2 - d_00 d_11)(d_02^2 - d_00 d_22) and
-    rhs = (d_01 d_02 - d_00 d_12)^2; the gap is exactly det of the
-    2 x 2 Shephard matrix. A negative gap disproves the AF hypotheses
-    on the table, so it raises HypothesisError rather than reporting.
+    lhs = (d_01^2 - d_00 d_11)(d_02^2 - d_00 d_22) = S_11 S_22 and
+    rhs = (d_01 d_02 - d_00 d_12)^2 = S_12^2, compared on the integer
+    Shephard grid; the gap is exactly det S. A negative gap disproves
+    the AF hypotheses, so it raises HypothesisError rather than reporting.
     """
-    _expect([g], GramTable, "a Gram table")
+    s = _shephard_grid(g)
     if g.r != 2:
         raise ValueError(f"r = 2 required, got r = {g.r}")
-    d = g.d
-    lhs = (d[0][1] ** 2 - d[0][0] * d[1][1]) * (d[0][2] ** 2 - d[0][0] * d[2][2])
-    rhs = (d[0][1] * d[0][2] - d[0][0] * d[1][2]) ** 2
-    if lhs - rhs < 0:
-        raise HypothesisError(
-            "negative 2 x 2 Shephard determinant: table is not AF-sourced"
-        )
+    (s11, s12), (_, s22) = s
+    if s11 * s22 < s12 * s12:
+        raise HypothesisError("negative 2 x 2 Shephard determinant: table is not AF-sourced")
+    lhs, rhs = (Fraction(x, g._den ** 4) for x in (s11 * s22, s12 * s12))
     return gap_report(lhs, rhs, None, False, "r = 2 determinantal")
 
 
@@ -155,6 +157,8 @@ def _gram(value, classes, rest) -> GramTable:
         raise ValueError("need at least two classes")
     _expect(classes + rest, HermMat, "a Hermitian matrix")
     n = classes[0].n
+    if n < 2:
+        raise DimensionMismatchError(f"Gram tables need matrices of dimension at least 2, got {n}")
     if len(rest) != n - 2:
         raise DimensionMismatchError(
             f"need {n - 2} fixed matrices for dimension {n}, got {len(rest)}"

@@ -38,7 +38,6 @@ from afkit.errors import DimensionMismatchError
 from afkit.harness import SplitMix64
 from afkit.matrixcore import GenMat, HermMat, principal_minor_sums
 from afkit.rationals import GaussRat, as_rat
-from afkit.shephard import shephard_matrix
 from afkit.toruskahler import intersection_number
 
 ZERO = (Fraction(0), Fraction(0))
@@ -280,18 +279,26 @@ def gen_pd_hermitian_gaussrat(seed, n, entry_bound=5):
     return HermMat.from_gram(g) + HermMat.identity(n)
 
 
+def shephard_fractions(g):
+    """The Shephard matrix d_0i d_0j - d_00 d_ij of a Gram table, formed
+    in Fractions from its `d` view, apart from the library's integer grid."""
+    d = g.d
+    return [[d[0][i] * d[0][j] - d[0][0] * d[i][j] for j in range(1, g.r + 1)]
+            for i in range(1, g.r + 1)]
+
+
 def check_psd_shephard_gaussrat(g):
     """`shephard.check_psd_shephard` by the former library route: the
-    Shephard matrix's entries made GaussRat and cleared by the HermMat
-    constructor."""
-    sums = principal_minor_sums(HermMat(shephard_matrix(g).entries))
+    Shephard matrix's Fraction entries made GaussRat and cleared by the
+    HermMat constructor."""
+    sums = principal_minor_sums(HermMat(shephard_fractions(g)))
     return next(((k, c) for k, c in enumerate(sums, start=1) if c < 0), None)
 
 
 def det_identity_check_gaussrat(g):
     """`shephard.det_identity_check` by the former library route: each
     determinant from a GenMat built of GaussRat entries."""
-    lhs = GenMat(shephard_matrix(g).entries).det().re
+    lhs = GenMat(shephard_fractions(g)).det().re
     rhs = (-1) ** g.r * g.d[0][0] ** (g.r - 1) * GenMat(g.d).det().re
     return lhs == rhs
 

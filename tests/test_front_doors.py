@@ -207,6 +207,13 @@ def test_front_door_fault(call, exc):
 
 
 @pytest.mark.parametrize("build", [gram_from_discriminants, gram_from_torus])
+def test_gram_builders_name_the_minimum_dimension(build):
+    # n = 1 leaves no room for the pair slots, so no rest length can fit
+    with pytest.raises(DimensionMismatchError, match="dimension at least 2, got 1"):
+        build([diag(1), diag(2)])
+
+
+@pytest.mark.parametrize("build", [gram_from_discriminants, gram_from_torus])
 def test_gram_warning_names_the_caller(build):
     # an indefinite class still yields a table, with a warning at the call site
     with pytest.warns(UserWarning) as record:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afkit import shephard
 from afkit.errors import DimensionMismatchError, HypothesisError
 from afkit.mixdisc import MatTuple, mixed_discriminant
 from afkit.shephard import (
@@ -62,6 +63,28 @@ def test_gram_table_validation():
         GramTable([[1]])
 
 
+def test_equal_tables_from_different_spellings_compare_and_hash_equal():
+    # the grid over the lcm of reduced denominators is canonical, and the
+    # hash comes from it
+    groups = [
+        [[[4, 6], [6, 10]], [["4", "6"], ["6", "10"]], [[F(8, 2), F(18, 3)], [F(6), F(30, 3)]]],
+        [[[F(1, 2), 2], [2, F(-7, 3)]], [["1/2", "2"], ["2", "-7/3"]],
+         [[F(3, 6), F(10, 5)], [F(-4, -2), F(14, -6)]]],
+    ]
+    tables = [[GramTable(t) for t in group] for group in groups]
+    for group, spelled in zip(groups, tables):
+        for g in spelled:
+            assert g == spelled[0] and hash(g) == hash(spelled[0])
+            assert g.d == tuple(tuple(F(x) for x in row) for row in group[1])
+    assert tables[0][0] != tables[1][0]
+    assert (tables[1][0]._den, tables[1][0]._rows) == (6, ((3, 12), (12, -14)))
+
+
+def test_shephard_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="at least one row"):
+        ShephardMatrix([])
+
+
 def test_shephard_matrix_frozen_r1():
     s = shephard_matrix(GramTable([[2, 3], [3, 5]]))
     assert isinstance(s, ShephardMatrix)
@@ -101,11 +124,16 @@ def test_check_psd_witness_frozen():
     assert witness == (1, F(-91))
 
 
+# the first four primes above 2^61
+BIG_PRIMES = tuple(2**61 + k for k in (15, 21, 57, 65))
+
+
 def mixed_denominator_tables(r):
-    """(r+1) x (r+1) symmetric tables whose entries share no denominator:
-    three that cycle through 1/3, 5/7 and -2/9, and one whose Shephard
-    matrix is the Gram matrix V V^T of r rational vectors in the plane,
-    PSD by construction and singular from r = 3 on."""
+    """(r+1) x (r+1) symmetric tables of Fractions whose entries share no
+    denominator: three that cycle through 1/3, 5/7 and -2/9; one whose
+    Shephard matrix is the Gram matrix V V^T of r rational vectors in the
+    plane, PSD by construction and singular from r = 3 on; the first
+    cycling table with d_00 = 0; and one over four primes above 2^61."""
     vals = (F(1, 3), F(5, 7), F(-2, 9))
     tables = [
         [[vals[(i + j + shift) % 3] for j in range(r + 1)] for i in range(r + 1)]
@@ -116,7 +144,10 @@ def mixed_denominator_tables(r):
     gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
     rest = [[(d0[i] * d0[j] - gram[i][j]) / d00 for j in range(r)] for i in range(r)]
     tables.append([[d00] + d0] + [[d0[i]] + rest[i] for i in range(r)])
-    return [GramTable(t) for t in tables]
+    tables.append([[F(0)] + tables[0][0][1:]] + tables[0][1:])
+    tables.append([[F((i + 1) * (j + 1) - 3, BIG_PRIMES[(i + j) % 4]) for j in range(r + 1)]
+                   for i in range(r + 1)])
+    return tables
 
 
 def test_check_psd_mixed_denominator_witness_frozen():
@@ -127,17 +158,28 @@ def test_check_psd_mixed_denominator_witness_frozen():
     assert det_identity_check(g)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_shephard_checks_on_mixed_denominators_match_the_gaussrat_route(r):
     verdicts = []
-    for g in mixed_denominator_tables(r):
+    for t in mixed_denominator_tables(r):
+        g = GramTable(t)
         ok, witness = check_psd_shephard(g)
         assert witness == check_psd_shephard_gaussrat(g)
         assert ok == (witness is None)
         assert det_identity_check(g) and det_identity_check_gaussrat(g)
         verdicts.append(ok)
+        if r == 2:
+            # r2_inequality against its Fraction formula on the input table
+            lhs = (t[0][1] ** 2 - t[0][0] * t[1][1]) * (t[0][2] ** 2 - t[0][0] * t[2][2])
+            rhs = (t[0][1] * t[0][2] - t[0][0] * t[1][2]) ** 2
+            if lhs < rhs:
+                with pytest.raises(HypothesisError):
+                    r2_inequality(g)
+            else:
+                rep = r2_inequality(g)
+                assert (rep.lhs, rep.rhs, rep.gap) == (lhs, rhs, lhs - rhs)
     # the Gram-built table is PSD, and some cycling table is not
-    assert verdicts[-1] and False in verdicts
+    assert verdicts[3] and False in verdicts[:3]
 
 
 def test_check_psd_at_rank_40():
@@ -169,6 +211,23 @@ def test_det_identity_zero_corner():
         d = [list(row) for row in g.d]
         d[0][0] = F(0)
         assert det_identity_check(GramTable(d))
+
+
+@pytest.mark.parametrize("size", ["shephard", "table"])
+def test_det_identity_fails_on_one_wrong_determinant(monkeypatch, size):
+    # the identity holds for every symmetric table, so only a wrong
+    # determinant can fail it: det S (r x r) or det(table) (r+1 x r+1)
+    # one off must give False
+    g = GramTable([[2, 3, 1], [3, 5, 4], [1, 4, 7]])
+    assert det_identity_check(g)
+    exact, target = shephard.gauss_det, g.r if size == "shephard" else g.r + 1
+
+    def perturbed(rows):
+        re, im = exact(rows)
+        return (re + (len(rows) == target), im)
+
+    monkeypatch.setattr(shephard, "gauss_det", perturbed)
+    assert not det_identity_check(g)
 
 
 def test_det_identity_matches_oracle_determinants():
