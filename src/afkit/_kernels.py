@@ -1,5 +1,5 @@
-"""Integer kernels: exact determinants over Z and Z[i], the
-characteristic polynomial of a Hermitian matrix over Z[i], the
+"""Integer kernels: exact determinants over Z and Z[i], the determinant
+and characteristic polynomial of a Hermitian matrix over Z[i], the
 permutation-sum DP behind mixed discriminants and mixed adjugates, and
 the multinomial expansion sums and the ratio test `_ratio` shared by
 both engines. Multiset polarization lives with its one caller, `mixdisc`.
@@ -7,7 +7,9 @@ both engines. Multiset polarization lives with its one caller, `mixdisc`.
 The characteristic polynomial is Berkowitz's recursion in its Hermitian
 form, which pairs powers A^k S of each column S and so takes half the
 general recursion's matrix-vector products; the general one is a test
-oracle.
+oracle. The Hermitian determinant is Bareiss elimination on the upper
+triangle, which stays Hermitian with real pivots; a zero pivot hands
+the grid to the general kernel.
 
 Matrices at this level are tuples of tuples, with Gaussian integers as
 (re, im) int pairs. Callers clear denominators before descending here and
@@ -157,6 +159,42 @@ def gauss_det(rows):
         prev = pivot
     d = m[n - 1][n - 1]
     return (sign * d[0], sign * d[1]) if sign < 0 else d
+
+
+def hermitian_det(rows):
+    """Determinant of a Hermitian Gaussian-integer matrix via Bareiss
+    elimination on its upper triangle; an (re, im) int pair.
+
+    Entry (i, j) after step k is the minor on rows 0..k, i and columns
+    0..k, j, so each step leaves the matrix Hermitian with real pivots,
+    its leading principal minors: only entries j >= i are updated,
+    m[i][k] read as the conjugate of m[k][i], and each division by the
+    previous pivot is exact in Z, part by part. A zero pivot hands the
+    grid to `gauss_det`, which swaps rows. The caller vouches that the
+    grid is Hermitian: the kernel reads no entry below the diagonal.
+    """
+    n = len(rows)
+    re = [[z[0] for z in row] for row in rows]
+    im = [[z[1] for z in row] for row in rows]
+    prev = 1
+    for k in range(n - 1):
+        pivot = re[k][k]
+        if not pivot:
+            return gauss_det(rows)
+        kre, kim = re[k], im[k]
+        for i in range(k + 1, n):
+            ar, ai = kre[i], kim[i]
+            ire, iim = re[i], im[i]
+            for j in range(i, n):
+                # pivot m[i][j] - conj(m[k][i]) m[k][j], over prev
+                br, bi = kre[j], kim[j]
+                qr, rr = divmod(pivot * ire[j] - ar * br - ai * bi, prev)
+                qi, ri = divmod(pivot * iim[j] - ar * bi + ai * br, prev)
+                if rr or ri:
+                    raise ArithmeticError("non-exact division in a fraction-free elimination step")
+                ire[j], iim[j] = qr, qi
+        prev = pivot
+    return (re[-1][-1], im[-1][-1]) if n else (1, 0)
 
 
 def hermitian_charpoly(rows):

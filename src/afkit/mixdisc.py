@@ -27,6 +27,7 @@ from ._kernels import (
     _expansion_args,
     _multinomial_expansion,
     gauss_det,
+    hermitian_det,
     mixed_adjugate_sum,
     mixed_perm_sum,
 )
@@ -138,12 +139,14 @@ def _pencil_discriminants(a: HermMat, b: HermMat, det_a: Fraction, det_b: Fracti
 
     p(x) = det(x a + b) = sum_m C(n, m) D(a^[m], b^[n-m]) x^m. Over the
     common denominator, p(0) is the given det b, p(1), ..., p(n-1) are
-    integer determinants (`gauss_det`) and the leading coefficient is
-    det a, so Delta^n p(0) = n! det a; the forward differences give p in
-    the falling factorial basis, p(x) = sum_k Delta^k p(0) / k!
-    x(x-1)...(x-k+1), which nested multiplication turns into monomial
-    coefficients, all exact. x a + b is Hermitian for real x, so a
-    non-real p(x) raises `InvariantViolationError`.
+    integer determinants of Hermitian grids (`hermitian_det`) and the
+    leading coefficient is det a, so Delta^n p(0) = n! det a; the
+    forward differences give p in the falling factorial basis,
+    p(x) = sum_k Delta^k p(0) / k! x(x-1)...(x-k+1), which nested
+    multiplication turns into monomial coefficients. It runs on the
+    integers n!/k! Delta^k p(0), so each coefficient is one Fraction at
+    the end. x a + b is Hermitian for real x, so a non-real p(x) raises
+    `InvariantViolationError`.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"matrix dimensions differ: {a.n} vs {b.n}")
@@ -155,7 +158,7 @@ def _pencil_discriminants(a: HermMat, b: HermMat, det_a: Fraction, det_b: Fracti
     diffs = [det_b.numerator * (scale // det_b.denominator)]
     for x in range(1, n):
         u = x * s
-        re, im = gauss_det([
+        re, im = hermitian_det([
             [(u * ar + t * br, u * ai + t * bi) for (ar, ai), (br, bi) in zip(ra, rb)]
             for ra, rb in zip(a._rows, b._rows)
         ])
@@ -165,15 +168,16 @@ def _pencil_discriminants(a: HermMat, b: HermMat, det_a: Fraction, det_b: Fracti
     for k in range(1, n):
         for x in range(n - 1, k - 1, -1):
             diffs[x] -= diffs[x - 1]
-    diffs.append(factorial(n) * det_a.numerator * (scale // det_a.denominator))
-    # p = a_0 + x (a_1 + (x - 1) (a_2 + ...)), a_k = Delta^k p(0) / k!,
+    nf = factorial(n)
+    diffs.append(nf * det_a.numerator * (scale // det_a.denominator))
+    # n! p = a_0 + x (a_1 + (x - 1) (a_2 + ...)), a_k = n!/k! Delta^k p(0),
     # coefficients lowest first
     coeffs = []
     for k in range(n, -1, -1):
         shifted = [0] + coeffs
         coeffs = [c - k * d for c, d in zip(shifted, coeffs + [0])]
-        coeffs[0] += Fraction(diffs[k], factorial(k))
-    return [c / (comb(n, m) * scale) for m, c in enumerate(coeffs)]
+        coeffs[0] += diffs[k] * (nf // factorial(k))
+    return [Fraction(c, nf * comb(n, m) * scale) for m, c in enumerate(coeffs)]
 
 
 def det_expansion_check(mats: Sequence[GenMat], lambdas: Sequence) -> bool:

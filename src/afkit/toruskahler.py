@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
+from ._kernels import hermitian_charpoly
 from .errors import (
     DimensionMismatchError,
     HypothesisError,
@@ -24,7 +26,7 @@ from .errors import (
     _expect,
 )
 from .ineqcheck import GapReport, _fold_gap
-from .matrixcore import HermMat, principal_minor_sums, proportional
+from .matrixcore import HermMat, proportional
 from .mixdisc import MatTuple, _discriminant_auto, _pencil_discriminants, mixed_adjugate
 from .rationals import Rat
 
@@ -37,12 +39,15 @@ class TorusClass:
     def __init__(self, mat: HermMat):
         _expect([mat], HermMat, "a Hermitian matrix")
         self.mat = mat
-        # one pass of principal minor sums c_1..c_n, with c_n = det
-        sums = principal_minor_sums(mat)
-        self.det = sums[-1]
-        self.nef = all(c >= 0 for c in sums)
-        self.big = self.det > 0
-        self.kahler = all(c > 0 for c in sums)
+        # det(tI - A) = sum_k (-1)^k c_k t^(n-k) over the grid, c_k the
+        # principal minor sums times den^k > 0, so each has the sign of
+        # its sum, and c_n / den^n = det
+        coeffs = hermitian_charpoly(mat._rows)
+        scaled = [-c if k & 1 else c for k, c in enumerate(coeffs[1:], start=1)]
+        self.det = Fraction(scaled[-1], mat._den ** mat.n)
+        self.nef = all(c >= 0 for c in scaled)
+        self.big = scaled[-1] > 0
+        self.kahler = all(c > 0 for c in scaled)
         if (self.nef and self.big) != self.kahler:
             raise InvariantViolationError(
                 "nef and big must coincide with Kahler on the torus"
@@ -107,8 +112,11 @@ def kt_sequence(g1: TorusClass, g2: TorusClass) -> list:
     A_2^[n-m]) x^m, so det A_2 = p(0), the determinants at x = 1..n-1
     and the leading coefficient det A_1 fix every
     s_m = n! 2^n D(A_1^[m], A_2^[n-m]) exactly, at any n
-    (`mixdisc._pencil_discriminants`). Log-concavity of the sequence,
-    s_m^2 >= s_(m-1) s_(m+1), is asserted before returning.
+    (`mixdisc._pencil_discriminants`). x A_1 + A_2 is Hermitian, so
+    each determinant is fraction-free elimination on its upper triangle
+    (`_kernels.hermitian_det`), and det A_1, det A_2 are the classes'.
+    Log-concavity of the sequence, s_m^2 >= s_(m-1) s_(m+1), is asserted
+    before returning.
     """
     _expect([g1, g2], TorusClass, "a TorusClass")
     if not (g1.nef and g2.nef):

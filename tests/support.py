@@ -78,6 +78,20 @@ def layer_builds():
         _kernels._add_matrix = real
 
 
+def count_calls(monkeypatch, module, name):
+    """Count the calls through one module binding of a function: returns
+    the list that each call appends to."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def gr(re, im=0):
     return GaussRat(re, im)
 

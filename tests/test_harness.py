@@ -39,6 +39,7 @@ from afkit.toruskahler import equality_theorem_m
 from oracles import gen_pd_hermitian_gaussrat, gen_polytope_fraction, real_det
 from support import (
     DIGIT_LIMIT,
+    bench_module,
     box,
     gen_psd_singular,
     layer_builds,
@@ -588,6 +589,23 @@ def test_torus_instance_builds_only_its_fold_rests(n, rests, leads):
         run = run_suite(RunConfig(mode="torus", n=n, m=3, trials=3, seed=0))
         assert builds() == (rests, leads)
     assert run.summary["failures"] == 0
+
+
+def test_torus_instance_determinant_and_psd_calls():
+    # counted through every binding by the benchmark's tracer: the KT
+    # pencil's p(1), ..., p(4) are Hermitian determinants that never
+    # hand over, and each TorusClass reads its flags off the
+    # characteristic polynomial, not off principal minor sums
+    tr = bench_module("tracer").Tracer()
+    tr.install()
+    try:
+        run = run_suite(RunConfig(mode="torus", n=5, trials=3, seed=0))
+    finally:
+        tr.restore()
+    assert run.summary["failures"] == 0
+    calls = {name: stats["calls"] for name, stats in tr.summary().items()}
+    names = ("kernels.hermitian_det", "kernels.gauss_det", "matrixcore.principal_minor_sums")
+    assert [calls.get(name, 0) / 3 for name in names] == [4, 0, 0]
 
 
 # Rest-layer builds over three instances (seed 0), pinned at one build

@@ -10,8 +10,11 @@ characteristic polynomial must equal the subset-minor oracle, its
 Hermitian kernel must match the general Berkowitz recursion on
 positive definite, singular and indefinite families, and
 `is_pd`, which reads their signs, must agree with Sylvester's
-leading-minor criterion; the `TorusClass` flags, read off one pass of
-them, must agree with `is_psd`, the determinant and `is_pd`. Draws are
+leading-minor criterion; the `TorusClass` flags, read off the signs of
+the characteristic coefficients, must agree with `is_psd`, the
+determinant and `is_pd`, and with the sums themselves. The Hermitian
+Bareiss determinant must equal the general one on the same families and
+on zero pivots, which it hands to the general kernel. Draws are
 derandomized and bounded, so the suite stays deterministic and keeps no
 example database.
 """
@@ -23,14 +26,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit._kernels import hermitian_charpoly
+from afkit import _kernels
+from afkit._kernels import gauss_det, hermitian_charpoly, hermitian_det
 from afkit.harness import gen_pd_hermitian
 from afkit.matrixcore import GenMat, HermMat, is_pd, is_psd, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
 from afkit.toruskahler import TorusClass
 
 from oracles import charpoly_berkowitz, det_cofactor, is_pd_sylvester, principal_minor_sums_subsets
-from support import as_pairs, gauss, gen_mats, gen_psd_singular, herm_mats, rats
+from support import as_pairs, count_calls, gauss, gen_mats, gen_psd_singular, herm_mats, rats
+
+_GZ = (0, 0)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -187,6 +193,44 @@ def test_hermitian_charpoly_matches_the_general_recursion(kind, n):
         assert hermitian_charpoly(a._rows) == [re for re, _ in want]
 
 
+def repeated_row_gram(seed, n):
+    """G G* for a G whose row 1 repeats row 0: PSD, singular, and its
+    leading 2 x 2 minor is 0, so Bareiss meets a zero pivot at step 1."""
+    g = gen_pd_hermitian(seed, n).entries
+    return HermMat.from_gram(GenMat([g[0], g[0], *g[2:]]))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ("pd", "singular", "indefinite") for n in range(1 + (kind == "singular"), 8)]
+    + [("repeated", n) for n in range(2, 8)],
+)
+def test_hermitian_det_matches_gauss_det(monkeypatch, kind, n):
+    # the indefinite family has a zero corner, so its first pivot hands
+    # over at n >= 2, and the repeated-row family its second at n >= 3;
+    # a singular draw's only zero pivot is its last, the determinant
+    handovers = count_calls(monkeypatch, _kernels, "gauss_det")
+    for seed in range(4):
+        a = repeated_row_gram(seed, n) if kind == "repeated" else hermitian_family(kind, n, seed)
+        assert hermitian_det(a._rows) == gauss_det(a._rows)
+    handover = (kind == "indefinite" and n >= 2) or (kind == "repeated" and n >= 3)
+    assert len(handovers) == (4 if handover else 0)
+
+
+def test_hermitian_det_small_and_zero_diagonal_grids(monkeypatch):
+    assert hermitian_det(()) == gauss_det(()) == (1, 0)
+    assert hermitian_det((((-7, 0),),)) == (-7, 0)
+    handovers = count_calls(monkeypatch, _kernels, "gauss_det")
+    # [[0, z], [conj z, 0]] has det -|z|^2 and [[0, z, 0], [conj z, 0, w],
+    # [0, conj w, 0]] det 0, both through the handover
+    z, w = (3, -2), (1, 4)
+    zc, wc = (3, 2), (1, -4)
+    assert hermitian_det(((_GZ, z), (zc, _GZ))) == (-13, 0)
+    grid = ((_GZ, z, _GZ), (zc, _GZ, w), (_GZ, wc, _GZ))
+    assert hermitian_det(grid) == gauss_det(grid) == _GZ
+    assert len(handovers) == 2
+
+
 @SETTINGS
 @given(sizes.flatmap(herm_mats))
 def test_principal_minor_sums_match_the_subset_oracle(a):
@@ -227,3 +271,22 @@ def test_torus_class_flags_match_the_three_pass_oracle(case):
     c = TorusClass(a)
     assert (c.nef, c.big, c.kahler) == (is_psd(a), a.det().re > 0, is_pd(a))
     assert c.kahler == (kind == "pd")
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("pd", "singular", "indefinite") for n in range(1, 8)])
+def test_torus_class_reads_the_signs_of_the_principal_minor_sums(kind, n):
+    # the flags come from the integer coefficients c_k den^k; the sums
+    # over den^k, on grids over 1 and over 7, must give the same flags
+    for seed in range(4):
+        if kind == "singular" and n == 1:
+            base = HermMat([[0]])
+        else:
+            base = hermitian_family(kind, n, seed)
+        for a in (base, base.scale(Fraction(3, 7))):
+            sums = principal_minor_sums(a)
+            c = TorusClass(a)
+            assert (c.nef, c.big, c.kahler) == (
+                all(x >= 0 for x in sums), sums[-1] > 0, all(x > 0 for x in sums)
+            )
+            assert type(c.det) is Fraction and c.det == sums[-1]
+            assert c.kahler == (kind == "pd")

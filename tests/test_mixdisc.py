@@ -26,7 +26,8 @@ from afkit.rationals import GaussRat
 
 from oracles import mixed_disc_perm, mixed_disc_polarized
 from support import (
-    as_pairs, diag, gen, herm, identity, layer_builds, rand_gen, rand_herm, rand_psd,
+    as_pairs, count_calls, diag, gen, herm, identity, layer_builds, rand_gen, rand_herm,
+    rand_psd,
 )
 
 
@@ -274,18 +275,6 @@ def test_auto_route_matches_both_routes_on_every_shape():
             if len(shape) == 1:
                 # D(A, ..., A) = det A for a general complex A
                 assert got == mats[0].det()
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def route_calls(monkeypatch, mats):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from afkit import mixdisc
+from afkit import _kernels, mixdisc
 from afkit.errors import (
     DimensionMismatchError,
     HypothesisError,
@@ -33,7 +33,7 @@ from afkit.toruskahler import (
 )
 
 from oracles import kt_sequence_reference
-from support import diag, gen, gen_psd_singular, identity, rand_pd, rand_psd
+from support import count_calls, diag, gen, gen_psd_singular, herm, identity, rand_pd, rand_psd
 
 F = Fraction
 
@@ -167,26 +167,61 @@ def test_kt_pencil_matches_the_per_m_reference(n):
     assert kt_sequence(s1, s2)[-1] == 0
 
 
+def padded(mat):
+    """0 (+) mat: a nef class that is not big, with a zero first row."""
+    rows = [[0] * (mat.n + 1)] + [[0, *row] for row in mat.entries]
+    return tc(herm(rows))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kt_pencil_on_nef_but_not_big_pairs(monkeypatch, n):
+    """Singular pairs whose pencil is regular, and pairs with a common
+    zero row, whose pencil grids hand their zero first pivot from
+    `hermitian_det` to `gauss_det`."""
+    rng = random.Random(379 + n)
+    s1, s2 = tc(gen_psd_singular(n, n, 2)), tc(gen_psd_singular(70 + n, n, 2))
+    p1 = padded(rand_pd(rng, n - 1, bound=2))
+    p2 = padded(rand_psd(rng, n - 1, bound=2).scale(F(2, 3)))
+    for a, b, handovers in [(s1, s2, 0), (s2, s1, 0), (p1, p2, n - 1), (p2, p1, n - 1)]:
+        assert a.nef and b.nef and not (a.big or b.big)
+        calls = count_calls(monkeypatch, _kernels, "gauss_det")
+        assert kt_sequence(a, b) == kt_sequence_reference(a, b)
+        assert len(calls) == handovers
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_kt_pencil_takes_p0_from_the_class(monkeypatch, n):
     # p(0) = det A_2 and the leading coefficient det A_1 are the c_n that
     # each TorusClass already holds, so only p(1), ..., p(n-1) run a
-    # determinant
+    # determinant, each a Hermitian one that never hands over
     rng = random.Random(341 + n)
     g1, g2 = tc(rand_pd(rng, n, bound=2)), tc(rand_pd(rng, n, bound=2).scale(F(3, 4)))
     assert (g1.det, g2.det) == (g1.mat.det().re, g2.mat.det().re)
-    want, calls = kt_sequence_reference(g1, g2), []
-    det = mixdisc.gauss_det
-    monkeypatch.setattr(mixdisc, "gauss_det", lambda rows: calls.append(1) or det(rows))
+    want = kt_sequence_reference(g1, g2)
+    calls = count_calls(monkeypatch, mixdisc, "hermitian_det")
+    general = count_calls(monkeypatch, mixdisc, "gauss_det")
+    handovers = count_calls(monkeypatch, _kernels, "gauss_det")
     assert kt_sequence(g1, g2) == want
-    assert len(calls) == n - 1
+    assert (len(calls), len(general), len(handovers)) == (n - 1, 0, 0)
 
 
 def test_kt_non_real_pencil_determinant_raises(monkeypatch):
-    det = mixdisc.gauss_det
-    monkeypatch.setattr(mixdisc, "gauss_det", lambda rows: (det(rows)[0], 1))
+    det = mixdisc.hermitian_det
+    monkeypatch.setattr(mixdisc, "hermitian_det", lambda rows: (det(rows)[0], 1))
     with pytest.raises(InvariantViolationError):
         kt_sequence(tc(diag(1, 2)), tc(identity(2)))
+
+
+def test_kt_non_real_handed_over_determinant_raises(monkeypatch):
+    # the pencil of two classes with a zero first row hands its grids
+    # to `gauss_det`, whose value reaches the same check
+    a, b = padded(diag(1, 2)), padded(identity(2))
+    assert kt_sequence(a, b) == kt_sequence_reference(a, b)
+    det = _kernels.gauss_det
+    monkeypatch.setattr(_kernels, "gauss_det", lambda rows: (det(rows)[0], 1))
+    with pytest.raises(InvariantViolationError):
+        kt_sequence(a, b)
 
 
 def test_equality_pair_proportional_classes():
