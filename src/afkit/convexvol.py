@@ -16,11 +16,12 @@ sum_u h_L(u) S(K_2, ..., K_d)(u). A rest that repeats one body K has
 S = m_K, so vol(K) = V(K, ..., K) and V(L, K, ..., K) need no sum; a
 body of least multiplicity leads. `_area` builds any other S: the
 Minkowski sum of the rest's distinct bodies gives the normals, read off
-the last sum's hull facets alone, and the projected faces at each
-normal give S(u) by the same identity one dimension down; a two-point
-face takes its measures in closed form. Such measures sit in a 4-entry
-LRU cache, the engine's only one, keyed by the (body, count) multiset
-and the vertex budget.
+the last sum's hull facets alone, and their faces, since
+F(K + L, u) = F(K, u) + F(L, u) (1.7): each point of the sum keeps
+its summands. The projected faces at each normal give S(u) by the
+same identity one dimension down; a two-point face takes its measures
+in closed form. Such measures sit in a 4-entry LRU cache, the engine's
+only one, keyed by the (body, count) multiset and the vertex budget.
 Every operation after construction works on the grid, and every measure
 is an integer on the grid it came from; Fractions appear only in the
 volumes, and in the `vertices` view JSON reads.
@@ -245,10 +246,11 @@ def _hull_shape(ints, d):
     The measures map each distinct primitive outer normal u to
     m(u) = (d-1)! vol_{d-1}(F(u)) / |u|, an integer on the grid; the
     support sum of the cloud against them is d! vol. A full-dimensional
-    cloud is hulled once by `_hull_full_dim`, and one loop over its
-    facets reads both: a listed point is extreme when the normals of its
-    facets span R^d (a point on a facet fixes the offset, so the normal
-    names the plane), and a facet simplex with normal u adds |det| / |u_i|
+    cloud is hulled once by `_hull_full_dim`, and its facets give both.
+    The points of a normal that one simplex carries are extreme, since
+    that facet is a simplex; any other listed point is extreme when the
+    normals of its facets span R^d (a point on a facet fixes the offset,
+    so the normal names the plane). A facet simplex with normal u adds |det| / |u_i|
     of its d - 1 edge vectors without coordinate i, u's first nonzero
     one, since dropping u_i scales (d-1)-volumes normal to u by
     |u_i| / |u|. A flat cloud has no extreme point off its affine span;
@@ -285,25 +287,30 @@ def _hull_shape(ints, d):
         vol = _support_sum([projected[i] for i in idx], measures)
         m = _exact_measure(vol, u[next(j for j in range(d) if j not in pivots)])
         return idx, {u: m, tuple(-x for x in u): m}
+    facets = _hull_full_dim(ints, d, basis_idx)
     planes = {}  # normal -> sum of |minor| over its facet simplices
-    through = {}  # listed point -> the distinct normals of its facets
-    for a, _, vidx in _hull_full_dim(ints, d, basis_idx):
+    for a, _, vidx in facets:
         i = next(j for j, x in enumerate(a) if x)
         base = ints[vidx[0]]
         edges = [[x - y for j, (x, y) in enumerate(zip(ints[v], base)) if j != i] for v in vidx[1:]]
         planes[a] = planes.get(a, 0) + abs(int_det(edges))
+    # a normal carried by one simplex names a simplex facet, whose points
+    # are vertices; every geometric facet through any other vertex has a
+    # simplex there, while a point inside a face meets only facets
+    # containing that face, whose normals have rank below d
+    carried = Counter(a for a, _, _ in facets)
+    sure = {v for a, _, vidx in facets if carried[a] == 1 for v in vidx}
+    through = {}  # any other listed point -> the distinct normals of its facets
+    for a, _, vidx in facets:
         for v in vidx:
-            through.setdefault(v, set()).add(a)
-    # every geometric facet through a vertex has a simplex there, while a
-    # point inside a face meets only facets containing that face, whose
-    # normals have rank below d; coplanar splits share one normal
-    idx = []
-    for v in sorted(through):
+            if v not in sure:
+                through.setdefault(v, set()).add(a)
+    for v, normals in through.items():
         ech = _IntEchelon()
-        if any(ech.add(a) and ech.rank == d for a in through[v]):
-            idx.append(v)
+        if any(ech.add(a) and ech.rank == d for a in normals):
+            sure.add(v)
     measures = {a: _exact_measure(m, next(x for x in a if x)) for a, m in planes.items()}
-    return idx, measures
+    return sorted(sure), measures
 
 
 def _support_sum(pts, measures):
@@ -482,40 +489,50 @@ def _area(rest, d, budget) -> dict:
     A rest that is one set repeated, as always at d = 2, has that set's
     facet measures. Any other rest folds its distinct sets into their
     Minkowski sum, keeping the extreme points after each step but the
-    last; counts do not move a normal. The last sum gives its normals
+    last, and for each point of a sum the index of its summand in each
+    set; counts do not move a normal. The last sum gives its normals
     alone: a full-dimensional one takes them off `_hull_full_dim`'s
-    facets in facet order, with no extreme points or measures, and a
-    flat one goes through `_hull_shape`. At each outer normal u of the
-    sum, u's first nonzero coordinate u_i is dropped from the rest's
-    faces F(P_j, u), and S(u) is the (d-1)! mixed volume of those faces
-    over |u_i|; a point face gives no entry. The budget bounds every
-    pairwise product of the fold, here and in the faces, before it is
-    built.
+    facets in facet order, grouped by normal, with no extreme points or
+    measures, and a flat one goes through `_hull_shape`. F(P_j, u) is
+    the sorted set of summand indices met in u's group, as the sets are
+    in convex position: a point on the sum's facet decomposes into points
+    of the faces, and each vertex of a face is the summand of a vertex of
+    the facet, which the group lists and which decomposes uniquely, as
+    do the extreme points kept mid-fold. A flat sum's groups hold all
+    its points, so every set is its own face at either normal.
+    At each outer normal u of the sum, u's first nonzero coordinate u_i
+    is dropped from the faces, and S(u) is the (d-1)! mixed volume of
+    those faces over |u_i|; a point face gives no entry. The budget
+    bounds every pairwise product of the fold, here and in the faces,
+    before it is built.
     """
-    acc, *tail = dict.fromkeys(map(tuple, rest))
-    if not tail:
-        return _hull_shape(acc, d)[1]
-    for j, pts in enumerate(tail):
+    sets = list(dict.fromkeys(map(tuple, rest)))
+    if len(sets) == 1:
+        return _hull_shape(sets[0], d)[1]
+    acc, parts = sets[0], {p: (k,) for k, p in enumerate(sets[0])}
+    for j, pts in enumerate(sets[1:]):
         if j:  # the sum so far, by its extreme points
             acc = [acc[i] for i in _hull_shape(acc, d)[0]]
         _check_budget(len(acc) * len(pts), budget)
-        acc = sorted({tuple(map(add, v, w)) for v in acc for w in pts})
+        parts = {tuple(map(add, v, w)): parts[v] + (k,) for v in acc for k, w in enumerate(pts)}
+        acc = sorted(parts)
+    slots = [sets.index(tuple(pts)) for pts in rest]
     basis_idx, ech = _affine_basis(acc, d)
-    if ech.rank < d:
-        normals = _hull_shape(acc, d)[1]
-    else:  # the last sum is read for its normals only
-        normals = dict.fromkeys(a for a, _, _ in _hull_full_dim(acc, d, basis_idx))
+    if ech.rank < d:  # each set is its own face at both normals of a flat sum
+        groups = dict.fromkeys(_hull_shape(acc, d)[1], range(len(acc)))
+    else:  # the last sum is read for its facets only, grouped by normal
+        groups = {}
+        for a, _, vidx in _hull_full_dim(acc, d, basis_idx):
+            groups.setdefault(a, set()).update(vidx)
     area = {}
-    for u in normals:
+    for u, group in groups.items():
         i = next(j for j, x in enumerate(u) if x)
         faces = []
-        for pts in rest:
-            dots = [_dot(u, p) for p in pts]
-            top = max(dots)
-            face = [p[:i] + p[i + 1:] for p, x in zip(pts, dots) if x == top]
+        for pts, j in zip(rest, slots):
+            face = sorted({parts[acc[v]][j] for v in group})
             if len(face) == 1:
                 break  # a point face: no term
-            faces.append(face)
+            faces.append([pts[k][:i] + pts[k][i + 1:] for k in face])
         else:
             area[u] = _exact_measure(_support_sum(faces[0], _area(faces[1:], d - 1, budget)), u[i])
     return area

@@ -12,7 +12,8 @@ general Berkowitz characteristic polynomial, the two Shephard checks on
 GaussRat entries, the GaussRat-entry matrix generator, the Fraction-cloud
 polytope generator, the Fraction-vertex homothety test, translation and
 dilation, the polarized mixed volume, which runs its own signed sum over
-the constructor's hulls, the dict-keyed permutation-sum DP, and the
+the constructor's hulls, the mixed area measure that finds each face by
+a support scan over the library's hull normals, the dict-keyed permutation-sum DP, and the
 Khovanskii-Teissier sequence one intersection number at a time. Two
 closed forms tie the engines together: the mixed volume of zonotopes and
 the mixed discriminant of rank-one sums, the same sum over one generator
@@ -29,6 +30,11 @@ from afkit._kernels import int_det
 from afkit.convexvol import (
     BodyTuple,
     Polytope,
+    _affine_basis,
+    _exact_measure,
+    _hull_full_dim,
+    _hull_shape,
+    _support_sum,
     convex_hull,
     dilate,
     minkowski_sum,
@@ -746,3 +752,43 @@ def hull_insertion(ints, d):
         if 0 not in vidx:
             total += abs(int_det([[ints[v][j] - apex[j] for j in range(d)] for v in vidx]))
     return extreme, total
+
+
+def area_by_support(rest, d):
+    """The mixed area measure S(P_2, ..., P_d) of integer point sets in
+    convex position, d >= 2, by support scans.
+
+    The former `convexvol._area`: the distinct sets fold into their
+    Minkowski sum, keeping the extreme points of each sum but the last,
+    whose hull gives the normals in facet order (a flat one through
+    `_hull_shape`). At each normal u every set is scanned for the points
+    of largest u . p, its face F(P_j, u); u's first nonzero coordinate
+    u_i is dropped from the faces, and S(u) is the (d-1)! mixed volume of
+    those faces over |u_i|, recursively. A point face gives no entry.
+    """
+    acc, *tail = dict.fromkeys(map(tuple, rest))
+    if not tail:
+        return _hull_shape(acc, d)[1]
+    for j, pts in enumerate(tail):
+        if j:
+            acc = [acc[i] for i in _hull_shape(acc, d)[0]]
+        acc = sorted({tuple(a + b for a, b in zip(v, w)) for v in acc for w in pts})
+    basis_idx, ech = _affine_basis(acc, d)
+    if ech.rank < d:
+        normals = _hull_shape(acc, d)[1]
+    else:
+        normals = dict.fromkeys(a for a, _, _ in _hull_full_dim(acc, d, basis_idx))
+    area = {}
+    for u in normals:
+        i = next(j for j, x in enumerate(u) if x)
+        faces = []
+        for pts in rest:
+            dots = [sum(x * y for x, y in zip(u, p)) for p in pts]
+            top = max(dots)
+            face = [p[:i] + p[i + 1:] for p, x in zip(pts, dots) if x == top]
+            if len(face) == 1:
+                break
+            faces.append(face)
+        else:
+            area[u] = _exact_measure(_support_sum(faces[0], area_by_support(faces[1:], d - 1)), u[i])
+    return area

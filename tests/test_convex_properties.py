@@ -18,7 +18,8 @@ rational generators, flat ones included, must match the closed form
 d! V = sum |det| over one generator per body, for d = 2..4. The mixed area measure
 `_area` behind it must not depend on the order of the rest, must balance
 (sum_u S(u) u = 0), and must give a set's facet measures for a rest of
-that set repeated, through the fold as well, for d = 2..4. Draws are
+that set repeated, through the fold as well, and must equal the support-scan
+measure `oracles.area_by_support`, for d = 2..4. Draws are
 derandomized and bounded, so the suite stays deterministic and keeps no
 example database.
 """
@@ -50,6 +51,7 @@ from oracles import (
     dilate_fraction,
     extreme_points_bruteforce,
     homothety_ratio_fraction,
+    area_by_support,
     mixed_volume_polarized,
     translate_fraction,
     volume_insertion,
@@ -420,3 +422,29 @@ def test_a_repeated_set_has_its_facet_measures(d, data):
     want = _hull_shape(pts, d)[1]
     assert area([pts] * (d - 1), d) == want
     assert area([pts[i:] + pts[:i] for i in range(d - 1)], d) == want
+
+
+@st.composite
+def rests(draw, d, source):
+    """d - 1 grids: measured bodies, the rest of a flat or collinear
+    `mixed_tuples` draw (a flat last sum, or segments in the rest), or
+    one set repeated or listed in rotated orders."""
+    if source == "grids":
+        return draw(grids(d, d - 1))
+    if source in ("flat", "collinear"):
+        return [b._pts for b in draw(mixed_tuples(d, source))[1:]]
+    pts = draw(measured_body(d))._pts
+    if source == "repeated":
+        return [pts] * (d - 1)
+    return [pts[i:] + pts[:i] for i in range(d - 1)]
+
+
+@pytest.mark.parametrize("source", ["grids", "flat", "collinear", "repeated", "rotated"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_area_reads_the_faces_a_support_scan_finds(d, source, data):
+    # the faces come off the last sum's facet groups, the scan's off
+    # every point of the rest: same normals in the same order, same values
+    rest = data.draw(rests(d, source))
+    assert list(area(rest, d).items()) == list(area_by_support(rest, d).items())

@@ -650,6 +650,31 @@ def test_volume_hull_work_holds(monkeypatch):
     assert (counts["int_det"], counts["_hull_shape"]) == (190, 39)
 
 
+@pytest.mark.parametrize("n, adds, dots", [(3, 34, 2500), (4, 1315, 66973)])
+def test_volume_rank_tests_and_dots_hold(monkeypatch, n, adds, dots):
+    # the points of a one-simplex facet are vertices without a rank test,
+    # and each area measure reads its faces off the last sum's facet
+    # groups without scanning the rest: `_IntEchelon.add` and `_dot`
+    # counted through the `convexvol` bindings from a cleared rest-area
+    # cache. Ranking every listed point and scanning every face gives
+    # (169, 3216) at n = 3 and (3450, 81935) at n = 4.
+    counts = {"add": 0, "_dot": 0}
+
+    def counted(owner, name):
+        def call(*args, real=getattr(owner, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(convexvol._IntEchelon, "add")
+    counted(convexvol, "_dot")
+    convexvol._rest_area.cache_clear()
+    run = run_suite(RunConfig(mode="volume", n=n, trials=3, seed=0))
+    assert run.summary["failures"] == 0
+    assert (counts["add"], counts["_dot"]) == (adds, dots)
+
+
 @pytest.mark.parametrize("mode, n, ratio", [
     ("discriminant", 3, "proportional"),
     ("volume", 2, "homothety_ratio"),

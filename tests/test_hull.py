@@ -36,7 +36,7 @@ from afkit.convexvol import (
 )
 from afkit.errors import InvariantViolationError
 
-from oracles import facet_plane_minors, hull_insertion
+from oracles import extreme_points_bruteforce, facet_plane_minors, hull_insertion
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -207,3 +207,40 @@ def test_a_segment_has_the_measures_of_its_collinear_cloud(d):
         assert (idx, cloud_idx) == ([0, 1], [0, 2])
         assert list(measures.items()) == list(cloud_measures.items())
         assert len(measures) == (2 if d == 2 else 0)
+
+
+def pyramid_with_base_points():
+    # the base square splits into several simplices around its centre and
+    # its edge midpoints, beside triangular side facets of one simplex
+    corners = [(x, y, 0) for x in (-2, 2) for y in (-2, 2)] + [(0, 0, 2)]
+    return corners, corners + [(0, 0, 0), (2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0)]
+
+
+def prism_with_a_face_point():
+    corners = [(x, y, z) for x, y in ((0, 0), (2, 0), (0, 2)) for z in (0, 2)]
+    return corners, corners + [(0, 1, 1)]
+
+
+def octahedron_with_edge_midpoints():
+    corners = [tuple(s * 2 * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    edges = [(p, q) for p, q in combinations(corners, 2) if any(map(sum, zip(p, q)))]
+    mids = [tuple((a + b) // 2 for a, b in zip(p, q)) for p, q in edges]
+    return corners, corners + mids
+
+
+@pytest.mark.parametrize(
+    "case", [pyramid_with_base_points, prism_with_a_face_point, octahedron_with_edge_midpoints]
+)
+def test_non_vertices_beside_simplex_facets_stay_out(case):
+    # a point on a facet of several simplices is extreme only by the rank
+    # of its normals, while the points of a one-simplex facet are vertices;
+    # the orders put the extra points into the initial simplex and into
+    # ties for the farthest point
+    corners, cloud = case()
+    assert extreme_points_bruteforce([tuple(map(Fraction, p)) for p in cloud], 3) == sorted(corners)
+    for seed in range(12):
+        pts = cloud[:]
+        Random(seed).shuffle(pts)
+        idx, vol = shape(pts, 3)
+        assert sorted(pts[i] for i in idx) == sorted(corners)
+        assert (idx, vol) == hull_insertion(pts, 3)
