@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitError,
     _expect,
 )
-from .matrixcore import HermMat, is_psd, principal_minor_sums, proportional
+from .matrixcore import HermMat, _definiteness, is_psd, proportional
 from .mixdisc import MatTuple, _discriminant_auto
 from .rationals import Rat, as_rat
 
@@ -99,12 +99,6 @@ def _fold_gap(value, ratio, items, m, characterized, context) -> GapReport:
     ratios = [ratio(items[0], x) for x in items[1:m]]
     cert = ratios[0] if all(r is not None for r in ratios) else None
     return gap_report(lhs, rhs, cert, characterized, context)
-
-
-def _definiteness(mats) -> tuple:
-    """(all PSD, all PD), from one principal_minor_sums pass per matrix."""
-    sums = [c for mat in mats for c in principal_minor_sums(mat)]
-    return all(c >= 0 for c in sums), all(c > 0 for c in sums)
 
 
 def _discriminant_value(mats) -> Rat:

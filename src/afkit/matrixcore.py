@@ -5,9 +5,10 @@ Hermitian ones (validated at construction). Each holds one grid of
 Gaussian integers over one denominator, cleared once at construction;
 every operation works on it, and GaussRat entries are built only at the
 API boundary. Positivity is decided by exact minor arithmetic, never by
-eigenvalues: the principal-minor sums of a HermMat come from Berkowitz's
-characteristic polynomial in its Hermitian form, which the validated
-grid licenses and which forms no imaginary part.
+eigenvalues, and in one place: `_minor_sums` reads the principal-minor
+sums of a HermMat as integers off Berkowitz's Hermitian characteristic
+polynomial, which the validated grid licenses; the positivity tests and
+the torus classes compare them with 0.
 """
 
 from __future__ import annotations
@@ -199,34 +200,42 @@ class HermMat(GenMat):
         return self._scaled(z, HermMat)
 
 
-def principal_minor_sums(a: HermMat) -> list:
-    """Coefficients c_k = sum of all k x k principal minors, k = 1..n.
+def _minor_sums(a: HermMat) -> list:
+    """The integers c_k den^k, k = 1..n, of the signs of the c_k, the sums
+    of all k x k principal minors of a = rows / den.
 
-    These are the characteristic-polynomial coefficients in the expansion
-    det(tI - A) = t^n - c_1 t^(n-1) + c_2 t^(n-2) - ... and a Hermitian A
-    is positive semi-definite exactly when every c_k is nonnegative.
-    They come from one division-free characteristic polynomial of the
-    integer grid, in O(n^4) operations rather than 2^n minors: Berkowitz's
-    recursion in its Hermitian form (`_kernels.hermitian_charpoly`), half
-    the general count of matrix-vector products and all its sums real.
+    det(tI - A) = t^n - c_1 t^(n-1) + c_2 t^(n-2) - ... and a Hermitian
+    A is positive semi-definite exactly when every c_k is nonnegative.
+    One division-free characteristic polynomial of the grid gives them
+    in O(n^4) operations rather than 2^n minors: Berkowitz's recursion
+    in its Hermitian form (`_kernels.hermitian_charpoly`), half the
+    general count of matrix-vector products and all its sums real.
     """
     if not isinstance(a, HermMat):
         raise TypeError("positivity tests require a Hermitian matrix")
-    den = a._den
-    return [
-        Fraction(-c if k & 1 else c, den ** k)
-        for k, c in enumerate(hermitian_charpoly(a._rows)[1:], start=1)
-    ]
+    return [-c if k & 1 else c for k, c in enumerate(hermitian_charpoly(a._rows)[1:], start=1)]
+
+
+def principal_minor_sums(a: HermMat) -> list:
+    """Coefficients c_k = sum of all k x k principal minors, k = 1..n,
+    as Fractions: `_minor_sums` over den^k."""
+    return [Fraction(c, a._den ** k) for k, c in enumerate(_minor_sums(a), start=1)]
+
+
+def _definiteness(mats) -> tuple:
+    """(all PSD, all PD), from one `_minor_sums` pass per matrix."""
+    sums = [c for mat in mats for c in _minor_sums(mat)]
+    return all(c >= 0 for c in sums), all(c > 0 for c in sums)
 
 
 def is_psd(a: HermMat) -> bool:
-    """Exact positive semi-definiteness test."""
-    return all(c >= 0 for c in principal_minor_sums(a))
+    """Exact positive semi-definiteness test: every c_k is nonnegative."""
+    return all(c >= 0 for c in _minor_sums(a))
 
 
 def is_pd(a: HermMat) -> bool:
     """Exact positive definiteness test: every c_k is positive."""
-    return all(c > 0 for c in principal_minor_sums(a))
+    return all(c > 0 for c in _minor_sums(a))
 
 
 def proportional(a: GenMat, b: GenMat) -> Optional[Rat]:

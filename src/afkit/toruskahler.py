@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from ._kernels import hermitian_charpoly
 from .errors import (
     DimensionMismatchError,
     HypothesisError,
@@ -25,9 +24,9 @@ from .errors import (
     NotBigError,
     _expect,
 )
-from .ineqcheck import GapReport, _fold_gap
-from .matrixcore import HermMat, proportional
-from .mixdisc import MatTuple, _discriminant_auto, _pencil_discriminants, mixed_adjugate
+from .ineqcheck import GapReport, _discriminant_value, _fold_gap
+from .matrixcore import HermMat, _minor_sums, proportional
+from .mixdisc import MatTuple, _pencil_discriminants, mixed_adjugate
 from .rationals import Rat
 
 
@@ -39,11 +38,8 @@ class TorusClass:
     def __init__(self, mat: HermMat):
         _expect([mat], HermMat, "a Hermitian matrix")
         self.mat = mat
-        # det(tI - A) = sum_k (-1)^k c_k t^(n-k) over the grid, c_k the
-        # principal minor sums times den^k > 0, so each has the sign of
-        # its sum, and c_n / den^n = det
-        coeffs = hermitian_charpoly(mat._rows)
-        scaled = [-c if k & 1 else c for k, c in enumerate(coeffs[1:], start=1)]
+        # c_k den^k, each of the sign of c_k; c_n / den^n is the determinant
+        scaled = _minor_sums(mat)
         self.det = Fraction(scaled[-1], mat._den ** mat.n)
         self.nef = all(c >= 0 for c in scaled)
         self.big = scaled[-1] > 0
@@ -74,8 +70,7 @@ def _big_mats(classes) -> list:
 
 
 def _inum(mats: Sequence[HermMat]) -> Rat:
-    t = MatTuple(mats)
-    return math.factorial(t.n) * 2 ** t.n * _discriminant_auto(t).re
+    return math.factorial(len(mats)) * 2 ** len(mats) * _discriminant_value(mats)
 
 
 def intersection_number(classes: Sequence[TorusClass]) -> Rat:

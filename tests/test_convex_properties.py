@@ -29,7 +29,7 @@ from itertools import permutations
 from math import factorial, gcd
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from afkit.convexvol import (
@@ -441,7 +441,7 @@ def rests(draw, d, source):
 
 @pytest.mark.parametrize("source", ["grids", "flat", "collinear", "repeated", "rotated"])
 @pytest.mark.parametrize("d", [2, 3, 4])
-@SETTINGS
+@settings(SETTINGS, phases=(Phase.explicit, Phase.generate))
 @given(data=st.data())
 def test_area_reads_the_faces_a_support_scan_finds(d, source, data):
     # the faces come off the last sum's facet groups, the scan's off

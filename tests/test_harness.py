@@ -608,6 +608,24 @@ def test_torus_instance_determinant_and_psd_calls():
     assert [calls.get(name, 0) / 3 for name in names] == [4, 0, 0]
 
 
+@pytest.mark.parametrize("mode, extra, calls", [
+    ("discriminant", {}, 0), ("shephard", {"r": 3}, 1), ("bm", {}, 0), ("torus", {}, 0),
+])
+def test_principal_minor_sums_calls_per_instance(mode, extra, calls):
+    # counted through every binding by the benchmark's tracer: every
+    # positivity test compares matrixcore's integer minor sums with 0,
+    # and only the Shephard witness builds their Fractions, once
+    tr = bench_module("tracer").Tracer()
+    tr.install()
+    try:
+        run = run_suite(RunConfig(mode=mode, n=6, trials=3, seed=0, **extra))
+    finally:
+        tr.restore()
+    assert run.summary["failures"] == 0
+    stats = tr.summary().get("matrixcore.principal_minor_sums", {"calls": 0})
+    assert stats["calls"] / 3 == calls
+
+
 # Rest-layer builds over three instances (seed 0), pinned at one build
 # per distinct rest of each instance: adjugate grids share the memo
 # with the rests, and too small a memo would evict a rest that a later value

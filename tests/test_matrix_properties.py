@@ -10,16 +10,17 @@ characteristic polynomial must equal the subset-minor oracle, its
 Hermitian kernel must match the general Berkowitz recursion on
 positive definite, singular and indefinite families, and
 `is_pd`, which reads their signs, must agree with Sylvester's
-leading-minor criterion; the `TorusClass` flags, read off the signs of
-the characteristic coefficients, must agree with `is_psd`, the
-determinant and `is_pd`, and with the sums themselves. The Hermitian
-Bareiss determinant must equal the general one on the same families and
-on zero pivots, which it hands to the general kernel. Draws are
-derandomized and bounded, so the suite stays deterministic and keeps no
-example database.
+leading-minor criterion; the `TorusClass` flags and `_definiteness` on
+mixed families, read off the same signs, must agree with the subset
+oracle and Sylvester's criterion, which share no code with them. The
+Hermitian Bareiss determinant must equal the general one on the same
+families and on zero pivots, which it hands to the general kernel.
+Draws are derandomized and bounded, so the suite stays deterministic and
+keeps no example database.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from afkit import _kernels
 from afkit._kernels import gauss_det, hermitian_charpoly, hermitian_det
 from afkit.harness import gen_pd_hermitian
-from afkit.matrixcore import GenMat, HermMat, is_pd, is_psd, principal_minor_sums, proportional
+from afkit.matrixcore import GenMat, HermMat, _definiteness, is_pd, principal_minor_sums, proportional
 from afkit.rationals import GaussRat
 from afkit.toruskahler import TorusClass
 
@@ -264,29 +265,49 @@ def test_is_pd_matches_the_leading_minor_oracle(case):
     assert is_pd(a) == is_pd_sylvester(as_pairs(a)) == (kind == "pd")
 
 
+def oracle_signs(a):
+    """(PSD, det > 0, PD) of a HermMat by the 2^n-minor oracle and
+    Sylvester's criterion, neither of which reads the library's sums."""
+    sums = [re for re, _ in principal_minor_sums_subsets(as_pairs(a))]
+    return all(x >= 0 for x in sums), sums[-1] > 0, is_pd_sylvester(as_pairs(a))
+
+
 @SETTINGS
 @given(positivity_cases())
 def test_torus_class_flags_match_the_three_pass_oracle(case):
     kind, a = case
     c = TorusClass(a)
-    assert (c.nef, c.big, c.kahler) == (is_psd(a), a.det().re > 0, is_pd(a))
+    assert (c.nef, c.big, c.kahler) == oracle_signs(a)
     assert c.kahler == (kind == "pd")
 
 
-@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("pd", "singular", "indefinite") for n in range(1, 8)])
+def family_member(kind, n, seed):
+    return HermMat([[0]]) if kind == "singular" and n == 1 else hermitian_family(kind, n, seed)
+
+
+# every family of one to three members drawn from the three kinds
+MIXED_FAMILIES = [kinds for r in (1, 2, 3) for kinds in combinations(("pd", "singular", "indefinite"), r)]
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind in ("pd", "singular", "indefinite", "mixed") for n in range(1, 8)]
+)
 def test_torus_class_reads_the_signs_of_the_principal_minor_sums(kind, n):
-    # the flags come from the integer coefficients c_k den^k; the sums
-    # over den^k, on grids over 1 and over 7, must give the same flags
+    # the flags come from the integer coefficients c_k den^k; the oracles,
+    # on grids over 1 and over 7, must give the same flags. The "mixed"
+    # cases run `_definiteness` over families that mix the three kinds
     for seed in range(4):
-        if kind == "singular" and n == 1:
-            base = HermMat([[0]])
+        if kind == "mixed":
+            for kinds in MIXED_FAMILIES:
+                family = [family_member(k, n, seed + i) for i, k in enumerate(kinds)]
+                signs = [oracle_signs(a) for a in family]
+                want = (all(s[0] for s in signs), all(s[2] for s in signs))
+                assert _definiteness(family) == want
+                assert want[1] == (kinds == ("pd",))
         else:
-            base = hermitian_family(kind, n, seed)
-        for a in (base, base.scale(Fraction(3, 7))):
-            sums = principal_minor_sums(a)
-            c = TorusClass(a)
-            assert (c.nef, c.big, c.kahler) == (
-                all(x >= 0 for x in sums), sums[-1] > 0, all(x > 0 for x in sums)
-            )
-            assert type(c.det) is Fraction and c.det == sums[-1]
-            assert c.kahler == (kind == "pd")
+            base = family_member(kind, n, seed)
+            for a in (base, base.scale(Fraction(3, 7))):
+                c = TorusClass(a)
+                assert (c.nef, c.big, c.kahler) == oracle_signs(a)
+                assert type(c.det) is Fraction and c.det == a.det().re
+                assert c.kahler == (kind == "pd")

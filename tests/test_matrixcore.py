@@ -175,8 +175,10 @@ def test_trace():
 
 def test_only_matrixcore_clears_a_matrix():
     # a matrix is cleared once, at construction, and every consumer reads
-    # its integer grid; the GaussRat entries are a derived view
-    users = set()
+    # its integer grid; the GaussRat entries are a derived view. Its
+    # positivity is read once too: only matrixcore runs the Hermitian
+    # characteristic polynomial that `_kernels` defines
+    users = {"clear_gauss_matrix": set(), "hermitian_charpoly": set()}
     slots = None
     for path in sorted(Path(afkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -184,12 +186,12 @@ def test_only_matrixcore_clears_a_matrix():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name == "clear_gauss_matrix":
-                users.add(path.stem)
+            if name in users:
+                users[name].add(path.stem)
             if isinstance(node, ast.ClassDef) and node.name == "GenMat":
                 for stmt in node.body:
                     if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__slots__":
                         slots = ast.literal_eval(stmt.value)
-    assert users == {"matrixcore"}
+    assert users == {"clear_gauss_matrix": {"matrixcore"}, "hermitian_charpoly": {"matrixcore"}}
     assert slots is not None and "entries" not in slots
     assert set(slots) == {"n", "_rows", "_den"}
